@@ -2,9 +2,10 @@
 """Residual sweep over random structured-diagonalizable instances.
 
 For each structure kind and size, draws seeded instances, runs the
-automorphic diagonalization, its unitary refinement, and the additive
+automorphic diagonalization (structured_diagonalize), the unitary one
+built from orthonormal eigenspaces (unitary_refine), and the additive
 decomposition, and prints worst-case residuals. A quick way to eyeball
-numerical headroom against the 1e-8 guarantees.
+numerical headroom against FACTOR_GUARANTEE (1e-8).
 
 Usage:
     python scripts/residual_sweep.py --sizes 1 2 4 8 --seeds 25

@@ -2,14 +2,15 @@
 
 Subcommands: analyze, diagonalize, decompose, generate, verify. Reports
 are JSON documents on stdout; matrices travel as MatrixMarket array
-files. Exit codes: 0 success, 1 mathematical negative, 2 parse/IO,
-3 numerical breakdown.
+files. Exit codes: 0 success, 1 mathematical negative (_NEGATIVE_ERRORS),
+2 parse/IO (_IO_ERRORS), 3 numerical breakdown (_NUMERICAL_ERRORS).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, TolerancePolicy, herm_transpose, rel_residual, solve_linear
+from .core import DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy
 from .decompose import (
     AdditiveDecomposition,
     Sign,
@@ -27,15 +28,20 @@ from .decompose import (
 )
 from .diagonalize import (
     diagonalizability_report,
+    factor_residuals,
     structured_diagonalize,
     unitary_refine,
 )
 from .errors import (
     DimensionMismatch,
+    FrameTooLarge,
+    InertiaMismatch,
     InvalidSize,
     NoConvergence,
     NotAnnihilating,
     NotDiagonalizable,
+    NotLagrangianFrame,
+    NotNeutral,
     NotNeutralRange,
     NotNormal,
     NotStructured,
@@ -45,6 +51,7 @@ from .errors import (
     RankDeficient,
     SingularInput,
     SingularMatrix,
+    SpectrumNotConjugateSymmetric,
     StructDiagError,
 )
 from .forms import InnerProduct, perplectic_form, symplectic_form, euclidean_form
@@ -63,11 +70,15 @@ EXIT_NEGATIVE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
+# Every StructDiagError subclass is in exactly one of these tables.
+_IO_ERRORS = (ParseError, OSError, DimensionMismatch, InvalidSize, ValueError)
 _NEGATIVE_ERRORS = (NotStructured, NotStructuredDiagonalizable,
                     NotDiagonalizable, NotNormal, NotAnnihilating,
                     NotNeutralRange, SingularInput)
 _NUMERICAL_ERRORS = (NumericalBreakdown, SingularMatrix, RankDeficient,
-                     NoConvergence)
+                     NoConvergence, InertiaMismatch,
+                     SpectrumNotConjugateSymmetric, NotLagrangianFrame,
+                     NotNeutral, FrameTooLarge)
 
 
 def _digest(path: str) -> str:
@@ -104,12 +115,15 @@ def _resolve_tol(tol_arg: float | None) -> TolerancePolicy:
                 raise ParseError(f"STRUCTDIAG_TOL={env!r} is not a number")
     if value is None:
         return DEFAULT_TOL
-    return TolerancePolicy(
-        structure_tol=value,
-        cluster_tol=DEFAULT_TOL.cluster_tol,
-        class_tol=DEFAULT_TOL.class_tol,
-        rank_tol=DEFAULT_TOL.rank_tol,
-    )
+    return dataclasses.replace(DEFAULT_TOL, structure_tol=value)
+
+
+def _negative_document(command: str, digest: str,
+                       exc: StructDiagError) -> dict:
+    payload = {"error": type(exc).__name__, "reason": str(exc)}
+    if isinstance(exc, NotStructuredDiagonalizable) and exc.report is not None:
+        payload["diagonalizability"] = exc.report.to_dict()
+    return _document(command, digest, payload, {})
 
 
 def _form_for(name: str, dim: int) -> InnerProduct:
@@ -216,16 +230,8 @@ def cmd_diagonalize(args) -> int:
     try:
         diag = unitary_refine(a, form, tol) if args.unitary \
             else structured_diagonalize(a, form, tol)
-    except NotStructuredDiagonalizable as exc:
-        payload = {"error": "NotStructuredDiagonalizable",
-                   "reason": str(exc)}
-        if exc.report is not None:
-            payload["diagonalizability"] = exc.report.to_dict()
-        _emit(_document("diagonalize", digest, payload, {}))
-        return EXIT_NEGATIVE
-    except (NotNormal, NotDiagonalizable, NotStructured) as exc:
-        _emit(_document("diagonalize", digest,
-                        {"error": type(exc).__name__, "reason": str(exc)}, {}))
+    except _NEGATIVE_ERRORS as exc:
+        _emit(_negative_document("diagonalize", digest, exc))
         return EXIT_NEGATIVE
     write_matrix(f"{args.out}.S.mtx", diag.transform)
     write_matrix(f"{args.out}.D.mtx", diag.diagonal_matrix)
@@ -252,15 +258,8 @@ def cmd_decompose(args) -> int:
         raise ParseError("decompose requires --form symplectic|perplectic")
     try:
         dec = decompose_additive(a, form, tol)
-    except NotStructuredDiagonalizable as exc:
-        payload = {"error": "NotStructuredDiagonalizable", "reason": str(exc)}
-        if exc.report is not None:
-            payload["diagonalizability"] = exc.report.to_dict()
-        _emit(_document("decompose", digest, payload, {}))
-        return EXIT_NEGATIVE
-    except (NotNormal, NotDiagonalizable, NotStructured) as exc:
-        _emit(_document("decompose", digest,
-                        {"error": type(exc).__name__, "reason": str(exc)}, {}))
+    except _NEGATIVE_ERRORS as exc:
+        _emit(_negative_document("decompose", digest, exc))
         return EXIT_NEGATIVE
     write_matrix(f"{args.out}.N.mtx", dec.normal_factor)
     payload = {
@@ -302,10 +301,8 @@ def _verify_diag(a: np.ndarray, s: np.ndarray, form: InnerProduct,
                  tol: TolerancePolicy) -> tuple[bool, dict]:
     if s.shape != a.shape:
         raise DimensionMismatch("transform and matrix dimensions differ")
-    res_auto = rel_residual(herm_transpose(s) @ form.matrix @ s, form.matrix)
-    x = solve_linear(s, a @ s, tol)
-    res_diag = rel_residual(x, np.diag(np.diag(x)))
-    ok = res_auto <= 1e-8 and res_diag <= 1e-8
+    res_auto, res_diag, _ = factor_residuals(a, s, form, tol=tol)
+    ok = max(res_auto, res_diag) <= FACTOR_GUARANTEE
     return ok, {"automorphism": res_auto, "similarity_diagonal": res_diag}
 
 
@@ -360,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_tol:
             p.add_argument("--tol", type=float, default=None,
                            help="override the structure tolerance "
-                                "(default 1e-10, or STRUCTDIAG_TOL)")
+                                f"(default {DEFAULT_TOL.structure_tol:g}, "
+                                "or STRUCTDIAG_TOL)")
 
     p = sub.add_parser("analyze", help="classification and balance report")
     add_common(p)
@@ -414,8 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, DimensionMismatch, InvalidSize,
-            ValueError) as exc:
+    except _IO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except _NUMERICAL_ERRORS as exc:

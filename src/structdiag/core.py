@@ -38,6 +38,13 @@ class TolerancePolicy:
 
 DEFAULT_TOL = TolerancePolicy()
 
+# Pinned guarantees, all in this one table. They are not TolerancePolicy
+# knobs: a factor that misses its guarantee raises instead of returning.
+FACTOR_GUARANTEE = 1e-8   # diagonalization and decomposition residuals
+FRAME_GUARANTEE = 1e-9    # Lagrangian frames (completion), split_normal
+ROOT_GUARANTEE = 1e-7     # X^p = A for structured_root
+FRAME_INPUT_TOL = 1e-10   # frames accepted by build_unitary_automorphism
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array (copying if needed)."""
@@ -131,15 +138,3 @@ def orthonormalize_columns(v: np.ndarray,
     d[np.abs(d) == 0] = 1.0
     return q * (d / np.abs(d))
 
-
-def unit_phase_columns(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its leading significant entry is real positive."""
-    v = np.asarray(v, dtype=np.complex128).copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-10 * max(1.0, np.abs(col).max()))
-        k = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if pivot != 0:
-            v[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return v

@@ -13,6 +13,9 @@ import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
+    FACTOR_GUARANTEE,
+    FRAME_GUARANTEE,
+    ROOT_GUARANTEE,
     TolerancePolicy,
     fro,
     herm_transpose,
@@ -23,7 +26,7 @@ from .core import (
 from .diagonalize import (
     StructuredDiagonalization,
     Variant,
-    assemble_core_diagonal,
+    certify,
     complete_to_lagrangian,
     unitary_refine,
 )
@@ -119,8 +122,8 @@ def split_normal(a: np.ndarray,
         rel_residual(herm_transpose(e) @ e, e @ herm_transpose(e)),
         rel_residual(herm_transpose(f) @ f, f @ herm_transpose(f)),
     )
-    if max(checks) > 1e-9:
-        raise NumericalBreakdown("split residuals exceed 1e-9")
+    if max(checks) > FRAME_GUARANTEE:
+        raise NumericalBreakdown(f"split residuals exceed {FRAME_GUARANTEE:g}")
     return e, f
 
 
@@ -153,7 +156,7 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     n_mat = v @ np.diag(diag.core) @ herm_transpose(v)
     sign = sign_for_variant(diag.variant)
     residuals = _decomposition_residuals(a, n_mat, sign, form)
-    if residuals.worst > 1e-8:
+    if residuals.worst > FACTOR_GUARANTEE:
         raise NumericalBreakdown(
             f"decomposition residuals too large ({residuals.to_dict()})")
     return AdditiveDecomposition(n_mat, sign, form.tag, residuals)
@@ -194,7 +197,8 @@ def reconstruct_from_normal_factor(
         raise NotNeutralRange(
             f"rank {rank} exceeds the maximal neutral dimension {n}")
     v0 = z[:, keep]
-    if rank and fro(gram(v0, form)) > 1e-8 * max(1.0, fro(form.matrix)):
+    if rank and (fro(gram(v0, form))
+                 > FACTOR_GUARANTEE * max(1.0, fro(form.matrix))):
         raise NotNeutralRange("column space of N is not neutral")
     frame = complete_to_lagrangian(v0, form, tol)
     core = np.concatenate([values[keep], np.zeros(n - rank)]).astype(
@@ -204,20 +208,7 @@ def reconstruct_from_normal_factor(
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
     q = build_unitary_automorphism(frame, form)
-    full_diag = assemble_core_diagonal(core, form.tag, variant)
-    res_auto = rel_residual(herm_transpose(q) @ form.matrix @ q, form.matrix)
-    res_sim = rel_residual(herm_transpose(q) @ a @ q, np.diag(full_diag))
-    res_unit = rel_residual(herm_transpose(q) @ q,
-                            np.eye(2 * n, dtype=np.complex128))
-    if max(res_auto, res_sim, res_unit) > 1e-8:
-        raise NumericalBreakdown(
-            f"reconstruction residuals too large (automorphism "
-            f"{res_auto:.3e}, similarity {res_sim:.3e}, unitary "
-            f"{res_unit:.3e})")
-    diag = StructuredDiagonalization(
-        transform=q, core=core, form_tag=form.tag, variant=variant,
-        residual_automorphism=res_auto, residual_similarity=res_sim,
-        unitary=True)
+    diag = certify(a, q, core, form, variant, tol, unitary=True)
     return a, diag
 
 
@@ -244,7 +235,7 @@ def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
                          form: InnerProduct,
                          tol: TolerancePolicy = DEFAULT_TOL
                          ) -> VerificationReport:
-    """Recompute every decomposition residual; pass iff all are <= 1e-8."""
+    """Recompute every residual; pass iff all are <= FACTOR_GUARANTEE."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
         raise NotStructured("matrix and factor dimensions differ")
@@ -254,8 +245,8 @@ def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
     structure_res = rel_residual(a_star, want)
     normal_res = rel_residual(herm_transpose(a) @ a, a @ herm_transpose(a))
     rank_ok = numerical_rank(dec.normal_factor, tol.rank_tol) <= form.half
-    passed = (residuals.worst <= 1e-8 and structure_res <= 1e-8
-              and normal_res <= 1e-8 and rank_ok)
+    passed = (max(residuals.worst, structure_res, normal_res)
+              <= FACTOR_GUARANTEE and rank_ok)
     return VerificationReport(passed, residuals, structure_res, normal_res,
                               rank_ok)
 
@@ -311,6 +302,7 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
     m_root = z @ np.diag(root_values) @ herm_transpose(z)
     x = m_root + adjoint(m_root, form)
     res = rel_residual(np.linalg.matrix_power(x, p), a)
-    if res > 1e-7:
-        raise NumericalBreakdown(f"root residual {res:.3e} exceeds 1e-7")
+    if res > ROOT_GUARANTEE:
+        raise NumericalBreakdown(
+            f"root residual {res:.3e} exceeds {ROOT_GUARANTEE:g}")
     return x

@@ -7,7 +7,8 @@ identity, maps each critical eigenspace Gram onto a canonical balanced
 pattern by congruence, and routes partner columns into the positions
 that reproduce the form matrix exactly. Lagrangian completion turns any
 neutral frame into a full Lagrangian frame by pairing positive and
-negative directions of the complement Gram.
+negative directions of the complement Gram. The unitary route for normal
+input reads its Lagrangian frame off the orthonormal eigenspaces.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
+    FACTOR_GUARANTEE,
+    FRAME_GUARANTEE,
     TolerancePolicy,
-    fro,
     herm_transpose,
     inverse,
-    orthonormalize_columns,
     rel_residual,
     solve_linear,
-    unit_phase_columns,
 )
 from .errors import (
     FrameTooLarge,
@@ -50,12 +50,13 @@ from .forms import (
 )
 from .spectral import (
     AxisClass,
+    EigenGroup,
     eigen,
     group_eigenvalues,
     is_diagonalizable,
     pair_conjugates,
 )
-from .structure import build_unitary_automorphism, classify
+from .structure import build_unitary_automorphism, classify, frame_residuals
 
 
 class Variant(enum.Enum):
@@ -216,10 +217,73 @@ def _balanced_target(form: InnerProduct, m: int) -> np.ndarray:
 def _route_partners(x_cols: np.ndarray, y_cols: np.ndarray,
                     form_tag: FormTag) -> np.ndarray:
     """Place partner columns at (j, n+j) for J and (j, 2n+1-j) for R."""
-    n = x_cols.shape[1]
     if form_tag is FormTag.SYMPLECTIC_J:
         return np.hstack([x_cols, y_cols])
     return np.hstack([x_cols, y_cols[:, ::-1]])
+
+
+def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
+                     diagonal: np.ndarray | None = None,
+                     tol: TolerancePolicy = DEFAULT_TOL
+                     ) -> tuple[float, float, float]:
+    """Relative residuals of S^H B S vs B, S^{-1} A S vs diag(diagonal)
+    (its own diagonal when none is given) and S^H S vs I."""
+    sh = herm_transpose(s)
+    x = solve_linear(s, a @ s, tol)
+    target = np.diag(np.diag(x) if diagonal is None else diagonal)
+    return (rel_residual(sh @ form.matrix @ s, form.matrix),
+            rel_residual(x, target),
+            rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
+
+
+def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
+            form: InnerProduct, variant: Variant,
+            tol: TolerancePolicy = DEFAULT_TOL,
+            unitary: bool = False) -> StructuredDiagonalization:
+    """S as a diagonalization of A; NumericalBreakdown unless its residuals
+    (unitarity too, with ``unitary``) meet FACTOR_GUARANTEE."""
+    res_auto, res_sim, res_unit = factor_residuals(
+        a, s, form, assemble_core_diagonal(core, form.tag, variant), tol)
+    if max(res_auto, res_sim, res_unit if unitary else 0.0) > FACTOR_GUARANTEE:
+        raise NumericalBreakdown(
+            f"diagonalization residuals too large (automorphism "
+            f"{res_auto:.3e}, similarity {res_sim:.3e}, unitary "
+            f"{res_unit:.3e})")
+    return StructuredDiagonalization(
+        transform=s, core=core, form_tag=form.tag, variant=variant,
+        residual_automorphism=res_auto, residual_similarity=res_sim,
+        unitary=res_unit <= FACTOR_GUARANTEE)
+
+
+def _eigen_blocks(
+        a: np.ndarray, form: InnerProduct, tol: TolerancePolicy
+) -> tuple[Variant, list[tuple[EigenGroup, EigenGroup | None]], np.ndarray]:
+    """Decide, then split the spectrum of the selfadjoint A_hat = A or i A.
+
+    Blocks are conjugate pairs (lower group, partner) and critical groups
+    (group, None), ascending by their core value: the lower eigenvalue,
+    divided by i for skewadjoint A. Raises NotStructuredDiagonalizable
+    (report attached) if unbalanced or a critical multiplicity is odd.
+    """
+    report = diagonalizability_report(a, form, tol)
+    if not report.decision:
+        raise NotStructuredDiagonalizable(report.reason, report)
+    a_hat = a if report.variant is Variant.SELFADJOINT else 1j * a
+    groups = group_eigenvalues(eigen(a_hat), tol)
+    pairing = pair_conjugates(groups, tol)
+    blocks = [(groups[gi], groups[gj]) for gi, gj in pairing.pairs]
+    for gi in pairing.selfconjugate:
+        g = groups[gi]
+        if g.multiplicity % 2 != 0:
+            raise NotStructuredDiagonalizable(
+                f"critical eigenvalue {g.value:.6g} has odd multiplicity "
+                f"{g.multiplicity}", report)
+        blocks.append((g, None))
+    values = np.array([g.value for g, _ in blocks])
+    if report.variant is Variant.SKEWADJOINT:
+        values = values / 1j
+    order = np.lexsort((values.imag, values.real))
+    return report.variant, [blocks[k] for k in order], values[order]
 
 
 def structured_diagonalize(a: np.ndarray, form: InnerProduct,
@@ -239,66 +303,24 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
         final core eigenvalue.
     """
     a = np.asarray(a, dtype=np.complex128)
-    report = diagonalizability_report(a, form, tol)
-    if not report.decision:
-        raise NotStructuredDiagonalizable(report.reason, report)
-    variant = report.variant
-    n = form.half
-    b = form.matrix
-
-    a_hat = a if variant is Variant.SELFADJOINT else 1j * a
-    groups = group_eigenvalues(eigen(a_hat), tol)
-    pairing = pair_conjugates(groups, tol)
-
-    # Collected partner pairs: (x column, y column, eigenvalue of x in a_hat).
-    x_parts, y_parts, x_values = [], [], []
-
-    for (gi, gj) in pairing.pairs:
-        s_l = groups[gi].basis
-        s_c = groups[gj].basis
-        cross = herm_transpose(s_l) @ b @ s_c
-        s_l = s_l @ herm_transpose(inverse(cross, tol))
-        x_parts.append(s_l)
-        y_parts.append(s_c)
-        x_values.append(np.full(s_l.shape[1], groups[gi].value))
-
-    for gi in pairing.selfconjugate:
-        g = groups[gi]
-        if g.multiplicity % 2 != 0:
-            raise NotStructuredDiagonalizable(
-                f"critical eigenvalue {g.value:.6g} has odd multiplicity "
-                f"{g.multiplicity}", report)
-        m = g.multiplicity // 2
-        g_gram = gram(g.basis, form)
-        t = congruence_to(g_gram, _balanced_target(form, m), form.kind, tol)
-        w = g.basis @ t
-        x_parts.append(w[:, :m])
-        y_parts.append(w[:, m:])
-        x_values.append(np.full(m, g.value))
-
-    x_cols = np.hstack(x_parts)
-    y_cols = np.hstack(y_parts)
-    hat_values = np.concatenate(x_values)
-    core = hat_values if variant is Variant.SELFADJOINT else hat_values / 1j
-
-    order = np.lexsort((core.imag, core.real))
-    x_cols, y_cols, core = x_cols[:, order], y_cols[:, order], core[order]
-
-    s = _route_partners(x_cols, y_cols, form.tag)
-    full_diag = assemble_core_diagonal(core, form.tag, variant)
-
-    res_auto = rel_residual(herm_transpose(s) @ b @ s, b)
-    res_sim = rel_residual(solve_linear(s, a @ s, tol), np.diag(full_diag))
-    if res_auto > 1e-8 or res_sim > 1e-8:
-        raise NumericalBreakdown(
-            f"diagonalization residuals too large (automorphism "
-            f"{res_auto:.3e}, similarity {res_sim:.3e})")
-    unitary = rel_residual(herm_transpose(s) @ s,
-                           np.eye(2 * n, dtype=np.complex128)) <= 1e-8
-    return StructuredDiagonalization(
-        transform=s, core=core, form_tag=form.tag, variant=variant,
-        residual_automorphism=res_auto, residual_similarity=res_sim,
-        unitary=unitary)
+    variant, blocks, values = _eigen_blocks(a, form, tol)
+    # Partner columns: x in the first half, y in the second.
+    x_parts, y_parts = [], []
+    for g, partner in blocks:
+        if partner is not None:
+            cross = herm_transpose(g.basis) @ form.matrix @ partner.basis
+            x_parts.append(g.basis @ herm_transpose(inverse(cross, tol)))
+            y_parts.append(partner.basis)
+        else:
+            m = g.multiplicity // 2
+            t = congruence_to(gram(g.basis, form), _balanced_target(form, m),
+                              form.kind, tol)
+            w = g.basis @ t
+            x_parts.append(w[:, :m])
+            y_parts.append(w[:, m:])
+    core = np.repeat(values, [x.shape[1] for x in x_parts])
+    s = _route_partners(np.hstack(x_parts), np.hstack(y_parts), form.tag)
+    return certify(a, s, core, form, variant, tol)
 
 
 def unitary_refine(a: np.ndarray, form: InnerProduct,
@@ -306,47 +328,43 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
                    ) -> StructuredDiagonalization:
     """Unitary automorphism diagonalizing a normal structured matrix.
 
-    Orthonormalizes the first-half eigenvector frame of the structured
-    diagonalizer within each eigenvalue group (groups for distinct
-    eigenvalues are orthogonal already, by normality) and rebuilds the
-    transform from the resulting orthonormal Lagrangian frame.
+    The Lagrangian frame is read off the orthonormal eigenspaces of the
+    selfadjoint A_hat = A or i A, whose eigenspaces for lambda and mu are
+    B-orthogonal unless mu = conj(lambda): it takes the lower member of
+    each conjugate pair and the neutral half of each critical eigenspace.
+    Normality makes the eigenspaces mutually orthogonal.
     """
     a = np.asarray(a, dtype=np.complex128)
     cls = classify(a, form, tol)
     if not cls.euclidean_normal.ok:
         raise NotNormal(
             f"matrix is not normal (residual {cls.euclidean_normal.residual:.3e})")
-    diag = structured_diagonalize(a, form, tol)
-    n = form.half
-    t1 = diag.transform[:, :n]
-    core = diag.core
+    variant, blocks, values = _eigen_blocks(a, form, tol)
+    parts = [g.basis if partner is not None else _neutral_half(g.basis, form)
+             for g, partner in blocks]
+    core = np.repeat(values, [p.shape[1] for p in parts])
+    q = build_unitary_automorphism(np.hstack(parts), form)
+    return certify(a, q, core, form, variant, tol, unitary=True)
 
-    v = np.array(t1, copy=True)
-    radius = tol.cluster_tol * max(1.0, float(np.max(np.abs(core))))
-    remaining = list(range(n))
-    while remaining:
-        j = remaining[0]
-        members = [k for k in remaining if abs(core[k] - core[j]) <= radius]
-        cols = np.array(members)
-        v[:, cols] = orthonormalize_columns(t1[:, cols], tol)
-        remaining = [k for k in remaining if k not in members]
-    v = unit_phase_columns(v)
 
-    q = build_unitary_automorphism(v, form)
-    full_diag = assemble_core_diagonal(core, form.tag, diag.variant)
-    res_auto = rel_residual(herm_transpose(q) @ form.matrix @ q, form.matrix)
-    res_sim = rel_residual(herm_transpose(q) @ a @ q, np.diag(full_diag))
-    res_unit = rel_residual(herm_transpose(q) @ q,
-                            np.eye(2 * n, dtype=np.complex128))
-    if max(res_auto, res_sim, res_unit) > 1e-8:
-        raise NumericalBreakdown(
-            f"unitary refinement residuals too large (automorphism "
-            f"{res_auto:.3e}, similarity {res_sim:.3e}, unitary "
-            f"{res_unit:.3e})")
-    return StructuredDiagonalization(
-        transform=q, core=core, form_tag=form.tag, variant=diag.variant,
-        residual_automorphism=res_auto, residual_similarity=res_sim,
-        unitary=True)
+def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
+    """m orthonormal neutral columns in the span of 2m orthonormal W with
+    balanced Gram. Each pairs a positive with a negative eigendirection of
+    the Gram so it is neutral; distinct pairs stay orthogonal in both senses.
+    """
+    m = gram(w, form)
+    if form.kind is FormKind.SKEW_HERMITIAN:
+        hermitian = -1j * (m - herm_transpose(m)) / 2.0
+    else:
+        hermitian = (m + herm_transpose(m)) / 2.0
+    kappa, u = np.linalg.eigh(hermitian)
+    half = w.shape[1] // 2
+    if np.count_nonzero(kappa < 0) != half or np.count_nonzero(kappa > 0) != half:
+        raise NumericalBreakdown("Gram of the span is not balanced")
+    # eigh sorts ascending: the most negative pairs with the least positive.
+    k_neg, k_pos = kappa[:half], kappa[half:]
+    x = np.sqrt(-k_neg) * u[:, half:] + np.sqrt(k_pos) * u[:, :half]
+    return w @ (x / np.linalg.norm(x, axis=0))
 
 
 def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
@@ -354,10 +372,9 @@ def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
     """Extend an orthonormal neutral frame to an orthonormal Lagrangian one.
 
     The completion lives in the Euclidean orthogonal complement of
-    span(V) and span(BV). Each new column combines a positive and a
-    negative eigendirection of the complement Gram so the combination is
-    neutral; distinct combinations stay orthogonal in both senses. The
-    input columns are returned unchanged in the leading positions.
+    span(V) and span(BV), whose Gram is balanced; its neutral half (see
+    _neutral_half) supplies the new columns. The input columns are
+    returned unchanged in the leading positions.
     """
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("Lagrangian completion targets the J or R forms")
@@ -373,12 +390,11 @@ def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
         raise FrameTooLarge(
             f"a neutral frame in dimension {2 * n} has at most {n} columns")
     if k:
-        res_orth = fro(herm_transpose(v) @ v - np.eye(k))
-        if res_orth > 1e-9:
+        res_orth, res_neut = frame_residuals(v, b)
+        if res_orth > FRAME_GUARANTEE:
             raise NotNeutral(
                 f"frame columns are not orthonormal (residual {res_orth:.3e})")
-        res_neut = fro(gram(v, form))
-        if res_neut > 1e-9:
+        if res_neut > FRAME_GUARANTEE:
             raise NotNeutral(
                 f"frame span is not neutral (residual {res_neut:.3e})")
     if k == n:
@@ -391,30 +407,10 @@ def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
     if w.shape[1] != 2 * (n - k):
         raise NumericalBreakdown(
             f"complement dimension {w.shape[1]} != {2 * (n - k)}")
+    out = np.hstack([v, _neutral_half(w, form)])
 
-    m = herm_transpose(w) @ b @ w
-    if form.kind is FormKind.SKEW_HERMITIAN:
-        hermitian = -1j * (m - herm_transpose(m)) / 2.0
-    else:
-        hermitian = (m + herm_transpose(m)) / 2.0
-    kappa, u = np.linalg.eigh(hermitian)
-    half = n - k
-    if np.count_nonzero(kappa < 0) != half or np.count_nonzero(kappa > 0) != half:
-        raise NumericalBreakdown("complement Gram is not balanced")
-    neg_idx = np.argsort(kappa)[:half]
-    pos_idx = np.argsort(kappa)[half:]
-    new_cols = []
-    for i in range(half):
-        k_neg, k_pos = kappa[neg_idx[i]], kappa[pos_idx[i]]
-        x = (np.sqrt(-k_neg) * u[:, pos_idx[i]]
-             + np.sqrt(k_pos) * u[:, neg_idx[i]])
-        x /= np.linalg.norm(x)
-        new_cols.append(w @ x)
-    out = np.hstack([v] + [c[:, None] for c in new_cols])
-
-    res_orth = fro(herm_transpose(out) @ out - np.eye(n))
-    res_neut = fro(gram(out, form))
-    if res_orth > 1e-9 or res_neut > 1e-9:
+    res_orth, res_neut = frame_residuals(out, b)
+    if res_orth > FRAME_GUARANTEE or res_neut > FRAME_GUARANTEE:
         raise NumericalBreakdown(
             f"completion residuals too large (orthonormality {res_orth:.3e}, "
             f"neutrality {res_neut:.3e})")

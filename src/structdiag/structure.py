@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, TolerancePolicy, fro, herm_transpose, rel_residual
+from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, TolerancePolicy, fro,
+                   herm_transpose, rel_residual)
 from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
 from .forms import FormTag, InnerProduct, adjoint, flip, symplectic_j
 
@@ -153,18 +154,23 @@ def assert_structure(a: np.ndarray, form: InnerProduct, wanted: str,
             check.residual)
 
 
+def frame_residuals(v: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Orthonormality ||V^H V - I||_F and neutrality ||V^H B V||_F."""
+    vh = herm_transpose(v)
+    return fro(vh @ v - np.eye(v.shape[1])), fro(vh @ b @ v)
+
+
 def _check_frame(v: np.ndarray, b: np.ndarray) -> None:
     two_n, n = v.shape[0], v.shape[1]
     if two_n != 2 * n:
         raise NotLagrangianFrame(
             f"frame must be 2n x n, got {two_n} x {n}", failed="shape")
-    res_orth = fro(herm_transpose(v) @ v - np.eye(n))
-    if res_orth > 1e-10:
+    res_orth, res_neut = frame_residuals(v, b)
+    if res_orth > FRAME_INPUT_TOL:
         raise NotLagrangianFrame(
             f"frame columns not orthonormal (residual {res_orth:.3e})",
             failed="orthonormality", residual=res_orth)
-    res_neut = fro(herm_transpose(v) @ b @ v)
-    if res_neut > 1e-10:
+    if res_neut > FRAME_INPUT_TOL:
         raise NotLagrangianFrame(
             f"frame span not neutral (residual {res_neut:.3e})",
             failed="neutrality", residual=res_neut)

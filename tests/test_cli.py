@@ -232,3 +232,13 @@ def test_version_flag():
     code, out, _ = run_cli("--version")
     assert code == 0
     assert out.strip()
+
+
+def test_every_error_type_has_one_exit_code():
+    from structdiag import cli, errors
+    tables = (cli._IO_ERRORS, cli._NEGATIVE_ERRORS, cli._NUMERICAL_ERRORS)
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, errors.StructDiagError)
+             and t is not errors.StructDiagError]
+    for t in types:
+        assert sum(issubclass(t, table) for table in tables) == 1, t.__name__

@@ -13,6 +13,7 @@ from structdiag import (
     Variant,
     assemble_core_diagonal,
     complete_to_lagrangian,
+    decompose_additive,
     diagonalizability_report,
     eigen,
     gram,
@@ -111,18 +112,27 @@ class TestStructuredDiagonalize:
         assert d.residual_automorphism <= 1e-8
         assert d.residual_similarity <= 1e-8
 
-    def test_j2_raises_with_report(self):
+    # J2 and R2 are normal, so the unitary routes reach the same decision.
+    _CONSTRUCTORS = pytest.mark.parametrize(
+        "construct", [structured_diagonalize, unitary_refine,
+                      decompose_additive])
+
+    @_CONSTRUCTORS
+    def test_j2_raises_with_report(self, construct):
         form = symplectic_form(1)
         with pytest.raises(NotStructuredDiagonalizable) as err:
-            structured_diagonalize(form.matrix, form)
+            construct(form.matrix, form)
         assert err.value.report is not None
         assert not err.value.report.decision
 
-    def test_r2_per_hermitian_unbalanced(self):
+    @_CONSTRUCTORS
+    def test_r2_per_hermitian_unbalanced(self, construct):
         # R2 has real eigenvalues +1 and -1 with definite 1-dim Grams.
         form = perplectic_form(1)
-        with pytest.raises(NotStructuredDiagonalizable):
-            structured_diagonalize(form.matrix, form)
+        with pytest.raises(NotStructuredDiagonalizable) as err:
+            construct(form.matrix, form)
+        assert err.value.report is not None
+        assert not err.value.report.decision
 
     @pytest.mark.parametrize("kind,formf", [
         ("skew-hamiltonian", symplectic_form),
@@ -209,6 +219,20 @@ class TestUnitaryRefine:
                             form.matrix) <= 1e-8
         assert rel_residual(herm_transpose(q) @ inst.matrix @ q,
                             d.diagonal_matrix) <= 1e-8
+
+    @pytest.mark.parametrize("kind,formf", [
+        ("skew-hamiltonian", symplectic_form),
+        ("hamiltonian", symplectic_form),
+        ("per-hermitian", perplectic_form),
+        ("perskew-hermitian", perplectic_form),
+    ])
+    def test_core_equals_structured_core(self, kind, formf):
+        n = 4
+        inst = random_structured_diagonalizable(kind, n, 31,
+                                                critical_share=0.5)
+        form = formf(n)
+        assert np.array_equal(unitary_refine(inst.matrix, form).core,
+                              structured_diagonalize(inst.matrix, form).core)
 
     def test_non_normal_rejected(self):
         # Skew-Hamiltonian but not Euclidean-normal.
