@@ -9,12 +9,15 @@ that reproduce the form matrix exactly. Lagrangian completion turns any
 neutral frame into a full Lagrangian frame by pairing positive and
 negative directions of the complement Gram. The unitary route for normal
 input reads its Lagrangian frame off the orthonormal eigenspaces.
+
+Every entry point classifies, eigendecomposes and groups A once, in one
+spectral plan that the decision and the construction share.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -50,13 +53,20 @@ from .forms import (
 )
 from .spectral import (
     AxisClass,
+    EigenDecomposition,
     EigenGroup,
+    classify_axis,
     eigen,
     group_eigenvalues,
-    is_diagonalizable,
+    has_defective_cluster,
     pair_conjugates,
 )
-from .structure import build_unitary_automorphism, classify, frame_residuals
+from .structure import (
+    StructureReport,
+    build_unitary_automorphism,
+    classify,
+    frame_residuals,
+)
 
 
 class Variant(enum.Enum):
@@ -140,18 +150,46 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
     return np.concatenate([core, mirror])
 
 
-def _variant_of(a: np.ndarray, form: InnerProduct,
-                tol: TolerancePolicy) -> Variant:
-    report = classify(a, form, tol)
-    if report.selfadjoint.ok:
-        return Variant.SELFADJOINT
-    if report.skewadjoint.ok:
-        return Variant.SKEWADJOINT
-    raise NotStructured(
-        "matrix is neither selfadjoint nor skewadjoint for this form "
-        f"(residuals {report.selfadjoint.residual:.3e} / "
-        f"{report.skewadjoint.residual:.3e})",
-        min(report.selfadjoint.residual, report.skewadjoint.residual))
+@dataclass(frozen=True)
+class _SpectralPlan:
+    """What one call learns about A once: its structure, its variant, its
+    eigendecomposition and its eigenvalue groups (clustered, with
+    orthonormal bases)."""
+
+    structure: StructureReport
+    variant: Variant
+    decomposition: EigenDecomposition
+    groups: list[EigenGroup]
+
+
+def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
+                   structure: StructureReport | None = None) -> _SpectralPlan:
+    """Classify (unless ``structure`` is given), decompose and group A.
+
+    Raises NotStructured off the J and R forms or for a matrix that is
+    neither selfadjoint nor skewadjoint, and NotDiagonalizable when an
+    eigenvalue cluster is defective.
+    """
+    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
+        raise NotStructured("diagonalizability analysis targets J or R forms")
+    if structure is None:
+        structure = classify(a, form, tol)
+    if structure.selfadjoint.ok:
+        variant = Variant.SELFADJOINT
+    elif structure.skewadjoint.ok:
+        variant = Variant.SKEWADJOINT
+    else:
+        raise NotStructured(
+            "matrix is neither selfadjoint nor skewadjoint for this form "
+            f"(residuals {structure.selfadjoint.residual:.3e} / "
+            f"{structure.skewadjoint.residual:.3e})",
+            min(structure.selfadjoint.residual,
+                structure.skewadjoint.residual))
+    dec = eigen(a)
+    if has_defective_cluster(a, dec, tol):
+        raise NotDiagonalizable(
+            "matrix has an eigenvalue with deficient eigenspace")
+    return _SpectralPlan(structure, variant, dec, group_eigenvalues(dec, tol))
 
 
 def _critical_classes(variant: Variant) -> set[AxisClass]:
@@ -169,18 +207,16 @@ def diagonalizability_report(a: np.ndarray, form: InnerProduct,
     skewadjoint ones only by purely imaginary eigenvalues; zero counts
     for both. The decision is the conjunction of the balance flags.
     """
-    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
-        raise NotStructured("diagonalizability analysis targets J or R forms")
     a = np.asarray(a, dtype=np.complex128)
-    variant = _variant_of(a, form, tol)
-    if not is_diagonalizable(a, tol):
-        raise NotDiagonalizable(
-            "matrix has an eigenvalue with deficient eigenspace")
-    groups = group_eigenvalues(eigen(a), tol)
-    critical = _critical_classes(variant)
+    return _report(_spectral_plan(a, form, tol), form, tol)
+
+
+def _report(plan: _SpectralPlan, form: InnerProduct,
+            tol: TolerancePolicy) -> DiagonalizabilityReport:
+    critical = _critical_classes(plan.variant)
     entries = []
     unbalanced_values = []
-    for g in groups:
+    for g in plan.groups:
         if g.axis_class not in critical:
             continue
         g_inertia = inertia(gram(g.basis, form), form.kind, tol)
@@ -201,7 +237,8 @@ def diagonalizability_report(a: np.ndarray, form: InnerProduct,
     else:
         listed = ", ".join(f"{v:.6g}" for v in unbalanced_values)
         reason = f"unbalanced eigenspace Gram at eigenvalue(s) {listed}"
-    return DiagonalizabilityReport(decision, variant, tuple(entries), reason)
+    return DiagonalizabilityReport(decision, plan.variant, tuple(entries),
+                                   reason)
 
 
 def _balanced_target(form: InnerProduct, m: int) -> np.ndarray:
@@ -256,7 +293,8 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
 
 
 def _eigen_blocks(
-        a: np.ndarray, form: InnerProduct, tol: TolerancePolicy
+        a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
+        structure: StructureReport | None = None
 ) -> tuple[Variant, list[tuple[EigenGroup, EigenGroup | None]], np.ndarray]:
     """Decide, then split the spectrum of the selfadjoint A_hat = A or i A.
 
@@ -265,11 +303,18 @@ def _eigen_blocks(
     divided by i for skewadjoint A. Raises NotStructuredDiagonalizable
     (report attached) if unbalanced or a critical multiplicity is odd.
     """
-    report = diagonalizability_report(a, form, tol)
+    plan = _spectral_plan(a, form, tol, structure)
+    report = _report(plan, form, tol)
     if not report.decision:
         raise NotStructuredDiagonalizable(report.reason, report)
-    a_hat = a if report.variant is Variant.SELFADJOINT else 1j * a
-    groups = group_eigenvalues(eigen(a_hat), tol)
+    groups = plan.groups
+    if plan.variant is Variant.SKEWADJOINT:
+        # i A has the eigenvectors of A; clustering sees only distances,
+        # so the groups of i A are those of A with every value times i.
+        groups = [replace(g, value=1j * g.value,
+                          axis_class=classify_axis(1j * g.value,
+                                                   tol.class_tol))
+                  for g in groups]
     pairing = pair_conjugates(groups, tol)
     blocks = [(groups[gi], groups[gj]) for gi, gj in pairing.pairs]
     for gi in pairing.selfconjugate:
@@ -280,10 +325,10 @@ def _eigen_blocks(
                 f"{g.multiplicity}", report)
         blocks.append((g, None))
     values = np.array([g.value for g, _ in blocks])
-    if report.variant is Variant.SKEWADJOINT:
+    if plan.variant is Variant.SKEWADJOINT:
         values = values / 1j
     order = np.lexsort((values.imag, values.real))
-    return report.variant, [blocks[k] for k in order], values[order]
+    return plan.variant, [blocks[k] for k in order], values[order]
 
 
 def structured_diagonalize(a: np.ndarray, form: InnerProduct,
@@ -339,7 +384,7 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
     if not cls.euclidean_normal.ok:
         raise NotNormal(
             f"matrix is not normal (residual {cls.euclidean_normal.residual:.3e})")
-    variant, blocks, values = _eigen_blocks(a, form, tol)
+    variant, blocks, values = _eigen_blocks(a, form, tol, cls)
     parts = [g.basis if partner is not None else _neutral_half(g.basis, form)
              for g, partner in blocks]
     core = np.repeat(values, [p.shape[1] for p in parts])

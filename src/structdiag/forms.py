@@ -143,13 +143,27 @@ def _check_dim(a: np.ndarray, form: InnerProduct):
 
 
 def adjoint(a: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """Form adjoint B^{-1} A^H B."""
+    """Form adjoint B^{-1} A^H B.
+
+    J^{-1} = -J and R^{-1} = R, so for them it is a signed block swap and
+    a double flip of A^H, equal to the LU solve entry for entry; custom
+    forms solve with B.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("adjoint requires a square matrix")
     _check_dim(a, form)
+    ah = herm_transpose(a)
+    if form.tag is FormTag.EUCLIDEAN:
+        return ah
+    if form.tag is FormTag.PERPLECTIC_R:
+        return ah[::-1, ::-1]
+    if form.tag is FormTag.SYMPLECTIC_J:
+        n = form.half
+        return np.block([[ah[n:, n:], -ah[n:, :n]],
+                         [-ah[:n, n:], ah[:n, :n]]])
     b = form.matrix
-    return solve_linear(b, herm_transpose(a) @ b)
+    return solve_linear(b, ah @ b)
 
 
 def gram(v: np.ndarray, form: InnerProduct) -> np.ndarray:

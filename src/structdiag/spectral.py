@@ -120,8 +120,9 @@ def group_eigenvalues(dec: EigenDecomposition,
 @dataclass(frozen=True)
 class ConjugatePairing:
     """Partition of group indices into conjugate pairs and self-conjugate
-    singletons. In each pair the first index holds the lexicographically
-    smaller (Re, Im) eigenvalue.
+    singletons. In each pair the first index holds the eigenvalue with the
+    smaller imaginary part. The real parts of a conjugate pair agree in
+    exact arithmetic, so ordering by them would let roundoff decide.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -164,9 +165,8 @@ def pair_conjugates(groups: list[EigenGroup],
                 f"have multiplicities {groups[i].multiplicity} != "
                 f"{groups[best].multiplicity}")
         used[i] = used[best] = True
-        lo, hi = (i, best) if (
-            (values[i].real, values[i].imag)
-            <= (values[best].real, values[best].imag)) else (best, i)
+        lo, hi = ((i, best) if values[i].imag <= values[best].imag
+                  else (best, i))
         pairs.append((lo, hi))
     return ConjugatePairing(tuple(pairs), tuple(singles))
 
@@ -175,10 +175,19 @@ def is_diagonalizable(a: np.ndarray,
                       tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Geometric multiplicity equals algebraic multiplicity for every
     eigenvalue cluster, measured through singular values of A - value I.
+
+    Clusters with one member are skipped: a simple eigenvalue is never
+    defective.
     """
     a = np.asarray(a, dtype=np.complex128)
+    return not has_defective_cluster(a, eigen(a), tol)
+
+
+def has_defective_cluster(a: np.ndarray, dec: EigenDecomposition,
+                          tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    """Rank test of A - value I for each multi-member cluster of dec,
+    the eigendecomposition of A."""
     m = a.shape[0]
-    dec = eigen(a)
     radius = cluster_radius(dec.values, tol)
     eye = np.eye(m, dtype=np.complex128)
     # Rank cutoff anchored to the scale of A itself: anchoring to the
@@ -186,12 +195,14 @@ def is_diagonalizable(a: np.ndarray,
     cutoff = tol.rank_tol * max(1.0, fro(a))
     # Bases are not needed for the rank test, so cluster indices directly.
     for members in _cluster_indices(dec.values, radius):
+        if len(members) == 1:
+            continue
         value = complex(np.mean(dec.values[np.array(members)]))
         s = np.linalg.svd(a - value * eye, compute_uv=False)
         rank = int(np.count_nonzero(s > cutoff))
         if rank != m - len(members):
-            return False
-    return True
+            return True
+    return False
 
 
 def eigenvalues_match(found: np.ndarray, planted: np.ndarray,

@@ -125,6 +125,8 @@ def classify(a: np.ndarray, form: InnerProduct,
     ah = herm_transpose(a)
     eye = np.eye(a.shape[0], dtype=np.complex128)
     a_star = adjoint(a, form)
+    ah_a = ah @ a
+    star_a = a_star @ a
 
     def check(x, y) -> Check:
         res = rel_residual(x, y)
@@ -133,12 +135,12 @@ def classify(a: np.ndarray, form: InnerProduct,
     return StructureReport(
         hermitian=check(a, ah),
         skew_hermitian=check(a, -ah),
-        unitary=check(ah @ a, eye),
-        euclidean_normal=check(ah @ a, a @ ah),
+        unitary=check(ah_a, eye),
+        euclidean_normal=check(ah_a, a @ ah),
         selfadjoint=check(a_star, a),
         skewadjoint=check(a_star, -a),
-        automorphism=check(a_star @ a, eye),
-        b_normal=check(a @ a_star, a_star @ a),
+        automorphism=check(star_a, eye),
+        b_normal=check(a @ a_star, star_a),
         form_tag=form.tag,
     )
 

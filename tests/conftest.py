@@ -69,6 +69,13 @@ def skew_block_instance(n: int, seed: int, min_sv: float = 1e-6) -> np.ndarray:
     raise AssertionError("could not draw a well-conditioned instance")
 
 
+def near_normal_defective() -> np.ndarray:
+    """diag(M, M^H) with M = [[1, 5e-6], [0, 1]]: skew-Hamiltonian for J4,
+    normal at the default 1e-10 structure tolerance, and defective."""
+    m = np.array([[1.0, 5e-6], [0.0, 1.0]], dtype=complex)
+    return np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), m.conj().T]])
+
+
 @pytest.fixture
 def rng():
     return PortableRng(12345)

@@ -7,7 +7,7 @@ import numpy as np
 from structdiag import read_matrix, write_matrix
 from structdiag.cli import main
 
-from conftest import gaussian_matrix
+from conftest import gaussian_matrix, near_normal_defective
 from conftest import run_structdiag as run_cli
 
 
@@ -60,6 +60,16 @@ def test_analyze_j2_decision_false(tmp_path, capsys):
     assert code == 0
     assert "hamiltonian" in doc["payload"]["classification"]["structures"]
     assert doc["payload"]["diagonalizability"]["decision"] is False
+
+
+def test_analyze_near_normal_defective(tmp_path, capsys):
+    path = tmp_path / "defective.mtx"
+    write_matrix(path, near_normal_defective())
+    code = main(["analyze", "--form", "symplectic", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert "normal" in doc["payload"]["classification"]["structures"]
+    assert doc["payload"]["diagonalizability"]["diagonalizable"] is False
 
 
 def test_analyze_parse_error(tmp_path):

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +32,13 @@ from structdiag import (
 )
 from structdiag.core import fro, herm_transpose
 from structdiag.spectral import eigenvalues_match
+from structdiag.structure import classify
 
-from conftest import gaussian_matrix, skew_block_instance
+from conftest import (
+    gaussian_matrix,
+    near_normal_defective,
+    skew_block_instance,
+)
 
 
 class TestReport:
@@ -292,3 +300,64 @@ class TestCompleteToLagrangian:
             assert np.array_equal(out[:, :k], v)
             assert fro(gram(out, form)) <= 1e-9
             assert fro(herm_transpose(out) @ out - np.eye(3)) <= 1e-9
+
+
+@pytest.mark.parametrize("entry", [diagonalizability_report,
+                                   structured_diagonalize, unitary_refine,
+                                   decompose_additive])
+def test_near_normal_defective_is_not_diagonalizable(entry):
+    # Passing the normality check does not make the input diagonalizable,
+    # so normal input does not skip the defectiveness test.
+    a, form = near_normal_defective(), symplectic_form(2)
+    assert classify(a, form).euclidean_normal.ok
+    with pytest.raises(NotDiagonalizable):
+        entry(a, form)
+
+
+class TestOneSpectralPass:
+    """Each entry point classifies once, runs one eig and solves with
+    neither J nor R."""
+
+    @staticmethod
+    def _count(monkeypatch, form):
+        counts = {"eigen": 0, "eig": 0, "classify": 0, "lu_on_form": 0}
+
+        def counted(key, fn, on_form=False):
+            def wrapper(*args, **kwargs):
+                counts[key] += (np.array_equal(args[0], form.matrix)
+                                if on_form else 1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig",
+                            counted("eig", np.linalg.eig))
+        monkeypatch.setattr(scipy.linalg, "lu_factor",
+                            counted("lu_on_form", scipy.linalg.lu_factor,
+                                    on_form=True))
+        # Modules import these by name: patch every reference.
+        for key, fn in (("eigen", eigen), ("classify", classify)):
+            wrapper = counted(key, fn)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "structdiag":
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, wrapper)
+        return counts
+
+    @pytest.mark.parametrize("entry", [diagonalizability_report,
+                                       structured_diagonalize, unitary_refine,
+                                       decompose_additive])
+    @pytest.mark.parametrize("kind,formf", [
+        ("skew-hamiltonian", symplectic_form),
+        ("hamiltonian", symplectic_form),
+        ("per-hermitian", perplectic_form),
+        ("perskew-hermitian", perplectic_form),
+    ])
+    def test_counts(self, monkeypatch, entry, kind, formf):
+        inst = random_structured_diagonalizable(kind, 8, 41,
+                                                critical_share=0.5)
+        form = formf(8)
+        counts = self._count(monkeypatch, form)
+        entry(inst.matrix, form)
+        assert counts == {"eigen": 1, "eig": 1, "classify": 1,
+                          "lu_on_form": 0}

@@ -22,7 +22,7 @@ from structdiag import (
     symplectic_form,
     sylvester_canonical,
 )
-from structdiag.core import fro, herm_transpose
+from structdiag.core import fro, herm_transpose, solve_linear
 from structdiag.forms import canonical_inertia_matrix
 
 from conftest import (
@@ -88,6 +88,25 @@ class TestAdjoint:
             lhs = herm_transpose(a) @ form.matrix
             rhs = form.matrix @ adjoint(a, form)
             assert rel_residual(lhs, rhs) <= 1e-10
+
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    def test_closed_form_equals_lu_solve(self, formf):
+        for n in range(1, 9):
+            form = formf(n)
+            b = form.matrix
+            a = gaussian_matrix(2 * n, 2 * n, 60 + n)
+            assert np.array_equal(adjoint(a, form),
+                                  solve_linear(b, herm_transpose(a) @ b))
+
+    @pytest.mark.parametrize("kind,make", [
+        (FormKind.HERMITIAN, random_hermitian),
+        (FormKind.SKEW_HERMITIAN, random_skew_hermitian),
+    ])
+    def test_custom_form_defining_property(self, kind, make):
+        form = custom_form(make(4, 12), kind)
+        a = gaussian_matrix(4, 4, 13)
+        assert rel_residual(herm_transpose(a) @ form.matrix,
+                            form.matrix @ adjoint(a, form)) <= 1e-10
 
 
 class TestGram:

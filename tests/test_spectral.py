@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdiag import (
+    DEFAULT_TOL,
     AxisClass,
+    EigenGroup,
     SpectrumNotConjugateSymmetric,
     eigen,
     gram,
@@ -18,9 +20,18 @@ from structdiag import (
     symplectic_form,
 )
 from structdiag.core import fro, herm_transpose
-from structdiag.spectral import eigenvalues_match
+from structdiag.spectral import (
+    _cluster_indices,
+    cluster_radius,
+    eigenvalues_match,
+)
 
-from conftest import gaussian_matrix, random_hermitian, random_unitary
+from conftest import (
+    gaussian_matrix,
+    near_normal_defective,
+    random_hermitian,
+    random_unitary,
+)
 
 
 class TestEigen:
@@ -87,6 +98,19 @@ class TestPairing:
         lo, hi = pairing.pairs[0]
         assert groups[lo].value.imag < 0 < groups[hi].value.imag
 
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_lower_member_ignores_real_part_roundoff(self, direction):
+        # The real parts of a conjugate pair agree only up to roundoff: one
+        # ulp either way must leave the member below the real axis first.
+        eye = np.eye(2, dtype=complex)
+        groups = [
+            EigenGroup(complex(np.nextafter(0.7, direction), 0.4), 1,
+                       eye[:, :1], AxisClass.GENERIC),
+            EigenGroup(complex(0.7, -0.4), 1, eye[:, 1:], AxisClass.GENERIC),
+        ]
+        ((lo, hi),) = pair_conjugates(groups).pairs
+        assert groups[lo].value.imag < 0 < groups[hi].value.imag
+
     def test_missing_partner_rejected(self):
         groups = group_eigenvalues(eigen(np.diag([1j]).astype(complex)))
         with pytest.raises(SpectrumNotConjugateSymmetric):
@@ -128,6 +152,50 @@ class TestDiagonalizable:
         a[0, 1] = 1.0
         a[2, 2] = a[3, 3] = 2.0
         assert not is_diagonalizable(a)
+
+
+def _rank_test_every_cluster(a, tol=DEFAULT_TOL):
+    """The defectiveness test with singleton clusters included: a rank SVD
+    of A - value I for every eigenvalue cluster."""
+    m = a.shape[0]
+    dec = eigen(a)
+    cutoff = tol.rank_tol * max(1.0, fro(a))
+    for members in _cluster_indices(dec.values,
+                                    cluster_radius(dec.values, tol)):
+        value = complex(np.mean(dec.values[np.array(members)]))
+        s = np.linalg.svd(a - value * np.eye(m), compute_uv=False)
+        if int(np.count_nonzero(s > cutoff)) != m - len(members):
+            return False
+    return True
+
+
+class TestSingletonSkip:
+    def test_simple_spectrum_runs_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert is_diagonalizable(gaussian_matrix(16, 16, 7))
+        assert calls == []
+
+    def test_same_verdict_as_every_cluster_rank_test(self):
+        jordan = np.array([[0, 1], [0, 0]], dtype=complex)
+        larger = np.zeros((4, 4), dtype=complex)
+        larger[0, 1] = 1.0
+        larger[2, 2] = larger[3, 3] = 2.0
+        cases = [jordan, larger, near_normal_defective(),
+                 3.0 * np.eye(4, dtype=complex), random_hermitian(5, 41)]
+        kinds = ("skew-hamiltonian", "per-hermitian", "hamiltonian",
+                 "perskew-hermitian")
+        cases += [random_structured(kinds[seed % 4], 3, seed)
+                  for seed in range(50)]
+        for a in cases:
+            assert is_diagonalizable(a) == _rank_test_every_cluster(a)
+        assert not any(is_diagonalizable(a) for a in cases[:3])
 
 
 class TestStructuredSpectralFacts:
