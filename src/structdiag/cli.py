@@ -27,7 +27,8 @@ from .decompose import (
     verify_decomposition,
 )
 from .diagonalize import (
-    diagonalizability_report,
+    _report,
+    _spectral_plan,
     factor_residuals,
     structured_diagonalize,
     unitary_refine,
@@ -164,7 +165,8 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
         }
         return payload, residuals
     try:
-        diag_report = diagonalizability_report(a, form, tol)
+        # diagonalizability_report, reusing the classification above.
+        diag_report = _report(_spectral_plan(a, form, tol, report), form, tol)
     except NotDiagonalizable as exc:
         payload["diagonalizability"] = {
             "decision": None,

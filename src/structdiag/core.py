@@ -22,7 +22,9 @@ class TolerancePolicy:
     structure_tol: Frobenius-scaled residual threshold for structure flags.
     cluster_tol:   radius for grouping nearby eigenvalues.
     class_tol:     threshold for real / purely-imaginary classification.
-    rank_tol:      relative singular-value cutoff for numerical rank.
+    rank_tol:      relative singular-value cutoff for numerical rank; times
+                   max(1, ||A||_F), the cutoff of the residual of
+                   A - value I on an eigenvalue cluster's basis.
     """
 
     structure_tol: float = 1e-10

@@ -34,7 +34,6 @@ from .core import (
 )
 from .errors import (
     FrameTooLarge,
-    NotDiagonalizable,
     NotNeutral,
     NotNormal,
     NotStructured,
@@ -58,7 +57,6 @@ from .spectral import (
     classify_axis,
     eigen,
     group_eigenvalues,
-    has_defective_cluster,
     pair_conjugates,
 )
 from .structure import (
@@ -167,8 +165,8 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     """Classify (unless ``structure`` is given), decompose and group A.
 
     Raises NotStructured off the J and R forms or for a matrix that is
-    neither selfadjoint nor skewadjoint, and NotDiagonalizable when an
-    eigenvalue cluster is defective.
+    neither selfadjoint nor skewadjoint, and NotDiagonalizable (from
+    group_eigenvalues) when an eigenvalue cluster is defective.
     """
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("diagonalizability analysis targets J or R forms")
@@ -186,9 +184,6 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
             min(structure.selfadjoint.residual,
                 structure.skewadjoint.residual))
     dec = eigen(a)
-    if has_defective_cluster(a, dec, tol):
-        raise NotDiagonalizable(
-            "matrix has an eigenvalue with deficient eigenspace")
     return _SpectralPlan(structure, variant, dec, group_eigenvalues(dec, tol))
 
 

@@ -1,5 +1,9 @@
 """Unstructured spectral substrate: eigendecomposition, clustering,
 conjugate pairing, and the diagonalizability test.
+
+One grouping pass (group_eigenvalues) clusters the eigenvalues, builds
+each cluster's orthonormal basis and tests the cluster for defectiveness
+on that basis; every caller that needs any of the three goes through it.
 """
 
 from __future__ import annotations
@@ -9,8 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, TolerancePolicy, fro, orthonormalize_columns
-from .errors import DimensionMismatch, NoConvergence, SpectrumNotConjugateSymmetric
+from .core import (
+    DEFAULT_TOL,
+    TolerancePolicy,
+    fro,
+    herm_transpose,
+    orthonormalize_columns,
+)
+from .errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotDiagonalizable,
+    RankDeficient,
+    SpectrumNotConjugateSymmetric,
+)
 
 
 class AxisClass(enum.Enum):
@@ -24,6 +40,7 @@ class AxisClass(enum.Enum):
 class EigenDecomposition:
     values: np.ndarray       # (m,) complex
     vectors: np.ndarray      # (m, m), unit columns aligned with values
+    matrix: np.ndarray       # (m, m) complex, the decomposed A
 
 
 @dataclass(frozen=True)
@@ -45,7 +62,7 @@ def eigen(a: np.ndarray) -> EigenDecomposition:
         raise NoConvergence(str(exc)) from exc
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0] = 1.0
-    return EigenDecomposition(values, vectors / norms)
+    return EigenDecomposition(values, vectors / norms, a)
 
 
 def classify_axis(value: complex, class_tol: float) -> AxisClass:
@@ -71,7 +88,11 @@ def cluster_radius(values: np.ndarray, tol: TolerancePolicy) -> float:
 
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clusters (union-find) of complex values."""
+    """Single-linkage clusters (union-find) of complex values.
+
+    Each cluster lists its indices ascending; clusters come in the order
+    of their smallest index.
+    """
     m = values.shape[0]
     parent = list(range(m))
 
@@ -81,10 +102,10 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= radius:
-                parent[find(i)] = find(j)
+    close = np.abs(values[:, None] - values[None, :]) <= radius
+    # np.nonzero walks the upper triangle row by row, i < j.
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(np.triu(close, 1)))):
+        parent[find(i)] = find(j)
 
     clusters: dict[int, list[int]] = {}
     for i in range(m):
@@ -96,17 +117,32 @@ def group_eigenvalues(dec: EigenDecomposition,
                       tol: TolerancePolicy = DEFAULT_TOL) -> list[EigenGroup]:
     """Single-linkage clustering of eigenvalues; orthonormal group bases.
 
+    A one-member cluster's basis is its unit eigenvector. A multi-member
+    cluster's eigenvectors are orthonormalized into Q, and the cluster is
+    defective (NotDiagonalizable) when they are dependent or when
+    ||(A - value I) Q||_2 exceeds rank_tol * max(1, ||A||_F). By min-max,
+    this norm bounds the k-th smallest singular value of A - value I
+    from above for any orthonormal Q with k columns, so the test on Q
+    settles what a rank SVD of A - value I settles, at O(m^2 k) cost.
+
     Groups are returned sorted by (Re, Im) of the cluster mean.
     """
     m = dec.values.shape[0]
     if m == 0:
         return []
-    radius = cluster_radius(dec.values, tol)
+    # Cutoff anchored to the scale of A itself: anchoring to the shifted
+    # matrix would read roundoff as a defect when A - value I ~ 0.
+    cutoff = tol.rank_tol * max(1.0, fro(dec.matrix))
     groups = []
-    for members in _cluster_indices(dec.values, radius):
-        idx = np.array(sorted(members))
-        value = complex(np.mean(dec.values[idx]))
-        basis = orthonormalize_columns(dec.vectors[:, idx], tol)
+    for members in _cluster_indices(dec.values,
+                                    cluster_radius(dec.values, tol)):
+        if len(members) == 1:
+            value = complex(dec.values[members[0]])
+            basis = dec.vectors[:, members]
+        else:
+            value = complex(np.mean(dec.values[members]))
+            basis = _cluster_basis(dec.matrix, dec.vectors[:, members],
+                                   value, cutoff, tol)
         groups.append(EigenGroup(
             value=value,
             multiplicity=len(members),
@@ -115,6 +151,25 @@ def group_eigenvalues(dec: EigenDecomposition,
         ))
     groups.sort(key=lambda g: (g.value.real, g.value.imag))
     return groups
+
+
+def _cluster_basis(a: np.ndarray, vectors: np.ndarray, value: complex,
+                   cutoff: float, tol: TolerancePolicy) -> np.ndarray:
+    """Orthonormal Q spanning a cluster's eigenvectors; NotDiagonalizable
+    unless they are independent and ||(A - value I) Q||_2 <= cutoff."""
+    try:
+        q = orthonormalize_columns(vectors, tol)
+    except RankDeficient as exc:
+        raise NotDiagonalizable(
+            f"eigenvalue {value:.6g} has a deficient eigenspace") from exc
+    r = a @ q - value * q
+    # ||R||_2 <= ||R||_F, so the top eigenvalue of R^H R is needed only
+    # when the Frobenius norm is past the cutoff.
+    if (fro(r) > cutoff
+            and np.linalg.eigvalsh(herm_transpose(r) @ r)[-1] > cutoff ** 2):
+        raise NotDiagonalizable(
+            f"eigenvalue {value:.6g} has a deficient eigenspace")
+    return q
 
 
 @dataclass(frozen=True)
@@ -136,27 +191,21 @@ def pair_conjugates(groups: list[EigenGroup],
         return ConjugatePairing((), ())
     values = np.array([g.value for g in groups])
     radius = cluster_radius(values, tol)
-    used = [False] * len(groups)
+    used = np.zeros(len(groups), dtype=bool)
     pairs = []
     singles = []
-    order = sorted(range(len(groups)),
-                   key=lambda i: (values[i].real, values[i].imag))
-    for i in order:
+    for i in np.lexsort((values.imag, values.real)).tolist():
         if used[i]:
             continue
+        used[i] = True
         v = values[i]
         if abs(v - np.conj(v)) <= 2 * radius:
-            used[i] = True
             singles.append(i)
             continue
-        best, best_dist = -1, np.inf
-        for j in range(len(groups)):
-            if used[j] or j == i:
-                continue
-            d = abs(values[j] - np.conj(v))
-            if d < best_dist:
-                best, best_dist = j, d
-        if best < 0 or best_dist > 2 * radius:
+        dist = np.where(used, np.inf, np.abs(values - np.conj(v)))
+        # argmin takes the first of equal distances.
+        best = int(np.argmin(dist))
+        if dist[best] > 2 * radius:
             raise SpectrumNotConjugateSymmetric(
                 f"eigenvalue {v:.6g} has no conjugate partner")
         if groups[i].multiplicity != groups[best].multiplicity:
@@ -164,7 +213,7 @@ def pair_conjugates(groups: list[EigenGroup],
                 f"conjugate eigenvalues {v:.6g} and {values[best]:.6g} "
                 f"have multiplicities {groups[i].multiplicity} != "
                 f"{groups[best].multiplicity}")
-        used[i] = used[best] = True
+        used[best] = True
         lo, hi = ((i, best) if values[i].imag <= values[best].imag
                   else (best, i))
         pairs.append((lo, hi))
@@ -174,35 +223,17 @@ def pair_conjugates(groups: list[EigenGroup],
 def is_diagonalizable(a: np.ndarray,
                       tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Geometric multiplicity equals algebraic multiplicity for every
-    eigenvalue cluster, measured through singular values of A - value I.
+    eigenvalue cluster, measured by the residual of A - value I on the
+    cluster's orthonormal eigenvector basis (see group_eigenvalues).
 
     Clusters with one member are skipped: a simple eigenvalue is never
     defective.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    return not has_defective_cluster(a, eigen(a), tol)
-
-
-def has_defective_cluster(a: np.ndarray, dec: EigenDecomposition,
-                          tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Rank test of A - value I for each multi-member cluster of dec,
-    the eigendecomposition of A."""
-    m = a.shape[0]
-    radius = cluster_radius(dec.values, tol)
-    eye = np.eye(m, dtype=np.complex128)
-    # Rank cutoff anchored to the scale of A itself: anchoring to the
-    # shifted matrix would count roundoff as rank when A - value I ~ 0.
-    cutoff = tol.rank_tol * max(1.0, fro(a))
-    # Bases are not needed for the rank test, so cluster indices directly.
-    for members in _cluster_indices(dec.values, radius):
-        if len(members) == 1:
-            continue
-        value = complex(np.mean(dec.values[np.array(members)]))
-        s = np.linalg.svd(a - value * eye, compute_uv=False)
-        rank = int(np.count_nonzero(s > cutoff))
-        if rank != m - len(members):
-            return True
-    return False
+    try:
+        group_eigenvalues(eigen(a), tol)
+    except NotDiagonalizable:
+        return False
+    return True
 
 
 def eigenvalues_match(found: np.ndarray, planted: np.ndarray,

@@ -1,11 +1,13 @@
 """CLI behavior, including fresh-process verification of written factors."""
 
 import json
+import sys
 
 import numpy as np
 
-from structdiag import read_matrix, write_matrix
+from structdiag import read_matrix, symplectic_form, write_matrix
 from structdiag.cli import main
+from structdiag.structure import classify
 
 from conftest import gaussian_matrix, near_normal_defective
 from conftest import run_structdiag as run_cli
@@ -70,6 +72,35 @@ def test_analyze_near_normal_defective(tmp_path, capsys):
     assert code == 0
     assert "normal" in doc["payload"]["classification"]["structures"]
     assert doc["payload"]["diagonalizability"]["diagonalizable"] is False
+
+
+def test_analyze_classifies_each_file_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return classify(*args, **kwargs)
+
+    # Modules import classify by name: patch every reference.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "structdiag":
+            for attr, value in list(vars(module).items()):
+                if value is classify:
+                    monkeypatch.setattr(module, attr, counted)
+    matrices = [np.eye(4, dtype=complex), near_normal_defective(),
+                np.array([[0, 1], [-1, 0]], dtype=complex),
+                symplectic_form(2).matrix @ gaussian_matrix(4, 4, 3)]
+    files = []
+    for k, a in enumerate(matrices):
+        files.append(str(tmp_path / f"a{k}.mtx"))
+        write_matrix(files[-1], a)
+    assert main(["analyze", "--form", "symplectic", *files]) == 0
+    docs = [json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()]
+    # Decided, not diagonalizable, unbalanced, unstructured.
+    assert [d["payload"]["diagonalizability"]["decision"] for d in docs] == [
+        True, None, False, None]
+    assert calls == [a.shape for a in matrices]
 
 
 def test_analyze_parse_error(tmp_path):

@@ -31,7 +31,7 @@ from structdiag import (
     unitary_refine,
 )
 from structdiag.core import fro, herm_transpose
-from structdiag.spectral import eigenvalues_match
+from structdiag.spectral import _cluster_indices, eigenvalues_match
 from structdiag.structure import classify
 
 from conftest import (
@@ -315,12 +315,14 @@ def test_near_normal_defective_is_not_diagonalizable(entry):
 
 
 class TestOneSpectralPass:
-    """Each entry point classifies once, runs one eig and solves with
-    neither J nor R."""
+    """Each entry point classifies once, runs one eig, clusters once,
+    solves with neither J nor R and runs one (2n x k) rank SVD per
+    multi-member eigenvalue group and no other SVD."""
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "classify": 0, "lu_on_form": 0}
+        counts = {"eigen": 0, "eig": 0, "classify": 0, "cluster": 0,
+                  "lu_on_form": 0, "svd_shapes": []}
 
         def counted(key, fn, on_form=False):
             def wrapper(*args, **kwargs):
@@ -329,13 +331,21 @@ class TestOneSpectralPass:
                 return fn(*args, **kwargs)
             return wrapper
 
+        svd = np.linalg.svd
+
+        def svd_counted(*args, **kwargs):
+            counts["svd_shapes"].append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eig",
                             counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "svd", svd_counted)
         monkeypatch.setattr(scipy.linalg, "lu_factor",
                             counted("lu_on_form", scipy.linalg.lu_factor,
                                     on_form=True))
         # Modules import these by name: patch every reference.
-        for key, fn in (("eigen", eigen), ("classify", classify)):
+        for key, fn in (("eigen", eigen), ("classify", classify),
+                        ("cluster", _cluster_indices)):
             wrapper = counted(key, fn)
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "structdiag":
@@ -357,7 +367,13 @@ class TestOneSpectralPass:
         inst = random_structured_diagonalizable(kind, 8, 41,
                                                 critical_share=0.5)
         form = formf(8)
+        multi = sum(g.multiplicity > 1
+                    for g in group_eigenvalues(eigen(inst.matrix)))
+        assert multi > 0
         counts = self._count(monkeypatch, form)
         entry(inst.matrix, form)
+        shapes = counts.pop("svd_shapes")
         assert counts == {"eigen": 1, "eig": 1, "classify": 1,
-                          "lu_on_form": 0}
+                          "cluster": 1, "lu_on_form": 0}
+        assert all(shape[1] < 16 for shape in shapes)
+        assert len(shapes) == multi

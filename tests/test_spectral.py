@@ -7,8 +7,12 @@ from structdiag import (
     DEFAULT_TOL,
     AxisClass,
     EigenGroup,
+    NotDiagonalizable,
     SpectrumNotConjugateSymmetric,
+    assemble_core_diagonal,
+    diagonalizability_report,
     eigen,
+    form_for_kind,
     gram,
     group_eigenvalues,
     is_diagonalizable,
@@ -18,6 +22,7 @@ from structdiag import (
     random_structured,
     random_structured_diagonalizable,
     symplectic_form,
+    variant_for_kind,
 )
 from structdiag.core import fro, herm_transpose
 from structdiag.spectral import (
@@ -86,6 +91,50 @@ class TestGrouping:
         assert classes[3j] is AxisClass.PURELY_IMAGINARY
         assert classes[0.0] is AxisClass.BOTH
         assert classes[1 + 1j] is AxisClass.GENERIC
+
+
+def _cluster_indices_loop(values, radius):
+    """The pairwise double loop that _cluster_indices vectorizes."""
+    m = values.shape[0]
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(values[i] - values[j]) <= radius:
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(m):
+        clusters.setdefault(find(i), []).append(i)
+    return list(clusters.values())
+
+
+class TestClusterIndices:
+    @given(st.lists(st.lists(st.booleans(), max_size=6), min_size=1,
+                    max_size=4),
+           st.floats(0.0, 2 * np.pi), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_the_pairwise_loop(self, chains, angle, rnd):
+        # Each chain steps just under (True) or just over (False) the
+        # radius, so single linkage can span far more than the radius.
+        radius = cluster_radius(np.array([2.0]), DEFAULT_TOL)
+        step = np.exp(1j * angle)
+        values = []
+        for c, under in enumerate(chains):
+            v = complex(0.5 * c, -0.3 * c)
+            values.append(v)
+            for u in under:
+                v += step * radius * (1 - 1e-6 if u else 1 + 1e-6)
+                values.append(v)
+        rnd.shuffle(values)
+        values = np.array(values, dtype=complex)
+        assert (_cluster_indices(values, radius)
+                == _cluster_indices_loop(values, radius))
 
 
 class TestPairing:
@@ -182,20 +231,58 @@ class TestSingletonSkip:
         assert is_diagonalizable(gaussian_matrix(16, 16, 7))
         assert calls == []
 
+    @staticmethod
+    def _agree(a, form=None):
+        """is_diagonalizable, and the report on structured input, give the
+        verdict of the every-cluster rank test."""
+        expected = _rank_test_every_cluster(a)
+        assert is_diagonalizable(a) == expected
+        if form is not None:
+            try:
+                diagonalizability_report(a, form)
+            except NotDiagonalizable:
+                assert not expected
+            else:
+                assert expected
+        return expected
+
     def test_same_verdict_as_every_cluster_rank_test(self):
         jordan = np.array([[0, 1], [0, 0]], dtype=complex)
         larger = np.zeros((4, 4), dtype=complex)
         larger[0, 1] = 1.0
         larger[2, 2] = larger[3, 3] = 2.0
-        cases = [jordan, larger, near_normal_defective(),
-                 3.0 * np.eye(4, dtype=complex), random_hermitian(5, 41)]
+        cases = [(jordan, symplectic_form(1)), (larger, None),
+                 (near_normal_defective(), symplectic_form(2)),
+                 (3.0 * np.eye(4, dtype=complex), symplectic_form(2)),
+                 (random_hermitian(5, 41), None)]
         kinds = ("skew-hamiltonian", "per-hermitian", "hamiltonian",
                  "perskew-hermitian")
-        cases += [random_structured(kinds[seed % 4], 3, seed)
-                  for seed in range(50)]
-        for a in cases:
-            assert is_diagonalizable(a) == _rank_test_every_cluster(a)
-        assert not any(is_diagonalizable(a) for a in cases[:3])
+        cases += [(random_structured(kinds[seed % 4], 3, seed),
+                   form_for_kind(kinds[seed % 4], 3)) for seed in range(50)]
+        # Critical eigenvalues come with even multiplicity.
+        cases += [(random_structured_diagonalizable(
+                       kinds[seed % 4], 3, seed, critical_share=share).matrix,
+                   form_for_kind(kinds[seed % 4], 3))
+                  for share in (0.5, 0.9) for seed in range(20)]
+        verdicts = [self._agree(a, form) for a, form in cases]
+        assert not any(verdicts[:3])
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "per-hermitian",
+                                      "hamiltonian", "perskew-hermitian"])
+    def test_spread_sweep_across_the_cutoff(self, kind):
+        # Normal 2n = 8 input whose two merged core values lie a spread s
+        # apart, s on a log grid from 1e-3 to 1e3 times the rank cutoff.
+        inst = random_structured_diagonalizable(kind, 4, 11,
+                                                critical_share=0.0)
+        form = form_for_kind(kind, 4)
+        q, base = inst.transform, inst.core
+        cutoff = DEFAULT_TOL.rank_tol * max(1.0, fro(inst.matrix))
+        for spread in cutoff * np.logspace(-3, 3, 125):
+            core = base.copy()
+            core[1] = core[0] + spread
+            full = assemble_core_diagonal(core, form.tag,
+                                          variant_for_kind(kind))
+            self._agree(q @ np.diag(full) @ herm_transpose(q), form)
 
 
 class TestStructuredSpectralFacts:
