@@ -66,13 +66,9 @@ from .forms import (
     InnerProduct,
     adjoint,
     congruence_to,
-    custom_form,
     euclidean_form,
     gram,
     inertia,
-    is_neutral,
-    is_nondegenerate,
-    make_form,
     perplectic_form,
     symplectic_form,
     sylvester_canonical,
@@ -104,7 +100,6 @@ from .spectral import (
 from .structure import (
     Check,
     StructureReport,
-    assert_structure,
     build_unitary_perplectic,
     build_unitary_symplectic,
     classify,

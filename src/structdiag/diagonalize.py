@@ -3,12 +3,12 @@
 The decision procedure tests, per critical-axis eigenvalue, whether the
 eigenspace Gram has balanced inertia. The constructive routine then
 rescales conjugate-pair eigenbases so their cross Gram becomes the
-identity, maps each critical eigenspace Gram onto a canonical balanced
-pattern by congruence, and routes partner columns into the positions
-that reproduce the form matrix exactly. Lagrangian completion turns any
-neutral frame into a full Lagrangian frame by pairing positive and
-negative directions of the complement Gram. The unitary route for normal
-input reads its Lagrangian frame off the orthonormal eigenspaces.
+identity, pairs the negative with the positive Gram directions of each
+critical eigenspace into partner columns, and routes partner columns
+into the positions that reproduce the form matrix exactly. The same
+pairing (_balanced_pairs) gives the neutral half of a critical
+eigenspace, from which the unitary route for normal input reads its
+Lagrangian frame, and of the complement Gram in Lagrangian completion.
 
 Every entry point classifies, eigendecomposes and groups A once, in one
 spectral plan that the decision and the construction share.
@@ -45,10 +45,9 @@ from .forms import (
     FormTag,
     Inertia,
     InnerProduct,
-    congruence_to,
+    _hermitian_part_for,
     gram,
     inertia,
-    symplectic_j,
 )
 from .spectral import (
     AxisClass,
@@ -236,16 +235,6 @@ def _report(plan: _SpectralPlan, form: InnerProduct,
                                    reason)
 
 
-def _balanced_target(form: InnerProduct, m: int) -> np.ndarray:
-    """Canonical balanced Gram for a 2m-dimensional critical eigenspace."""
-    if form.tag is FormTag.SYMPLECTIC_J:
-        return symplectic_j(m)
-    t = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    t[:m, m:] = np.eye(m)
-    t[m:, :m] = np.eye(m)
-    return t
-
-
 def _route_partners(x_cols: np.ndarray, y_cols: np.ndarray,
                     form_tag: FormTag) -> np.ndarray:
     """Place partner columns at (j, n+j) for J and (j, 2n+1-j) for R."""
@@ -337,8 +326,8 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
 
     (a) for a conjugate pair, rescale the primary basis by the inverse
         Hermitian transpose of the cross Gram, making the cross Gram I;
-    (b) for a critical-axis eigenvalue, congruence-map the eigenspace
-        Gram onto the canonical balanced pattern;
+    (b) for a critical-axis eigenvalue, pair the negative with the
+        positive directions of the eigenspace Gram (_balanced_pairs);
     (c) route partner columns into form positions, ascending by the
         final core eigenvalue.
     """
@@ -352,12 +341,9 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
             x_parts.append(g.basis @ herm_transpose(inverse(cross, tol)))
             y_parts.append(partner.basis)
         else:
-            m = g.multiplicity // 2
-            t = congruence_to(gram(g.basis, form), _balanced_target(form, m),
-                              form.kind, tol)
-            w = g.basis @ t
-            x_parts.append(w[:, :m])
-            y_parts.append(w[:, m:])
+            x, y = _balanced_pairs(g.basis, form, tol)
+            x_parts.append(g.basis @ x)
+            y_parts.append(g.basis @ y)
     core = np.repeat(values, [x.shape[1] for x in x_parts])
     s = _route_partners(np.hstack(x_parts), np.hstack(y_parts), form.tag)
     return certify(a, s, core, form, variant, tol)
@@ -380,31 +366,45 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
         raise NotNormal(
             f"matrix is not normal (residual {cls.euclidean_normal.residual:.3e})")
     variant, blocks, values = _eigen_blocks(a, form, tol, cls)
-    parts = [g.basis if partner is not None else _neutral_half(g.basis, form)
+    parts = [g.basis if partner is not None
+             else _neutral_half(g.basis, form, tol)
              for g, partner in blocks]
     core = np.repeat(values, [p.shape[1] for p in parts])
     q = build_unitary_automorphism(np.hstack(parts), form)
     return certify(a, q, core, form, variant, tol, unitary=True)
 
 
-def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """m orthonormal neutral columns in the span of 2m orthonormal W with
-    balanced Gram. Each pairs a positive with a negative eigendirection of
-    the Gram so it is neutral; distinct pairs stay orthogonal in both senses.
+def _balanced_pairs(w: np.ndarray, form: InnerProduct,
+                    tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients x, y (2m x m) with [Wx, Wx] = [Wy, Wy] = 0 and
+    [Wx, Wy] = I, for a frame W of 2m columns with balanced Gram.
+
+    One eigh of the Gram's Hermitian part K gives negative directions a_i
+    scaled to a^H K a = -1 and positive ones b_i scaled to b^H K b = 1,
+    the most negative paired with the least positive; x = (a + b)/sqrt 2
+    and y = (b - a)/sqrt 2, times -i under J, whose Gram is i K.
     """
-    m = gram(w, form)
-    if form.kind is FormKind.SKEW_HERMITIAN:
-        hermitian = -1j * (m - herm_transpose(m)) / 2.0
-    else:
-        hermitian = (m + herm_transpose(m)) / 2.0
-    kappa, u = np.linalg.eigh(hermitian)
+    kappa, u = np.linalg.eigh(_hermitian_part_for(gram(w, form), form.kind,
+                                                  tol))
     half = w.shape[1] // 2
     if np.count_nonzero(kappa < 0) != half or np.count_nonzero(kappa > 0) != half:
         raise NumericalBreakdown("Gram of the span is not balanced")
-    # eigh sorts ascending: the most negative pairs with the least positive.
-    k_neg, k_pos = kappa[:half], kappa[half:]
-    x = np.sqrt(-k_neg) * u[:, half:] + np.sqrt(k_pos) * u[:, :half]
-    return w @ (x / np.linalg.norm(x, axis=0))
+    a = u[:, :half] / np.sqrt(-kappa[:half])
+    b = u[:, half:] / np.sqrt(kappa[half:])
+    x, y = (a + b) / np.sqrt(2.0), (b - a) / np.sqrt(2.0)
+    if form.kind is FormKind.SKEW_HERMITIAN:
+        y = -1j * y
+    return x, y
+
+
+def _neutral_half(w: np.ndarray, form: InnerProduct,
+                  tol: TolerancePolicy) -> np.ndarray:
+    """m orthonormal neutral columns in the span of 2m orthonormal W with
+    balanced Gram: the normalized Wx of _balanced_pairs. Distinct pairs
+    stay orthogonal in both senses.
+    """
+    x = w @ _balanced_pairs(w, form, tol)[0]
+    return x / np.linalg.norm(x, axis=0)
 
 
 def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
@@ -447,7 +447,7 @@ def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
     if w.shape[1] != 2 * (n - k):
         raise NumericalBreakdown(
             f"complement dimension {w.shape[1]} != {2 * (n - k)}")
-    out = np.hstack([v, _neutral_half(w, form)])
+    out = np.hstack([v, _neutral_half(w, form, tol)])
 
     res_orth, res_neut = frame_residuals(out, b)
     if res_orth > FRAME_GUARANTEE or res_neut > FRAME_GUARANTEE:

@@ -1,8 +1,7 @@
 """Indefinite inner products [x, y] = x^H B y and their basic calculus.
 
-Covers the canonical symplectic and perplectic forms as well as custom
-nonsingular (skew-)Hermitian B: adjoints, Gram matrices, neutrality and
-nondegeneracy tests, inertia, and constructive congruence.
+Covers the canonical symplectic (J), perplectic (R) and Euclidean forms:
+adjoints, Gram matrices, inertia, and constructive congruence.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     TolerancePolicy,
-    as_matrix,
     fro,
     herm_transpose,
-    numerical_rank,
     rel_residual,
     solve_linear,
 )
@@ -27,7 +24,6 @@ from .errors import (
     InertiaMismatch,
     InvalidSize,
     NotStructured,
-    RankDeficient,
 )
 
 
@@ -40,7 +36,6 @@ class FormTag(enum.Enum):
     EUCLIDEAN = "euclidean"
     SYMPLECTIC_J = "symplectic"
     PERPLECTIC_R = "perplectic"
-    CUSTOM = "custom"
 
 
 def symplectic_j(n: int) -> np.ndarray:
@@ -67,7 +62,7 @@ def perplectic_r(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InnerProduct:
-    """A nonsingular (skew-)Hermitian B defining [x, y] = x^H B y."""
+    """The form [x, y] = x^H B y of a tag: B is exactly J, R or I."""
 
     matrix: np.ndarray
     kind: FormKind
@@ -77,22 +72,16 @@ class InnerProduct:
         b = self.matrix
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise DimensionMismatch("form matrix must be square")
-        if numerical_rank(b, DEFAULT_TOL.rank_tol) < b.shape[0]:
-            raise NotStructured("form matrix must be nonsingular")
-        bh = herm_transpose(b)
-        if self.kind is FormKind.HERMITIAN:
-            res = rel_residual(b, bh)
+        if self.tag is FormTag.SYMPLECTIC_J:
+            canonical = symplectic_j(b.shape[0] // 2)
+            kind = FormKind.SKEW_HERMITIAN
+        elif self.tag is FormTag.PERPLECTIC_R:
+            canonical, kind = perplectic_r(b.shape[0] // 2), FormKind.HERMITIAN
         else:
-            res = rel_residual(b, -bh)
-        if res > DEFAULT_TOL.structure_tol:
-            raise NotStructured(
-                f"form matrix fails its {self.kind.value} symmetry", res)
-        if self.tag is FormTag.SYMPLECTIC_J and not np.array_equal(
-                b, symplectic_j(b.shape[0] // 2)):
-            raise NotStructured("symplectic tag requires the exact J matrix")
-        if self.tag is FormTag.PERPLECTIC_R and not np.array_equal(
-                b, perplectic_r(b.shape[0] // 2)):
-            raise NotStructured("perplectic tag requires the exact R matrix")
+            canonical, kind = np.eye(b.shape[0]), FormKind.HERMITIAN
+        if self.kind is not kind or not np.array_equal(b, canonical):
+            raise NotStructured(f"the {self.tag.value} tag requires its "
+                                f"canonical {kind.value} matrix")
 
     @property
     def dim(self) -> int:
@@ -121,21 +110,6 @@ def euclidean_form(m: int) -> InnerProduct:
                         FormTag.EUCLIDEAN)
 
 
-def custom_form(b, kind: FormKind) -> InnerProduct:
-    return InnerProduct(as_matrix(b), kind, FormTag.CUSTOM)
-
-
-def make_form(tag: FormTag, n: int) -> InnerProduct:
-    """Canonical form for a tag; n is the half-dimension for J and R."""
-    if tag is FormTag.SYMPLECTIC_J:
-        return symplectic_form(n)
-    if tag is FormTag.PERPLECTIC_R:
-        return perplectic_form(n)
-    if tag is FormTag.EUCLIDEAN:
-        return euclidean_form(n)
-    raise InvalidSize("custom forms carry their own matrix; use custom_form")
-
-
 def _check_dim(a: np.ndarray, form: InnerProduct):
     if a.shape[0] != form.dim:
         raise DimensionMismatch(
@@ -146,8 +120,7 @@ def adjoint(a: np.ndarray, form: InnerProduct) -> np.ndarray:
     """Form adjoint B^{-1} A^H B.
 
     J^{-1} = -J and R^{-1} = R, so for them it is a signed block swap and
-    a double flip of A^H, equal to the LU solve entry for entry; custom
-    forms solve with B.
+    a double flip of A^H, equal to the LU solve entry for entry.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -158,12 +131,9 @@ def adjoint(a: np.ndarray, form: InnerProduct) -> np.ndarray:
         return ah
     if form.tag is FormTag.PERPLECTIC_R:
         return ah[::-1, ::-1]
-    if form.tag is FormTag.SYMPLECTIC_J:
-        n = form.half
-        return np.block([[ah[n:, n:], -ah[n:, :n]],
-                         [-ah[:n, n:], ah[:n, :n]]])
-    b = form.matrix
-    return solve_linear(b, ah @ b)
+    n = form.half
+    return np.block([[ah[n:, n:], -ah[n:, :n]],
+                     [-ah[:n, n:], ah[:n, :n]]])
 
 
 def gram(v: np.ndarray, form: InnerProduct) -> np.ndarray:
@@ -173,30 +143,6 @@ def gram(v: np.ndarray, form: InnerProduct) -> np.ndarray:
         raise DimensionMismatch("frame must be 2-D")
     _check_dim(v, form)
     return herm_transpose(v) @ form.matrix @ v
-
-
-def is_neutral(v: np.ndarray, form: InnerProduct,
-               tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True when the Gram of the frame vanishes at the structure tolerance."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape[1] == 0:
-        return True
-    if numerical_rank(v, tol.rank_tol) < v.shape[1]:
-        raise RankDeficient("frame columns are numerically dependent")
-    g = gram(v, form)
-    scale = max(1.0, fro(v) ** 2 * fro(form.matrix))
-    return fro(g) <= tol.structure_tol * scale
-
-
-def is_nondegenerate(v: np.ndarray, form: InnerProduct,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True when the Gram of the frame has full numerical rank."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape[1] == 0:
-        return True
-    if numerical_rank(v, tol.rank_tol) < v.shape[1]:
-        raise RankDeficient("frame columns are numerically dependent")
-    return numerical_rank(gram(v, form), tol.rank_tol) == v.shape[1]
 
 
 @dataclass(frozen=True)
@@ -274,16 +220,6 @@ def sylvester_canonical(h: np.ndarray, kind: FormKind,
     u_scaled = (u * scales)[:, order]
     alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
     return u_scaled, Inertia(len(neg), len(pos), len(zer), alpha)
-
-
-def canonical_inertia_matrix(inert: Inertia) -> np.ndarray:
-    """diag(-alpha I_p, alpha I_q, 0_r) for the given inertia."""
-    d = np.concatenate([
-        -inert.alpha * np.ones(inert.p),
-        inert.alpha * np.ones(inert.q),
-        np.zeros(inert.r),
-    ]).astype(np.complex128)
-    return np.diag(d)
 
 
 def congruence_to(h: np.ndarray, c: np.ndarray, kind: FormKind,

@@ -40,11 +40,6 @@ _NAMES = {
         "skewadjoint": "skew-hermitian",
         "automorphism": "unitary",
     },
-    FormTag.CUSTOM: {
-        "selfadjoint": "selfadjoint",
-        "skewadjoint": "skewadjoint",
-        "automorphism": "automorphism",
-    },
 }
 
 
@@ -59,25 +54,6 @@ class StructureReport:
     automorphism: Check
     b_normal: Check
     form_tag: FormTag
-
-    def flag(self, name: str) -> Check:
-        """Look up a flag by generic or form-specific structure name."""
-        generic = {
-            "hermitian": "hermitian",
-            "skew-hermitian": "skew_hermitian",
-            "unitary": "unitary",
-            "normal": "euclidean_normal",
-            "selfadjoint": "selfadjoint",
-            "skewadjoint": "skewadjoint",
-            "automorphism": "automorphism",
-            "b-normal": "b_normal",
-        }
-        specific = {v: k for k, v in _NAMES[self.form_tag].items()}
-        key = generic.get(name) or specific.get(name)
-        if key is None:
-            raise KeyError(f"unknown structure name {name!r} "
-                           f"for form {self.form_tag.value}")
-        return getattr(self, key)
 
     def true_names(self) -> list[str]:
         """Form-specific names of all satisfied structures."""
@@ -143,17 +119,6 @@ def classify(a: np.ndarray, form: InnerProduct,
         b_normal=check(a @ a_star, star_a),
         form_tag=form.tag,
     )
-
-
-def assert_structure(a: np.ndarray, form: InnerProduct, wanted: str,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> None:
-    """Raise NotStructured unless classify reports `wanted` as satisfied."""
-    report = classify(a, form, tol)
-    check = report.flag(wanted)
-    if not check.ok:
-        raise NotStructured(
-            f"matrix is not {wanted} (residual {check.residual:.3e})",
-            check.residual)
 
 
 def frame_residuals(v: np.ndarray, b: np.ndarray) -> tuple[float, float]:

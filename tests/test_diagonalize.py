@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdiag import (
+    DEFAULT_TOL,
     FrameTooLarge,
     NotDiagonalizable,
     NotNeutral,
@@ -16,6 +17,7 @@ from structdiag import (
     Variant,
     assemble_core_diagonal,
     complete_to_lagrangian,
+    congruence_to,
     decompose_additive,
     diagonalizability_report,
     eigen,
@@ -27,10 +29,12 @@ from structdiag import (
     random_structured_diagonalizable,
     rel_residual,
     structured_diagonalize,
+    sylvester_canonical,
     symplectic_form,
     unitary_refine,
 )
 from structdiag.core import fro, herm_transpose
+from structdiag.diagonalize import _balanced_pairs, _neutral_half
 from structdiag.spectral import _cluster_indices, eigenvalues_match
 from structdiag.structure import classify
 
@@ -317,11 +321,14 @@ def test_near_normal_defective_is_not_diagonalizable(entry):
 class TestOneSpectralPass:
     """Each entry point classifies once, runs one eig, clusters once,
     solves with neither J nor R and runs one (2n x k) rank SVD per
-    multi-member eigenvalue group and no other SVD."""
+    multi-member eigenvalue group and no other SVD. The constructive
+    entry points pair each critical eigenspace with one eigh of its Gram
+    and never reach congruence_to or sylvester_canonical."""
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "classify": 0, "cluster": 0,
+        counts = {"eigen": 0, "eig": 0, "eigh": 0, "classify": 0,
+                  "cluster": 0, "congruence": 0, "sylvester": 0,
                   "lu_on_form": 0, "svd_shapes": []}
 
         def counted(key, fn, on_form=False):
@@ -339,13 +346,17 @@ class TestOneSpectralPass:
 
         monkeypatch.setattr(np.linalg, "eig",
                             counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "svd", svd_counted)
         monkeypatch.setattr(scipy.linalg, "lu_factor",
                             counted("lu_on_form", scipy.linalg.lu_factor,
                                     on_form=True))
         # Modules import these by name: patch every reference.
         for key, fn in (("eigen", eigen), ("classify", classify),
-                        ("cluster", _cluster_indices)):
+                        ("cluster", _cluster_indices),
+                        ("congruence", congruence_to),
+                        ("sylvester", sylvester_canonical)):
             wrapper = counted(key, fn)
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "structdiag":
@@ -370,10 +381,38 @@ class TestOneSpectralPass:
         multi = sum(g.multiplicity > 1
                     for g in group_eigenvalues(eigen(inst.matrix)))
         assert multi > 0
+        critical = len(diagonalizability_report(inst.matrix,
+                                                form).per_eigenvalue)
+        assert critical > 0
         counts = self._count(monkeypatch, form)
         entry(inst.matrix, form)
         shapes = counts.pop("svd_shapes")
-        assert counts == {"eigen": 1, "eig": 1, "classify": 1,
-                          "cluster": 1, "lu_on_form": 0}
+        pairings = 0 if entry is diagonalizability_report else critical
+        assert counts == {"eigen": 1, "eig": 1, "eigh": pairings,
+                          "classify": 1, "cluster": 1, "congruence": 0,
+                          "sylvester": 0, "lu_on_form": 0}
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
+
+
+class TestBalancedPairs:
+    """The one pairing of a balanced Gram's negative and positive
+    directions behind every critical eigenspace and completion."""
+
+    @given(st.integers(1, 4), st.booleans(), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_are_neutral_and_dual(self, m, use_j, seed):
+        form = symplectic_form(m) if use_j else perplectic_form(m)
+        t = gaussian_matrix(2 * m, 2 * m, seed) + 3 * np.eye(2 * m)
+        x, y = _balanced_pairs(t, form, DEFAULT_TOL)
+        assert x.shape == y.shape == (2 * m, m)
+        wx, wy = t @ x, t @ y
+        assert fro(gram(wx, form)) <= 1e-10
+        assert fro(gram(wy, form)) <= 1e-10
+        assert fro(herm_transpose(wx) @ form.matrix @ wy - np.eye(m)) <= 1e-10
+
+        w = np.linalg.qr(t)[0]
+        v = _neutral_half(w, form, DEFAULT_TOL)
+        assert v.shape == (2 * m, m)
+        assert fro(herm_transpose(v) @ v - np.eye(m)) <= 1e-12
+        assert fro(gram(v, form)) <= 1e-12

@@ -4,26 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdiag import (
+    DEFAULT_TOL,
     FormKind,
     FormTag,
     InertiaMismatch,
+    InnerProduct,
     NotStructured,
     adjoint,
     congruence_to,
-    custom_form,
     euclidean_form,
     gram,
     inertia,
-    is_neutral,
-    is_nondegenerate,
-    make_form,
     perplectic_form,
     rel_residual,
     symplectic_form,
     sylvester_canonical,
 )
-from structdiag.core import fro, herm_transpose, solve_linear
-from structdiag.forms import canonical_inertia_matrix
+from structdiag.core import fro, herm_transpose, numerical_rank, solve_linear
+from structdiag.forms import perplectic_r, symplectic_j
 
 from conftest import (
     gaussian_matrix,
@@ -35,17 +33,17 @@ from conftest import (
 
 class TestMakeForm:
     def test_symplectic_n1(self):
-        form = make_form(FormTag.SYMPLECTIC_J, 1)
+        form = symplectic_form(1)
         assert np.array_equal(form.matrix, np.array([[0, 1], [-1, 0]]))
         assert form.kind is FormKind.SKEW_HERMITIAN
 
     def test_perplectic_n1(self):
-        form = make_form(FormTag.PERPLECTIC_R, 1)
+        form = perplectic_form(1)
         assert np.array_equal(form.matrix, np.array([[0, 1], [1, 0]]))
         assert form.kind is FormKind.HERMITIAN
 
     def test_euclidean(self):
-        form = make_form(FormTag.EUCLIDEAN, 3)
+        form = euclidean_form(3)
         assert np.array_equal(form.matrix, np.eye(3))
         assert form.kind is FormKind.HERMITIAN
 
@@ -98,16 +96,6 @@ class TestAdjoint:
             assert np.array_equal(adjoint(a, form),
                                   solve_linear(b, herm_transpose(a) @ b))
 
-    @pytest.mark.parametrize("kind,make", [
-        (FormKind.HERMITIAN, random_hermitian),
-        (FormKind.SKEW_HERMITIAN, random_skew_hermitian),
-    ])
-    def test_custom_form_defining_property(self, kind, make):
-        form = custom_form(make(4, 12), kind)
-        a = gaussian_matrix(4, 4, 13)
-        assert rel_residual(herm_transpose(a) @ form.matrix,
-                            form.matrix @ adjoint(a, form)) <= 1e-10
-
 
 class TestGram:
     def test_full_basis_gram_is_form_matrix(self):
@@ -126,29 +114,36 @@ class TestGram:
         assert gram(v, form)[0, 0] == 0.0
 
 
+def _gram_rank(v, form):
+    return numerical_rank(gram(v, form), DEFAULT_TOL.rank_tol)
+
+
 class TestNeutralNondegenerate:
+    """A frame is neutral when its Gram vanishes and nondegenerate when
+    its Gram has full rank."""
+
     def test_lagrangian_span_neutral(self):
         for n in (1, 2, 4):
             form = symplectic_form(n)
             v = np.eye(2 * n, dtype=complex)[:, :n]
-            assert is_neutral(v, form)
-            assert not is_nondegenerate(v, form)
+            assert fro(gram(v, form)) == 0.0
+            assert _gram_rank(v, form) < n
 
     def test_full_basis_not_neutral(self):
         form = symplectic_form(2)
         eye = np.eye(4, dtype=complex)
-        assert not is_neutral(eye, form)
-        assert is_nondegenerate(eye, form)
+        assert fro(gram(eye, form)) > 1.0
+        assert _gram_rank(eye, form) == 4
 
     def test_definite_form_has_no_neutral_vectors(self):
         form = euclidean_form(3)
         v = np.eye(3, dtype=complex)[:, :1]
-        assert not is_neutral(v, form)
+        assert fro(gram(v, form)) == 1.0
 
     def test_two_lagrangian_directions_degenerate(self):
         form = symplectic_form(2)
         v = np.eye(4, dtype=complex)[:, :2]
-        assert not is_nondegenerate(v, form)
+        assert _gram_rank(v, form) < 2
 
 
 class TestInertia:
@@ -211,7 +206,8 @@ class TestSylvesterCanonical:
         h = random_hermitian(5, 3)
         u, inert = sylvester_canonical(h, FormKind.HERMITIAN)
         got = herm_transpose(u) @ h @ u
-        assert rel_residual(got, canonical_inertia_matrix(inert)) < 1e-10
+        want = np.diag([-1.0] * inert.p + [1.0] * inert.q + [0.0] * inert.r)
+        assert rel_residual(got, want) < 1e-10
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
@@ -255,15 +251,31 @@ class TestCongruence:
 class TestFormValidation:
     def test_singular_form_rejected(self):
         with pytest.raises(NotStructured):
-            custom_form(np.zeros((2, 2)), FormKind.HERMITIAN)
+            InnerProduct(np.zeros((2, 2)), FormKind.HERMITIAN,
+                         FormTag.PERPLECTIC_R)
 
     def test_wrong_symmetry_rejected(self):
         with pytest.raises(NotStructured):
-            custom_form(gaussian_matrix(3, 3, 4), FormKind.HERMITIAN)
+            InnerProduct(gaussian_matrix(3, 3, 4), FormKind.HERMITIAN,
+                         FormTag.EUCLIDEAN)
+
+    def test_tag_requires_its_canonical_matrix_and_kind(self):
+        # An indefinite matrix under the Euclidean tag would make adjoint
+        # return A^H, which is not B^{-1} A^H B for it.
+        with pytest.raises(NotStructured):
+            InnerProduct(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex),
+                         FormKind.HERMITIAN, FormTag.EUCLIDEAN)
+        with pytest.raises(NotStructured):
+            InnerProduct(symplectic_j(2), FormKind.HERMITIAN,
+                         FormTag.SYMPLECTIC_J)
+        with pytest.raises(NotStructured):
+            InnerProduct(perplectic_r(2), FormKind.SKEW_HERMITIAN,
+                         FormTag.PERPLECTIC_R)
 
     def test_neutral_frame_bounded_by_half_dimension(self):
         # Any neutral frame under J or R has at most n columns; a frame
         # with n+1 independent columns cannot stay neutral.
         form = symplectic_form(2)
         v = np.eye(4, dtype=complex)[:, :3]
-        assert not is_neutral(v, form)
+        assert numerical_rank(v, DEFAULT_TOL.rank_tol) == 3
+        assert fro(gram(v, form)) > 1.0

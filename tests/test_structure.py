@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from structdiag import (
     NotLagrangianFrame,
     NotStructured,
-    assert_structure,
     build_unitary_perplectic,
     build_unitary_symplectic,
     classify,
@@ -82,22 +81,6 @@ class TestClassify:
         g = random_automorphism(rform, n, seed + 3)
         conj = solve_linear(g, c @ g)
         assert classify(conj, rform).skewadjoint.ok
-
-
-class TestAssertStructure:
-    def test_j_is_hamiltonian(self):
-        form = symplectic_form(1)
-        assert_structure(form.matrix, form, "hamiltonian")
-
-    def test_identity_is_not_hamiltonian(self):
-        form = symplectic_form(1)
-        with pytest.raises(NotStructured) as err:
-            assert_structure(np.eye(2, dtype=complex), form, "hamiltonian")
-        assert err.value.residual is not None
-
-    def test_r_is_per_hermitian(self):
-        form = perplectic_form(1)
-        assert_structure(form.matrix, form, "per-hermitian")
 
 
 class TestBuildUnitarySymplectic:
