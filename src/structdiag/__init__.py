@@ -27,6 +27,7 @@ from .decompose import (
     verify_decomposition,
 )
 from .diagonalize import (
+    AxisClass,
     DiagonalizabilityReport,
     EigenvalueBalance,
     StructuredDiagonalization,
@@ -87,7 +88,6 @@ from .generators import (
 )
 from .mmio import read_matrix, write_matrix
 from .spectral import (
-    AxisClass,
     ConjugatePairing,
     EigenDecomposition,
     EigenGroup,

@@ -167,10 +167,11 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
     try:
         # diagonalizability_report, reusing the classification above.
         diag_report = _report(_spectral_plan(a, form, tol, report), form, tol)
-    except NotDiagonalizable as exc:
+    except (NotDiagonalizable, SpectrumNotConjugateSymmetric) as exc:
+        # A spectrum that fails the pairing was grouped without a defect.
         payload["diagonalizability"] = {
             "decision": None,
-            "diagonalizable": False,
+            "diagonalizable": isinstance(exc, SpectrumNotConjugateSymmetric),
             "reason": str(exc),
         }
         return payload, residuals

@@ -20,11 +20,13 @@ class TolerancePolicy:
     """Relative tolerances used across the library.
 
     structure_tol: Frobenius-scaled residual threshold for structure flags.
-    cluster_tol:   radius for grouping nearby eigenvalues.
-    class_tol:     threshold for real / purely-imaginary classification.
+    cluster_tol:   times max(1, max |eigenvalue|), the radius r of every
+                   spectral decision: clustering, criticality (a cluster
+                   within r of its conjugate) and the defect cutoff.
+    class_tol:     zero cut of Gram inertia, relative to ||Gram||_F.
     rank_tol:      relative singular-value cutoff for numerical rank; times
-                   max(1, ||A||_F), the cutoff of the residual of
-                   A - value I on an eigenvalue cluster's basis.
+                   max(1, ||A||_F), the roundoff allowance of the residual
+                   of A - value I on an eigenvalue cluster's basis.
     """
 
     structure_tol: float = 1e-10

@@ -1,17 +1,21 @@
 """Structure-preserving diagonalization for the J and R forms.
 
-The decision procedure tests, per critical-axis eigenvalue, whether the
-eigenspace Gram has balanced inertia. The constructive routine then
-rescales conjugate-pair eigenbases so their cross Gram becomes the
-identity, pairs the negative with the positive Gram directions of each
-critical eigenspace into partner columns, and routes partner columns
-into the positions that reproduce the form matrix exactly. The same
+An eigenvalue is critical when its group of the selfadjoint A_hat = A
+or i A is self-conjugate in the one conjugate pairing of A_hat's groups
+(spectral.pair_conjugates); see Gohberg, Lancaster & Rodman, Indefinite
+Linear Algebra and Applications (2005), ch. 5. The decision procedure
+tests, per critical eigenvalue, whether the eigenspace Gram has balanced
+inertia. The constructive routine then rescales conjugate-pair
+eigenbases so their cross Gram becomes the identity, pairs the negative
+with the positive Gram directions of each critical eigenspace into
+partner columns, and routes partner columns into the positions that
+reproduce the form matrix exactly. The same
 pairing (_balanced_pairs) gives the neutral half of a critical
 eigenspace, from which the unitary route for normal input reads its
 Lagrangian frame, and of the complement Gram in Lagrangian completion.
 
-Every entry point classifies, eigendecomposes and groups A once, in one
-spectral plan that the decision and the construction share.
+Every entry point classifies, eigendecomposes, groups and pairs once, in
+one spectral plan that the decision and the construction share.
 """
 
 from __future__ import annotations
@@ -50,10 +54,8 @@ from .forms import (
     inertia,
 )
 from .spectral import (
-    AxisClass,
-    EigenDecomposition,
+    ConjugatePairing,
     EigenGroup,
-    classify_axis,
     eigen,
     group_eigenvalues,
     pair_conjugates,
@@ -69,6 +71,14 @@ from .structure import (
 class Variant(enum.Enum):
     SELFADJOINT = "selfadjoint"
     SKEWADJOINT = "skewadjoint"
+
+
+class AxisClass(enum.Enum):
+    """Axis of a critical eigenvalue; BOTH within the cluster radius of 0."""
+
+    REAL = "real"
+    PURELY_IMAGINARY = "purely-imaginary"
+    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -149,23 +159,30 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
 
 @dataclass(frozen=True)
 class _SpectralPlan:
-    """What one call learns about A once: its structure, its variant, its
-    eigendecomposition and its eigenvalue groups (clustered, with
-    orthonormal bases)."""
+    """What one call learns about A once: its variant, the eigenvalue
+    groups of A_hat = A or i A (clustered, with orthonormal bases) and
+    their conjugate pairing."""
 
-    structure: StructureReport
     variant: Variant
-    decomposition: EigenDecomposition
     groups: list[EigenGroup]
+    pairing: ConjugatePairing
+
+
+def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
+    """Eigenvalues of A from those of A_hat: divided by i if skewadjoint."""
+    return values / 1j if variant is Variant.SKEWADJOINT else values
 
 
 def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
                    structure: StructureReport | None = None) -> _SpectralPlan:
-    """Classify (unless ``structure`` is given), decompose and group A.
+    """Classify (unless ``structure`` is given), decompose and group A,
+    and pair the groups of A_hat.
 
     Raises NotStructured off the J and R forms or for a matrix that is
-    neither selfadjoint nor skewadjoint, and NotDiagonalizable (from
-    group_eigenvalues) when an eigenvalue cluster is defective.
+    neither selfadjoint nor skewadjoint, NotDiagonalizable (from
+    group_eigenvalues) when an eigenvalue cluster is defective, and
+    SpectrumNotConjugateSymmetric (from pair_conjugates) when A_hat's
+    spectrum is not closed under conjugation.
     """
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("diagonalizability analysis targets J or R forms")
@@ -182,24 +199,23 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
             f"{structure.skewadjoint.residual:.3e})",
             min(structure.selfadjoint.residual,
                 structure.skewadjoint.residual))
-    dec = eigen(a)
-    return _SpectralPlan(structure, variant, dec, group_eigenvalues(dec, tol))
-
-
-def _critical_classes(variant: Variant) -> set[AxisClass]:
-    if variant is Variant.SELFADJOINT:
-        return {AxisClass.REAL, AxisClass.BOTH}
-    return {AxisClass.PURELY_IMAGINARY, AxisClass.BOTH}
+    groups = group_eigenvalues(eigen(a), tol)
+    if variant is Variant.SKEWADJOINT:
+        # i A has the eigenvectors of A; clustering sees only distances,
+        # so the groups of i A are those of A with every value times i.
+        groups = [replace(g, value=1j * g.value) for g in groups]
+    return _SpectralPlan(variant, groups, pair_conjugates(groups, tol))
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
                              tol: TolerancePolicy = DEFAULT_TOL
                              ) -> DiagonalizabilityReport:
-    """Balance test of every critical-axis eigenspace Gram.
+    """Balance test of every critical eigenspace Gram.
 
-    Selfadjoint matrices are obstructed only by real eigenvalues,
-    skewadjoint ones only by purely imaginary eigenvalues; zero counts
-    for both. The decision is the conjunction of the balance flags.
+    An eigenvalue is critical when its group of A_hat = A or i A is
+    self-conjugate (the plan's pairing): real eigenvalues for selfadjoint
+    A, purely imaginary ones for skewadjoint A, zero for both. The
+    decision is the conjunction of the balance flags.
     """
     a = np.asarray(a, dtype=np.complex128)
     return _report(_spectral_plan(a, form, tol), form, tol)
@@ -207,29 +223,30 @@ def diagonalizability_report(a: np.ndarray, form: InnerProduct,
 
 def _report(plan: _SpectralPlan, form: InnerProduct,
             tol: TolerancePolicy) -> DiagonalizabilityReport:
-    critical = _critical_classes(plan.variant)
+    # Group order, which is ascending by A's eigenvalues.
+    critical = [plan.groups[i] for i in sorted(plan.pairing.selfconjugate)]
+    values = _core_values(np.array([g.value for g in critical]),
+                          plan.variant)
+    axis = (AxisClass.REAL if plan.variant is Variant.SELFADJOINT
+            else AxisClass.PURELY_IMAGINARY)
     entries = []
-    unbalanced_values = []
-    for g in plan.groups:
-        if g.axis_class not in critical:
-            continue
+    for g, value in zip(critical, values.tolist()):
         g_inertia = inertia(gram(g.basis, form), form.kind, tol)
-        balanced = g_inertia.balanced
         entries.append(EigenvalueBalance(
-            value=g.value,
-            axis_class=g.axis_class,
+            value=value,
+            axis_class=(AxisClass.BOTH if abs(value) <= plan.pairing.radius
+                        else axis),
             multiplicity=g.multiplicity,
             gram_inertia=g_inertia,
-            balanced=balanced,
+            balanced=g_inertia.balanced,
         ))
-        if not balanced:
-            unbalanced_values.append(g.value)
     decision = all(e.balanced for e in entries)
     if decision:
         reason = ("no critical-axis eigenvalues" if not entries
                   else "all critical-axis eigenspace Grams are balanced")
     else:
-        listed = ", ".join(f"{v:.6g}" for v in unbalanced_values)
+        listed = ", ".join(f"{e.value:.6g}" for e in entries
+                           if not e.balanced)
         reason = f"unbalanced eigenspace Gram at eigenvalue(s) {listed}"
     return DiagonalizabilityReport(decision, plan.variant, tuple(entries),
                                    reason)
@@ -285,32 +302,18 @@ def _eigen_blocks(
     Blocks are conjugate pairs (lower group, partner) and critical groups
     (group, None), ascending by their core value: the lower eigenvalue,
     divided by i for skewadjoint A. Raises NotStructuredDiagonalizable
-    (report attached) if unbalanced or a critical multiplicity is odd.
+    (report attached) if a critical Gram is unbalanced, which includes
+    every critical group of odd multiplicity.
     """
     plan = _spectral_plan(a, form, tol, structure)
     report = _report(plan, form, tol)
     if not report.decision:
         raise NotStructuredDiagonalizable(report.reason, report)
     groups = plan.groups
-    if plan.variant is Variant.SKEWADJOINT:
-        # i A has the eigenvectors of A; clustering sees only distances,
-        # so the groups of i A are those of A with every value times i.
-        groups = [replace(g, value=1j * g.value,
-                          axis_class=classify_axis(1j * g.value,
-                                                   tol.class_tol))
-                  for g in groups]
-    pairing = pair_conjugates(groups, tol)
-    blocks = [(groups[gi], groups[gj]) for gi, gj in pairing.pairs]
-    for gi in pairing.selfconjugate:
-        g = groups[gi]
-        if g.multiplicity % 2 != 0:
-            raise NotStructuredDiagonalizable(
-                f"critical eigenvalue {g.value:.6g} has odd multiplicity "
-                f"{g.multiplicity}", report)
-        blocks.append((g, None))
-    values = np.array([g.value for g, _ in blocks])
-    if plan.variant is Variant.SKEWADJOINT:
-        values = values / 1j
+    blocks = [(groups[gi], groups[gj]) for gi, gj in plan.pairing.pairs]
+    blocks += [(groups[gi], None) for gi in plan.pairing.selfconjugate]
+    values = _core_values(np.array([g.value for g, _ in blocks]),
+                          plan.variant)
     order = np.lexsort((values.imag, values.real))
     return plan.variant, [blocks[k] for k in order], values[order]
 

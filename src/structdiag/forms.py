@@ -65,7 +65,6 @@ class InnerProduct:
     """The form [x, y] = x^H B y of a tag: B is exactly J, R or I."""
 
     matrix: np.ndarray
-    kind: FormKind
     tag: FormTag
 
     def __post_init__(self):
@@ -74,14 +73,19 @@ class InnerProduct:
             raise DimensionMismatch("form matrix must be square")
         if self.tag is FormTag.SYMPLECTIC_J:
             canonical = symplectic_j(b.shape[0] // 2)
-            kind = FormKind.SKEW_HERMITIAN
         elif self.tag is FormTag.PERPLECTIC_R:
-            canonical, kind = perplectic_r(b.shape[0] // 2), FormKind.HERMITIAN
+            canonical = perplectic_r(b.shape[0] // 2)
         else:
-            canonical, kind = np.eye(b.shape[0]), FormKind.HERMITIAN
-        if self.kind is not kind or not np.array_equal(b, canonical):
+            canonical = np.eye(b.shape[0])
+        if not np.array_equal(b, canonical):
             raise NotStructured(f"the {self.tag.value} tag requires its "
-                                f"canonical {kind.value} matrix")
+                                f"canonical {self.kind.value} matrix")
+
+    @property
+    def kind(self) -> FormKind:
+        """J is skew-Hermitian; R and I are Hermitian."""
+        return (FormKind.SKEW_HERMITIAN if self.tag is FormTag.SYMPLECTIC_J
+                else FormKind.HERMITIAN)
 
     @property
     def dim(self) -> int:
@@ -94,20 +98,17 @@ class InnerProduct:
 
 
 def symplectic_form(n: int) -> InnerProduct:
-    return InnerProduct(symplectic_j(n), FormKind.SKEW_HERMITIAN,
-                        FormTag.SYMPLECTIC_J)
+    return InnerProduct(symplectic_j(n), FormTag.SYMPLECTIC_J)
 
 
 def perplectic_form(n: int) -> InnerProduct:
-    return InnerProduct(perplectic_r(n), FormKind.HERMITIAN,
-                        FormTag.PERPLECTIC_R)
+    return InnerProduct(perplectic_r(n), FormTag.PERPLECTIC_R)
 
 
 def euclidean_form(m: int) -> InnerProduct:
     if m < 1:
         raise InvalidSize("m must be >= 1")
-    return InnerProduct(np.eye(m, dtype=np.complex128), FormKind.HERMITIAN,
-                        FormTag.EUCLIDEAN)
+    return InnerProduct(np.eye(m, dtype=np.complex128), FormTag.EUCLIDEAN)
 
 
 def _check_dim(a: np.ndarray, form: InnerProduct):

@@ -4,11 +4,15 @@ conjugate pairing, and the diagonalizability test.
 One grouping pass (group_eigenvalues) clusters the eigenvalues, builds
 each cluster's orthonormal basis and tests the cluster for defectiveness
 on that basis; every caller that needs any of the three goes through it.
+
+Every spectral decision is made on one radius r = cluster_radius: two
+eigenvalues within r share a cluster, a cluster whose spread lies within
+r is not defective, and a group within r of its own conjugate is
+self-conjugate (pair_conjugates), which is the one test of criticality.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +33,6 @@ from .errors import (
 )
 
 
-class AxisClass(enum.Enum):
-    REAL = "real"
-    PURELY_IMAGINARY = "purely-imaginary"
-    BOTH = "both"
-    GENERIC = "generic"
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     values: np.ndarray       # (m,) complex
@@ -48,7 +45,6 @@ class EigenGroup:
     value: complex           # cluster mean
     multiplicity: int
     basis: np.ndarray        # orthonormal columns spanning the eigenspace
-    axis_class: AxisClass
 
 
 def eigen(a: np.ndarray) -> EigenDecomposition:
@@ -63,23 +59,6 @@ def eigen(a: np.ndarray) -> EigenDecomposition:
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0] = 1.0
     return EigenDecomposition(values, vectors / norms, a)
-
-
-def classify_axis(value: complex, class_tol: float) -> AxisClass:
-    """Real / purely-imaginary classification with a relative threshold.
-
-    A value near zero satisfies both conditions and is classified BOTH.
-    """
-    cut = class_tol * (1.0 + abs(value))
-    near_real = abs(value.imag) <= cut
-    near_imag = abs(value.real) <= cut
-    if near_real and near_imag:
-        return AxisClass.BOTH
-    if near_real:
-        return AxisClass.REAL
-    if near_imag:
-        return AxisClass.PURELY_IMAGINARY
-    return AxisClass.GENERIC
 
 
 def cluster_radius(values: np.ndarray, tol: TolerancePolicy) -> float:
@@ -115,40 +94,41 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
 
 def group_eigenvalues(dec: EigenDecomposition,
                       tol: TolerancePolicy = DEFAULT_TOL) -> list[EigenGroup]:
-    """Single-linkage clustering of eigenvalues; orthonormal group bases.
+    """Single-linkage clustering of eigenvalues at the radius r
+    (cluster_radius); orthonormal group bases.
 
     A one-member cluster's basis is its unit eigenvector. A multi-member
     cluster's eigenvectors are orthonormalized into Q, and the cluster is
     defective (NotDiagonalizable) when they are dependent or when
-    ||(A - value I) Q||_2 exceeds rank_tol * max(1, ||A||_F). By min-max,
-    this norm bounds the k-th smallest singular value of A - value I
-    from above for any orthonormal Q with k columns, so the test on Q
-    settles what a rank SVD of A - value I settles, at O(m^2 k) cost.
+    ||(A - value I) Q||_2 exceeds rank_tol * max(1, ||A||_F) + max(r, s),
+    s the largest distance of a member from the mean: a normal cluster's
+    residual is s, which a chain of values each within r of the next can
+    carry past r. By min-max, this norm bounds the k-th smallest singular
+    value of A - value I from above for any orthonormal Q with k columns,
+    so the test on Q settles what a rank SVD of A - value I settles.
 
     Groups are returned sorted by (Re, Im) of the cluster mean.
     """
     m = dec.values.shape[0]
     if m == 0:
         return []
-    # Cutoff anchored to the scale of A itself: anchoring to the shifted
-    # matrix would read roundoff as a defect when A - value I ~ 0.
-    cutoff = tol.rank_tol * max(1.0, fro(dec.matrix))
+    # Roundoff on the scale of A itself: on the scale of the shifted
+    # matrix, roundoff would read as a defect when A - value I ~ 0.
+    radius = cluster_radius(dec.values, tol)
+    roundoff = tol.rank_tol * max(1.0, fro(dec.matrix))
     groups = []
-    for members in _cluster_indices(dec.values,
-                                    cluster_radius(dec.values, tol)):
+    for members in _cluster_indices(dec.values, radius):
         if len(members) == 1:
             value = complex(dec.values[members[0]])
             basis = dec.vectors[:, members]
         else:
-            value = complex(np.mean(dec.values[members]))
+            values = dec.values[members]
+            value = complex(np.mean(values))
+            spread = float(np.max(np.abs(values - value)))
             basis = _cluster_basis(dec.matrix, dec.vectors[:, members],
-                                   value, cutoff, tol)
-        groups.append(EigenGroup(
-            value=value,
-            multiplicity=len(members),
-            basis=basis,
-            axis_class=classify_axis(value, tol.class_tol),
-        ))
+                                   value, roundoff + max(radius, spread),
+                                   tol)
+        groups.append(EigenGroup(value, len(members), basis))
     groups.sort(key=lambda g: (g.value.real, g.value.imag))
     return groups
 
@@ -175,20 +155,25 @@ def _cluster_basis(a: np.ndarray, vectors: np.ndarray, value: complex,
 @dataclass(frozen=True)
 class ConjugatePairing:
     """Partition of group indices into conjugate pairs and self-conjugate
-    singletons. In each pair the first index holds the eigenvalue with the
-    smaller imaginary part. The real parts of a conjugate pair agree in
-    exact arithmetic, so ordering by them would let roundoff decide.
+    singletons, decided at ``radius``. In each pair the first index holds
+    the eigenvalue with the smaller imaginary part. The real parts of a
+    conjugate pair agree in exact arithmetic, so ordering by them would
+    let roundoff decide.
     """
 
     pairs: tuple[tuple[int, int], ...]
     selfconjugate: tuple[int, ...]
+    radius: float
 
 
 def pair_conjugates(groups: list[EigenGroup],
                     tol: TolerancePolicy = DEFAULT_TOL) -> ConjugatePairing:
-    """Match each group with the group holding its conjugate eigenvalue."""
-    if not groups:
-        return ConjugatePairing((), ())
+    """Match each group with the group holding its conjugate eigenvalue.
+
+    A group within the cluster radius r of its own conjugate is
+    self-conjugate; any other needs a partner of equal multiplicity
+    within r of its conjugate, else SpectrumNotConjugateSymmetric.
+    """
     values = np.array([g.value for g in groups])
     radius = cluster_radius(values, tol)
     used = np.zeros(len(groups), dtype=bool)
@@ -199,13 +184,13 @@ def pair_conjugates(groups: list[EigenGroup],
             continue
         used[i] = True
         v = values[i]
-        if abs(v - np.conj(v)) <= 2 * radius:
+        if abs(v - np.conj(v)) <= radius:
             singles.append(i)
             continue
         dist = np.where(used, np.inf, np.abs(values - np.conj(v)))
         # argmin takes the first of equal distances.
         best = int(np.argmin(dist))
-        if dist[best] > 2 * radius:
+        if dist[best] > radius:
             raise SpectrumNotConjugateSymmetric(
                 f"eigenvalue {v:.6g} has no conjugate partner")
         if groups[i].multiplicity != groups[best].multiplicity:
@@ -217,7 +202,7 @@ def pair_conjugates(groups: list[EigenGroup],
         lo, hi = ((i, best) if values[i].imag <= values[best].imag
                   else (best, i))
         pairs.append((lo, hi))
-    return ConjugatePairing(tuple(pairs), tuple(singles))
+    return ConjugatePairing(tuple(pairs), tuple(singles), radius)
 
 
 def is_diagonalizable(a: np.ndarray,

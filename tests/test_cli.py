@@ -5,7 +5,15 @@ import sys
 
 import numpy as np
 
-from structdiag import read_matrix, symplectic_form, write_matrix
+from structdiag import (
+    Variant,
+    assemble_core_diagonal,
+    random_structured,
+    random_structured_diagonalizable,
+    read_matrix,
+    symplectic_form,
+    write_matrix,
+)
 from structdiag.cli import main
 from structdiag.structure import classify
 
@@ -283,3 +291,43 @@ def test_every_error_type_has_one_exit_code():
              and t is not errors.StructDiagError]
     for t in types:
         assert sum(issubclass(t, table) for table in tables) == 1, t.__name__
+
+
+def _near_critical_file(path):
+    """2n = 16 skew-Hamiltonian normal input with the core value
+    0.3 + 1.3e-8 i, so 0.3 -/+ 1.3e-8 i are eigenvalues: two simple
+    eigenvalues more than the cluster radius apart, neither critical."""
+    inst = random_structured_diagonalizable("skew-hamiltonian", 8, 32,
+                                            critical_share=0.0)
+    core = inst.core.copy()
+    core[0] = complex(0.3, 1.3e-8)
+    full = assemble_core_diagonal(core, symplectic_form(8).tag,
+                                  Variant.SELFADJOINT)
+    q = inst.transform
+    write_matrix(path, q @ np.diag(full) @ q.conj().T)
+
+
+def test_near_critical_analyze_and_diagonalize_agree(tmp_path):
+    path = tmp_path / "near.mtx"
+    _near_critical_file(path)
+    code, out, _ = run_cli("analyze", "--form", "symplectic", path)
+    assert code == 0
+    assert json.loads(out)["payload"]["diagonalizability"]["decision"] is True
+    code, _, err = run_cli("diagonalize", "--form", "symplectic", "--out",
+                           tmp_path / "near", path)
+    assert code == 0, err
+
+
+def test_analyze_reports_a_spectrum_without_conjugate_pairs(tmp_path):
+    # Structured at the loosened tolerance, but the 1e-6 perturbation
+    # leaves an eigenvalue without a conjugate partner: no decision.
+    a = random_structured("skew-hamiltonian", 2, 11)
+    a[0, 0] += 1e-6
+    path = tmp_path / "p.mtx"
+    write_matrix(path, a)
+    code, out, _ = run_cli("analyze", "--form", "symplectic", "--tol", "1e-4",
+                           path)
+    assert code == 0
+    diag = json.loads(out)["payload"]["diagonalizability"]
+    assert diag["decision"] is None
+    assert "conjugate" in diag["reason"]

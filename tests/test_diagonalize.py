@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from structdiag import (
     DEFAULT_TOL,
+    AxisClass,
     FrameTooLarge,
     NotDiagonalizable,
     NotNeutral,
     NotNormal,
     NotStructured,
     NotStructuredDiagonalizable,
+    NumericalBreakdown,
+    SpectrumNotConjugateSymmetric,
+    TolerancePolicy,
     Variant,
     assemble_core_diagonal,
     complete_to_lagrangian,
@@ -21,21 +25,29 @@ from structdiag import (
     decompose_additive,
     diagonalizability_report,
     eigen,
+    form_for_kind,
     gram,
     group_eigenvalues,
     inertia,
+    pair_conjugates,
     perplectic_form,
     random_lagrangian_frame,
+    random_structured,
     random_structured_diagonalizable,
     rel_residual,
     structured_diagonalize,
     sylvester_canonical,
     symplectic_form,
     unitary_refine,
+    variant_for_kind,
 )
 from structdiag.core import fro, herm_transpose
 from structdiag.diagonalize import _balanced_pairs, _neutral_half
-from structdiag.spectral import _cluster_indices, eigenvalues_match
+from structdiag.spectral import (
+    _cluster_indices,
+    cluster_radius,
+    eigenvalues_match,
+)
 from structdiag.structure import classify
 
 from conftest import (
@@ -87,6 +99,37 @@ class TestReport:
         form = symplectic_form(2)
         with pytest.raises(NotStructured):
             diagonalizability_report(gaussian_matrix(4, 4, 1), form)
+
+    def test_unpaired_spectrum_raises_like_the_construction(self):
+        # Structured at the loosened tolerance, yet the 1e-6 perturbation
+        # leaves an eigenvalue without a conjugate partner: the report
+        # says so, as the construction does, instead of deciding.
+        a = random_structured("skew-hamiltonian", 2, 11)
+        a[0, 0] += 1e-6
+        form, tol = symplectic_form(2), TolerancePolicy(structure_tol=1e-4)
+        for entry in (diagonalizability_report, structured_diagonalize):
+            with pytest.raises(SpectrumNotConjugateSymmetric):
+                entry(a, form, tol)
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "per-hermitian",
+                                      "hamiltonian", "perskew-hermitian"])
+    def test_axis_class_labels(self, kind):
+        # Critical eigenvalues lie on the variant's axis: the real one for
+        # selfadjoint A, the imaginary one for skewadjoint A; zero lies on
+        # both. The value 1 + i is not critical for either variant.
+        form, variant = form_for_kind(kind, 3), variant_for_kind(kind)
+        selfadjoint = variant is Variant.SELFADJOINT
+        axis = 1.0 if selfadjoint else 1j
+        core = np.array([2.0 * axis, 0.0, 1.0 + 1.0j])
+        a = np.diag(assemble_core_diagonal(core, form.tag, variant))
+        report = diagonalizability_report(a, form)
+        assert [(e.value, e.multiplicity, e.axis_class)
+                for e in report.per_eigenvalue] == [
+            (0.0, 2, AxisClass.BOTH),
+            (2.0 * axis, 2,
+             AxisClass.REAL if selfadjoint else AxisClass.PURELY_IMAGINARY)]
+        assert [e["axis_class"] for e in report.to_dict()["per_eigenvalue"]
+                ] == ["both", "real" if selfadjoint else "purely-imaginary"]
 
     def test_balance_flags_are_basis_independent(self):
         form = symplectic_form(2)
@@ -319,8 +362,8 @@ def test_near_normal_defective_is_not_diagonalizable(entry):
 
 
 class TestOneSpectralPass:
-    """Each entry point classifies once, runs one eig, clusters once,
-    solves with neither J nor R and runs one (2n x k) rank SVD per
+    """Each entry point classifies once, runs one eig, clusters and pairs
+    once, solves with neither J nor R and runs one (2n x k) rank SVD per
     multi-member eigenvalue group and no other SVD. The constructive
     entry points pair each critical eigenspace with one eigh of its Gram
     and never reach congruence_to or sylvester_canonical."""
@@ -328,7 +371,7 @@ class TestOneSpectralPass:
     @staticmethod
     def _count(monkeypatch, form):
         counts = {"eigen": 0, "eig": 0, "eigh": 0, "classify": 0,
-                  "cluster": 0, "congruence": 0, "sylvester": 0,
+                  "cluster": 0, "pair": 0, "congruence": 0, "sylvester": 0,
                   "lu_on_form": 0, "svd_shapes": []}
 
         def counted(key, fn, on_form=False):
@@ -355,6 +398,7 @@ class TestOneSpectralPass:
         # Modules import these by name: patch every reference.
         for key, fn in (("eigen", eigen), ("classify", classify),
                         ("cluster", _cluster_indices),
+                        ("pair", pair_conjugates),
                         ("congruence", congruence_to),
                         ("sylvester", sylvester_canonical)):
             wrapper = counted(key, fn)
@@ -389,8 +433,8 @@ class TestOneSpectralPass:
         shapes = counts.pop("svd_shapes")
         pairings = 0 if entry is diagonalizability_report else critical
         assert counts == {"eigen": 1, "eig": 1, "eigh": pairings,
-                          "classify": 1, "cluster": 1, "congruence": 0,
-                          "sylvester": 0, "lu_on_form": 0}
+                          "classify": 1, "cluster": 1, "pair": 1,
+                          "congruence": 0, "sylvester": 0, "lu_on_form": 0}
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
 
@@ -416,3 +460,51 @@ class TestBalancedPairs:
         assert v.shape == (2 * m, m)
         assert fro(herm_transpose(v) @ v - np.eye(m)) <= 1e-12
         assert fro(gram(v, form)) <= 1e-12
+
+
+class TestNearCriticalSweep:
+    """Normal input, so unitarily structure-diagonalizable, near the
+    critical axis and with clusters that single linkage chains together:
+    criticality, clustering and defectiveness are decided on one radius."""
+
+    @given(kind=st.sampled_from(["skew-hamiltonian", "per-hermitian",
+                                 "hamiltonian", "perskew-hermitian"]),
+           seed=st.integers(0, 10**4), log_delta=st.floats(-10.0, -4.0),
+           sign=st.sampled_from([-1.0, 1.0]), critical=st.sampled_from([2, 4]),
+           steps=st.lists(st.floats(0.05, 0.99), max_size=3),
+           on_axis=st.booleans(), angle=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_report_and_construction_agree(self, kind, seed, log_delta, sign,
+                                           critical, steps, on_axis, angle):
+        n = 8
+        inst = random_structured_diagonalizable(kind, n, seed,
+                                                critical_share=0.0)
+        form, variant = form_for_kind(kind, n), variant_for_kind(kind)
+        axis = 1.0 if variant is Variant.SELFADJOINT else 1j
+        delta = 10.0 ** log_delta
+        core = inst.core.copy()
+        # One value at distance delta from the critical axis.
+        core[0] = axis * complex(np.sqrt(0.09 - delta ** 2), sign * delta)
+        # A critical eigenvalue: each core entry on the axis appears twice.
+        start = 1 + critical // 2
+        core[1:start] = 0.2 * axis
+        # A chain of values each within r of the next, on the axis (a
+        # critical cluster) or off it (a cluster and its conjugate). The
+        # planted values left over fix r; the new ones are all below 1.
+        r = cluster_radius(core[start + len(steps) + 1:], DEFAULT_TOL)
+        direction = axis if on_axis else np.exp(1j * angle)
+        first = 0.4 * axis if on_axis else axis * complex(0.4, 0.25)
+        core[start:start + len(steps) + 1] = first + direction * r * np.cumsum(
+            [0.0] + steps)
+        full = assemble_core_diagonal(core, form.tag, variant)
+        a = inst.transform @ np.diag(full) @ herm_transpose(inst.transform)
+
+        report = diagonalizability_report(a, form)
+        assert report.decision, report.reason
+        try:
+            structured_diagonalize(a, form)
+        except NumericalBreakdown:
+            # A typed exit-3 error only where eigenvalues lie within
+            # 3e-6 of each other: the near-conjugate pair, or a chain
+            # merged into one cluster whose spread the certificate sees.
+            assert delta <= 3e-6 or len(steps) > 0

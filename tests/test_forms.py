@@ -251,26 +251,27 @@ class TestCongruence:
 class TestFormValidation:
     def test_singular_form_rejected(self):
         with pytest.raises(NotStructured):
-            InnerProduct(np.zeros((2, 2)), FormKind.HERMITIAN,
-                         FormTag.PERPLECTIC_R)
+            InnerProduct(np.zeros((2, 2)), FormTag.PERPLECTIC_R)
 
     def test_wrong_symmetry_rejected(self):
         with pytest.raises(NotStructured):
-            InnerProduct(gaussian_matrix(3, 3, 4), FormKind.HERMITIAN,
-                         FormTag.EUCLIDEAN)
+            InnerProduct(gaussian_matrix(3, 3, 4), FormTag.EUCLIDEAN)
 
     def test_tag_requires_its_canonical_matrix_and_kind(self):
         # An indefinite matrix under the Euclidean tag would make adjoint
         # return A^H, which is not B^{-1} A^H B for it.
         with pytest.raises(NotStructured):
             InnerProduct(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex),
-                         FormKind.HERMITIAN, FormTag.EUCLIDEAN)
+                         FormTag.EUCLIDEAN)
         with pytest.raises(NotStructured):
-            InnerProduct(symplectic_j(2), FormKind.HERMITIAN,
-                         FormTag.SYMPLECTIC_J)
+            InnerProduct(perplectic_r(2), FormTag.SYMPLECTIC_J)
         with pytest.raises(NotStructured):
-            InnerProduct(perplectic_r(2), FormKind.SKEW_HERMITIAN,
-                         FormTag.PERPLECTIC_R)
+            InnerProduct(symplectic_j(2), FormTag.PERPLECTIC_R)
+        # The tag fixes the kind.
+        assert (InnerProduct(symplectic_j(2), FormTag.SYMPLECTIC_J).kind
+                is FormKind.SKEW_HERMITIAN)
+        assert (InnerProduct(perplectic_r(2), FormTag.PERPLECTIC_R).kind
+                is FormKind.HERMITIAN)
 
     def test_neutral_frame_bounded_by_half_dimension(self):
         # Any neutral frame under J or R has at most n columns; a frame
