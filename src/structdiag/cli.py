@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import os
@@ -116,7 +115,7 @@ def _resolve_tol(tol_arg: float | None) -> TolerancePolicy:
                 raise ParseError(f"STRUCTDIAG_TOL={env!r} is not a number")
     if value is None:
         return DEFAULT_TOL
-    return dataclasses.replace(DEFAULT_TOL, structure_tol=value)
+    return TolerancePolicy(structure_tol=value)
 
 
 def _negative_document(command: str, digest: str,
@@ -300,11 +299,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _verify_diag(a: np.ndarray, s: np.ndarray, form: InnerProduct,
-                 tol: TolerancePolicy) -> tuple[bool, dict]:
-    if s.shape != a.shape:
-        raise DimensionMismatch("transform and matrix dimensions differ")
-    res_auto, res_diag, _ = factor_residuals(a, s, form, tol=tol)
+def _verify_diag(a: np.ndarray, s: np.ndarray,
+                 form: InnerProduct) -> tuple[bool, dict]:
+    res_auto, res_diag, _ = factor_residuals(a, s, form)
     ok = max(res_auto, res_diag) <= FACTOR_GUARANTEE
     return ok, {"automorphism": res_auto, "similarity_diagonal": res_diag}
 
@@ -323,7 +320,7 @@ def _verify_decomp(a: np.ndarray, n_mat: np.ndarray, form: InnerProduct,
         }, "unstructured"
     dec = AdditiveDecomposition(normal_factor=n_mat, sign=sign,
                                 form_tag=form.tag)
-    verdict = verify_decomposition(a, dec, form, tol)
+    verdict = verify_decomposition(a, dec, form)
     return verdict.passed, verdict.to_dict(), sign.value
 
 
@@ -333,8 +330,10 @@ def cmd_verify(args) -> int:
     if form.tag.value == "euclidean":
         raise ParseError("verify requires --form symplectic|perplectic")
     factor = read_matrix(args.file_factor)
+    if factor.shape != a.shape:
+        raise DimensionMismatch("matrix and factor dimensions differ")
     if args.mode == "diag":
-        ok, residuals = _verify_diag(a, factor, form, tol)
+        ok, residuals = _verify_diag(a, factor, form)
         payload = {"mode": "diag", "passed": ok}
     else:
         ok, residuals, sign = _verify_decomp(a, factor, form, tol)
@@ -359,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="symplectic")
         if with_tol:
             p.add_argument("--tol", type=float, default=None,
-                           help="override the structure tolerance "
+                           help="the structure tolerance, finite and >= 0 "
                                 f"(default {DEFAULT_TOL.structure_tol:g}, "
                                 "or STRUCTDIAG_TOL)")
 

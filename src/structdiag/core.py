@@ -6,6 +6,7 @@ C-contiguous (row-major) layout; all functions here are pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,37 +18,33 @@ from .errors import DimensionMismatch, RankDeficient, SingularMatrix
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Relative tolerances used across the library.
-
-    structure_tol: Frobenius-scaled residual threshold for structure flags.
-    cluster_tol:   times max(1, max |eigenvalue|), the radius r of every
-                   spectral decision: clustering, criticality (a cluster
-                   within r of its conjugate) and the defect cutoff.
-    class_tol:     zero cut of Gram inertia, relative to ||Gram||_F.
-    rank_tol:      relative singular-value cutoff for numerical rank; times
-                   max(1, ||A||_F), the roundoff allowance of the residual
-                   of A - value I on an eigenvalue cluster's basis.
+    """The one settable tolerance, structure_tol: the Frobenius-scaled
+    residual threshold of every structure test on an input (the flags of
+    classify, the (skew-)Hermitian check before an inertia, the normality
+    and annihilation checks of the decomposition routines). Every other
+    cutoff is pinned in the table below.
     """
 
     structure_tol: float = 1e-10
-    cluster_tol: float = 1e-8
-    class_tol: float = 1e-8
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("structure_tol", "cluster_tol", "class_tol", "rank_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        # Also rejects NaN, for which every comparison is false.
+        if not 0.0 <= self.structure_tol < math.inf:
+            raise ValueError("structure_tol must be finite and nonnegative")
 
 
 DEFAULT_TOL = TolerancePolicy()
 
-# Pinned guarantees, all in this one table. They are not TolerancePolicy
-# knobs: a factor that misses its guarantee raises instead of returning.
+# Pinned guarantees and cutoffs, all in this one table. They are not
+# TolerancePolicy knobs: a factor that misses its guarantee raises
+# instead of returning.
 FACTOR_GUARANTEE = 1e-8   # diagonalization and decomposition residuals
 FRAME_GUARANTEE = 1e-9    # Lagrangian frames (completion), split_normal
 ROOT_GUARANTEE = 1e-7     # X^p = A for structured_root
 FRAME_INPUT_TOL = 1e-10   # frames accepted by build_unitary_automorphism
+CLUSTER_TOL = 1e-8        # radius r of every spectral decision, relative
+GRAM_ZERO_TOL = 1e-8      # zero cut of Gram inertia, times ||Gram||_F
+RANK_TOL = 1e-10          # singular-value and LU-pivot cutoff, relative
 
 
 def as_matrix(a) -> np.ndarray:
@@ -79,22 +76,21 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     return fro(a - b) / max(1.0, fro(a))
 
 
-def numerical_rank(a: np.ndarray, rank_tol: float) -> int:
-    """Number of singular values above rank_tol times the largest."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Number of singular values above RANK_TOL times the largest."""
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def solve_linear(a: np.ndarray, rhs: np.ndarray,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a X = rhs by partially pivoted LU.
 
     The pivot magnitudes double as the singularity detector: the solve is
-    rejected when the smallest |U_ii| drops below rank_tol times the largest.
+    rejected when the smallest |U_ii| drops below RANK_TOL times the largest.
     """
     a = np.asarray(a, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
@@ -109,19 +105,18 @@ def solve_linear(a: np.ndarray, rhs: np.ndarray,
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     d = np.abs(np.diag(lu))
-    if d.min() <= tol.rank_tol * max(d.max(), np.finfo(float).tiny):
+    if d.min() <= RANK_TOL * max(d.max(), np.finfo(float).tiny):
         raise SingularMatrix(
             f"pivot ratio {d.min():.3e}/{d.max():.3e} below rank tolerance")
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def inverse(a: np.ndarray) -> np.ndarray:
     """Matrix inverse through solve_linear."""
-    return solve_linear(a, np.eye(a.shape[0], dtype=np.complex128), tol)
+    return solve_linear(a, np.eye(a.shape[0], dtype=np.complex128))
 
 
-def orthonormalize_columns(v: np.ndarray,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize_columns(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, via Householder QR.
 
     Requires full column rank; the R diagonal is rotated to be real
@@ -135,7 +130,7 @@ def orthonormalize_columns(v: np.ndarray,
         return v.copy()
     if v.shape[1] > v.shape[0]:
         raise RankDeficient("more columns than rows cannot be independent")
-    if numerical_rank(v, tol.rank_tol) < v.shape[1]:
+    if numerical_rank(v) < v.shape[1]:
         raise RankDeficient("columns are numerically dependent")
     q, r = np.linalg.qr(v, mode="reduced")
     d = np.diag(r).copy()

@@ -15,6 +15,7 @@ from .core import (
     DEFAULT_TOL,
     FACTOR_GUARANTEE,
     FRAME_GUARANTEE,
+    RANK_TOL,
     ROOT_GUARANTEE,
     TolerancePolicy,
     fro,
@@ -31,6 +32,7 @@ from .diagonalize import (
     unitary_refine,
 )
 from .errors import (
+    DimensionMismatch,
     NotAnnihilating,
     NotNeutralRange,
     NotNormal,
@@ -190,7 +192,7 @@ def reconstruct_from_normal_factor(
 
     values, z = _unitary_eigh_normal(n_mat)
     mags = np.abs(values)
-    cutoff = tol.rank_tol * (mags.max() if mags.size else 0.0)
+    cutoff = RANK_TOL * (mags.max() if mags.size else 0.0)
     keep = np.flatnonzero(mags > cutoff)
     rank = keep.size
     if rank > n:
@@ -208,7 +210,7 @@ def reconstruct_from_normal_factor(
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
     q = build_unitary_automorphism(frame, form)
-    diag = certify(a, q, core, form, variant, tol, unitary=True)
+    diag = certify(a, q, core, form, variant, unitary=True)
     return a, diag
 
 
@@ -232,19 +234,17 @@ class VerificationReport:
 
 
 def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
-                         form: InnerProduct,
-                         tol: TolerancePolicy = DEFAULT_TOL
-                         ) -> VerificationReport:
+                         form: InnerProduct) -> VerificationReport:
     """Recompute every residual; pass iff all are <= FACTOR_GUARANTEE."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
-        raise NotStructured("matrix and factor dimensions differ")
+        raise DimensionMismatch("matrix and factor dimensions differ")
     residuals = _decomposition_residuals(a, dec.normal_factor, dec.sign, form)
     a_star = adjoint(a, form)
     want = a if dec.sign is Sign.PLUS else -a
     structure_res = rel_residual(a_star, want)
     normal_res = rel_residual(herm_transpose(a) @ a, a @ herm_transpose(a))
-    rank_ok = numerical_rank(dec.normal_factor, tol.rank_tol) <= form.half
+    rank_ok = numerical_rank(dec.normal_factor) <= form.half
     passed = (max(residuals.worst, structure_res, normal_res)
               <= FACTOR_GUARANTEE and rank_ok)
     return VerificationReport(passed, residuals, structure_res, normal_res,
@@ -257,8 +257,7 @@ def _exp_normal(a: np.ndarray) -> np.ndarray:
     return z @ np.diag(np.exp(values)) @ herm_transpose(z)
 
 
-def structured_exp(dec: AdditiveDecomposition, form: InnerProduct,
-                   tol: TolerancePolicy = DEFAULT_TOL
+def structured_exp(dec: AdditiveDecomposition, form: InnerProduct
                    ) -> tuple[np.ndarray, np.ndarray]:
     """exp(A) written through S = exp(N).
 
@@ -268,7 +267,7 @@ def structured_exp(dec: AdditiveDecomposition, form: InnerProduct,
     s = _exp_normal(dec.normal_factor)
     s_star = adjoint(s, form)
     if dec.sign is Sign.MINUS:
-        exp_a = s @ inverse(s_star, tol)
+        exp_a = s @ inverse(s_star)
     else:
         exp_a = s @ s_star
     return exp_a, s
@@ -284,7 +283,7 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
     if p < 2:
         raise ValueError("root order p must be >= 2")
     a = np.asarray(a, dtype=np.complex128)
-    if numerical_rank(a, tol.rank_tol) < a.shape[0]:
+    if numerical_rank(a) < a.shape[0]:
         raise SingularInput("matrix roots here require a nonsingular input")
     cls = classify(a, form, tol)
     if not cls.selfadjoint.ok:
@@ -296,7 +295,7 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
     # N has rank n; roots of the roundoff-level eigenvalues on its null
     # space would inject |eps|^(1/p) noise, so they are pinned to zero.
     mags = np.abs(values)
-    keep = mags > tol.rank_tol * (mags.max() if mags.size else 0.0)
+    keep = mags > RANK_TOL * (mags.max() if mags.size else 0.0)
     root_values = np.where(
         keep, np.power(values.astype(np.complex128), 1.0 / p), 0.0)
     m_root = z @ np.diag(root_values) @ herm_transpose(z)

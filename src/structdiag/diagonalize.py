@@ -199,12 +199,12 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
             f"{structure.skewadjoint.residual:.3e})",
             min(structure.selfadjoint.residual,
                 structure.skewadjoint.residual))
-    groups = group_eigenvalues(eigen(a), tol)
+    groups = group_eigenvalues(eigen(a))
     if variant is Variant.SKEWADJOINT:
         # i A has the eigenvectors of A; clustering sees only distances,
         # so the groups of i A are those of A with every value times i.
         groups = [replace(g, value=1j * g.value) for g in groups]
-    return _SpectralPlan(variant, groups, pair_conjugates(groups, tol))
+    return _SpectralPlan(variant, groups, pair_conjugates(groups))
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
@@ -261,13 +261,12 @@ def _route_partners(x_cols: np.ndarray, y_cols: np.ndarray,
 
 
 def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
-                     diagonal: np.ndarray | None = None,
-                     tol: TolerancePolicy = DEFAULT_TOL
+                     diagonal: np.ndarray | None = None
                      ) -> tuple[float, float, float]:
     """Relative residuals of S^H B S vs B, S^{-1} A S vs diag(diagonal)
     (its own diagonal when none is given) and S^H S vs I."""
     sh = herm_transpose(s)
-    x = solve_linear(s, a @ s, tol)
+    x = solve_linear(s, a @ s)
     target = np.diag(np.diag(x) if diagonal is None else diagonal)
     return (rel_residual(sh @ form.matrix @ s, form.matrix),
             rel_residual(x, target),
@@ -276,12 +275,11 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
 
 def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
             form: InnerProduct, variant: Variant,
-            tol: TolerancePolicy = DEFAULT_TOL,
             unitary: bool = False) -> StructuredDiagonalization:
     """S as a diagonalization of A; NumericalBreakdown unless its residuals
     (unitarity too, with ``unitary``) meet FACTOR_GUARANTEE."""
     res_auto, res_sim, res_unit = factor_residuals(
-        a, s, form, assemble_core_diagonal(core, form.tag, variant), tol)
+        a, s, form, assemble_core_diagonal(core, form.tag, variant))
     if max(res_auto, res_sim, res_unit if unitary else 0.0) > FACTOR_GUARANTEE:
         raise NumericalBreakdown(
             f"diagonalization residuals too large (automorphism "
@@ -341,7 +339,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
     for g, partner in blocks:
         if partner is not None:
             cross = herm_transpose(g.basis) @ form.matrix @ partner.basis
-            x_parts.append(g.basis @ herm_transpose(inverse(cross, tol)))
+            x_parts.append(g.basis @ herm_transpose(inverse(cross)))
             y_parts.append(partner.basis)
         else:
             x, y = _balanced_pairs(g.basis, form, tol)
@@ -349,7 +347,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
             y_parts.append(g.basis @ y)
     core = np.repeat(values, [x.shape[1] for x in x_parts])
     s = _route_partners(np.hstack(x_parts), np.hstack(y_parts), form.tag)
-    return certify(a, s, core, form, variant, tol)
+    return certify(a, s, core, form, variant)
 
 
 def unitary_refine(a: np.ndarray, form: InnerProduct,
@@ -374,7 +372,7 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
              for g, partner in blocks]
     core = np.repeat(values, [p.shape[1] for p in parts])
     q = build_unitary_automorphism(np.hstack(parts), form)
-    return certify(a, q, core, form, variant, tol, unitary=True)
+    return certify(a, q, core, form, variant, unitary=True)
 
 
 def _balanced_pairs(w: np.ndarray, form: InnerProduct,

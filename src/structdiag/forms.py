@@ -13,11 +13,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    GRAM_ZERO_TOL,
     TolerancePolicy,
     fro,
     herm_transpose,
+    inverse,
     rel_residual,
-    solve_linear,
 )
 from .errors import (
     DimensionMismatch,
@@ -191,7 +192,7 @@ def inertia(h: np.ndarray, kind: FormKind,
     """Sylvester inertia of a (skew-)Hermitian matrix."""
     k = _hermitian_part_for(h, kind, tol)
     w = np.linalg.eigvalsh(k)
-    zero_cut = tol.class_tol * fro(h)
+    zero_cut = GRAM_ZERO_TOL * fro(h)
     r = int(np.count_nonzero(np.abs(w) <= zero_cut))
     p = int(np.count_nonzero(w < -zero_cut))
     q = int(np.count_nonzero(w > zero_cut))
@@ -210,7 +211,7 @@ def sylvester_canonical(h: np.ndarray, kind: FormKind,
     """
     k = _hermitian_part_for(h, kind, tol)
     w, u = np.linalg.eigh(k)
-    zero_cut = tol.class_tol * fro(h)
+    zero_cut = GRAM_ZERO_TOL * fro(h)
     neg = np.flatnonzero(w < -zero_cut)
     pos = np.flatnonzero(w > zero_cut)
     zer = np.flatnonzero(np.abs(w) <= zero_cut)
@@ -240,5 +241,4 @@ def congruence_to(h: np.ndarray, c: np.ndarray, kind: FormKind,
     if in_h.counts != in_c.counts:
         raise InertiaMismatch(
             f"inertia {in_h.counts} differs from target {in_c.counts}")
-    return u_h @ solve_linear(u_c, np.eye(u_c.shape[0], dtype=np.complex128),
-                              tol)
+    return u_h @ inverse(u_c)

@@ -266,4 +266,4 @@ def counterexample_unbalanced(n: int, seed: int,
     w = congruence_to(symplectic_j(n), g, FormKind.SKEW_HERMITIAN, tol)
     w = random_automorphism(form, n, rng.next_u64()) @ w
     delta = np.diag(np.concatenate([mu1 * np.ones(n), mu2 * np.ones(n)]))
-    return (w @ delta @ inverse(w, tol)).astype(np.complex128)
+    return (w @ delta @ inverse(w)).astype(np.complex128)

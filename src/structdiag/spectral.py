@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
-    TolerancePolicy,
+    CLUSTER_TOL,
+    RANK_TOL,
     fro,
     herm_transpose,
     orthonormalize_columns,
@@ -61,9 +61,10 @@ def eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors / norms, a)
 
 
-def cluster_radius(values: np.ndarray, tol: TolerancePolicy) -> float:
+def cluster_radius(values: np.ndarray) -> float:
+    """r = CLUSTER_TOL * max(1, max |value|), the radius of every decision."""
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    return tol.cluster_tol * scale
+    return CLUSTER_TOL * scale
 
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
@@ -92,15 +93,14 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
     return list(clusters.values())
 
 
-def group_eigenvalues(dec: EigenDecomposition,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> list[EigenGroup]:
+def group_eigenvalues(dec: EigenDecomposition) -> list[EigenGroup]:
     """Single-linkage clustering of eigenvalues at the radius r
     (cluster_radius); orthonormal group bases.
 
     A one-member cluster's basis is its unit eigenvector. A multi-member
     cluster's eigenvectors are orthonormalized into Q, and the cluster is
     defective (NotDiagonalizable) when they are dependent or when
-    ||(A - value I) Q||_2 exceeds rank_tol * max(1, ||A||_F) + max(r, s),
+    ||(A - value I) Q||_2 exceeds RANK_TOL * max(1, ||A||_F) + max(r, s),
     s the largest distance of a member from the mean: a normal cluster's
     residual is s, which a chain of values each within r of the next can
     carry past r. By min-max, this norm bounds the k-th smallest singular
@@ -114,8 +114,8 @@ def group_eigenvalues(dec: EigenDecomposition,
         return []
     # Roundoff on the scale of A itself: on the scale of the shifted
     # matrix, roundoff would read as a defect when A - value I ~ 0.
-    radius = cluster_radius(dec.values, tol)
-    roundoff = tol.rank_tol * max(1.0, fro(dec.matrix))
+    radius = cluster_radius(dec.values)
+    roundoff = RANK_TOL * max(1.0, fro(dec.matrix))
     groups = []
     for members in _cluster_indices(dec.values, radius):
         if len(members) == 1:
@@ -126,19 +126,18 @@ def group_eigenvalues(dec: EigenDecomposition,
             value = complex(np.mean(values))
             spread = float(np.max(np.abs(values - value)))
             basis = _cluster_basis(dec.matrix, dec.vectors[:, members],
-                                   value, roundoff + max(radius, spread),
-                                   tol)
+                                   value, roundoff + max(radius, spread))
         groups.append(EigenGroup(value, len(members), basis))
     groups.sort(key=lambda g: (g.value.real, g.value.imag))
     return groups
 
 
 def _cluster_basis(a: np.ndarray, vectors: np.ndarray, value: complex,
-                   cutoff: float, tol: TolerancePolicy) -> np.ndarray:
+                   cutoff: float) -> np.ndarray:
     """Orthonormal Q spanning a cluster's eigenvectors; NotDiagonalizable
     unless they are independent and ||(A - value I) Q||_2 <= cutoff."""
     try:
-        q = orthonormalize_columns(vectors, tol)
+        q = orthonormalize_columns(vectors)
     except RankDeficient as exc:
         raise NotDiagonalizable(
             f"eigenvalue {value:.6g} has a deficient eigenspace") from exc
@@ -166,8 +165,7 @@ class ConjugatePairing:
     radius: float
 
 
-def pair_conjugates(groups: list[EigenGroup],
-                    tol: TolerancePolicy = DEFAULT_TOL) -> ConjugatePairing:
+def pair_conjugates(groups: list[EigenGroup]) -> ConjugatePairing:
     """Match each group with the group holding its conjugate eigenvalue.
 
     A group within the cluster radius r of its own conjugate is
@@ -175,7 +173,7 @@ def pair_conjugates(groups: list[EigenGroup],
     within r of its conjugate, else SpectrumNotConjugateSymmetric.
     """
     values = np.array([g.value for g in groups])
-    radius = cluster_radius(values, tol)
+    radius = cluster_radius(values)
     used = np.zeros(len(groups), dtype=bool)
     pairs = []
     singles = []
@@ -205,8 +203,7 @@ def pair_conjugates(groups: list[EigenGroup],
     return ConjugatePairing(tuple(pairs), tuple(singles), radius)
 
 
-def is_diagonalizable(a: np.ndarray,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def is_diagonalizable(a: np.ndarray) -> bool:
     """Geometric multiplicity equals algebraic multiplicity for every
     eigenvalue cluster, measured by the residual of A - value I on the
     cluster's orthonormal eigenvector basis (see group_eigenvalues).
@@ -215,7 +212,7 @@ def is_diagonalizable(a: np.ndarray,
     defective.
     """
     try:
-        group_eigenvalues(eigen(a), tol)
+        group_eigenvalues(eigen(a))
     except NotDiagonalizable:
         return False
     return True

@@ -13,8 +13,8 @@ from structdiag import PortableRng
 PACKAGE_PARENT = Path(structdiag.__file__).resolve().parents[1]
 
 
-def run_structdiag(*args, cwd=None, env=None):
-    """Run ``python -m structdiag`` in a fresh process.
+def run_python(*args, cwd=None, env=None):
+    """Run ``python *args`` in a fresh process.
 
     Returns (exit code, stdout, stderr). The child imports the same
     structdiag as the test run, whatever ``cwd`` is: PYTHONPATH starts
@@ -29,9 +29,14 @@ def run_structdiag(*args, cwd=None, env=None):
     child_env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_PARENT)] + ([inherited] if inherited else []))
     proc = subprocess.run(
-        [sys.executable, "-m", "structdiag", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, cwd=cwd, env=child_env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_structdiag(*args, cwd=None, env=None):
+    """Run ``python -m structdiag *args`` in a fresh process (run_python)."""
+    return run_python("-m", "structdiag", *args, cwd=cwd, env=env)
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
 from structdiag import (
     Variant,
@@ -247,6 +248,34 @@ def test_tolerance_env_override(tmp_path):
                          "--expect", "skew-hamiltonian", path,
                          env={"STRUCTDIAG_TOL": "1e-4"})
     assert code == 1
+
+
+def test_out_of_range_tolerance_exits_two(tmp_path):
+    # NaN would make every structure flag false, and inf every flag true.
+    path = tmp_path / "h.mtx"
+    write_matrix(path, random_structured("hamiltonian", 2, 3))
+    cases = [(("--tol", "nan"), None), (("--tol", "inf"), None),
+             (("--tol=-1e-3",), None), ((), {"STRUCTDIAG_TOL": "nan"})]
+    for tol_args, env in cases:
+        code, stdout, stderr = run_cli("analyze", "--form", "symplectic",
+                                       *tol_args, path, env=env)
+        assert (code, stdout) == (2, ""), (tol_args, env)
+        assert "structure_tol" in stderr
+
+
+@pytest.mark.parametrize("structured", [True, False])
+@pytest.mark.parametrize("mode", ["diag", "decomp"])
+def test_verify_factor_of_wrong_dimension_exits_two(tmp_path, mode,
+                                                    structured):
+    a = tmp_path / "a.mtx"
+    factor = tmp_path / "f.mtx"
+    write_matrix(a, random_structured("hamiltonian", 3, 5) if structured
+                 else gaussian_matrix(6, 6, 5))
+    write_matrix(factor, np.eye(4, dtype=complex))
+    code, _, stderr = run_cli("verify", "--mode", mode, "--form",
+                              "symplectic", a, factor)
+    assert code == 2
+    assert "dimensions differ" in stderr
 
 
 def test_matrix_files_round_trip_bit_identically(tmp_path):

@@ -134,6 +134,8 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
 
-def test_tolerance_policy_rejects_negative():
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf],
+                         ids=["negative", "nan", "inf"])
+def test_tolerance_policy_rejects_out_of_range(value):
     with pytest.raises(ValueError):
-        TolerancePolicy(structure_tol=-1.0)
+        TolerancePolicy(structure_tol=value)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from structdiag import (
     DEFAULT_TOL,
     AdditiveDecomposition,
+    DimensionMismatch,
     NotAnnihilating,
     NotNormal,
     NotStructuredDiagonalizable,
@@ -237,6 +238,13 @@ class TestVerify:
         report = verify_decomposition(a, flipped, form)
         assert not report.passed
         assert report.residuals.reconstruction > 1e-8
+
+    def test_factor_of_wrong_dimension_raises(self):
+        a, dec, form = self._decomposition()
+        small = AdditiveDecomposition(normal_factor=np.zeros((2, 2)),
+                                      sign=dec.sign, form_tag=dec.form_tag)
+        with pytest.raises(DimensionMismatch):
+            verify_decomposition(a, small, form)
 
 
 class TestStructuredExp:

@@ -491,7 +491,7 @@ class TestNearCriticalSweep:
         # A chain of values each within r of the next, on the axis (a
         # critical cluster) or off it (a cluster and its conjugate). The
         # planted values left over fix r; the new ones are all below 1.
-        r = cluster_radius(core[start + len(steps) + 1:], DEFAULT_TOL)
+        r = cluster_radius(core[start + len(steps) + 1:])
         direction = axis if on_axis else np.exp(1j * angle)
         first = 0.4 * axis if on_axis else axis * complex(0.4, 0.25)
         core[start:start + len(steps) + 1] = first + direction * r * np.cumsum(

@@ -21,7 +21,7 @@ from structdiag import (
     symplectic_form,
     variant_for_kind,
 )
-from structdiag.core import fro, herm_transpose, numerical_rank
+from structdiag.core import RANK_TOL, fro, herm_transpose, numerical_rank
 from structdiag.spectral import (
     _cluster_indices,
     cluster_radius,
@@ -110,7 +110,7 @@ class TestClusterIndices:
     def test_chains_match_the_pairwise_loop(self, chains, angle, rnd):
         # Each chain steps just under (True) or just over (False) the
         # radius, so single linkage can span far more than the radius.
-        radius = cluster_radius(np.array([2.0]), DEFAULT_TOL)
+        radius = cluster_radius(np.array([2.0]))
         step = np.exp(1j * angle)
         values = []
         for c, under in enumerate(chains):
@@ -191,14 +191,13 @@ class TestDiagonalizable:
         assert not is_diagonalizable(a)
 
 
-def _rank_test_every_cluster(a, tol=DEFAULT_TOL):
+def _rank_test_every_cluster(a):
     """The defectiveness test with singleton clusters included: a rank SVD
     of A - value I for every eigenvalue cluster."""
     m = a.shape[0]
     dec = eigen(a)
-    cutoff = tol.rank_tol * max(1.0, fro(a))
-    for members in _cluster_indices(dec.values,
-                                    cluster_radius(dec.values, tol)):
+    cutoff = RANK_TOL * max(1.0, fro(a))
+    for members in _cluster_indices(dec.values, cluster_radius(dec.values)):
         value = complex(np.mean(dec.values[np.array(members)]))
         s = np.linalg.svd(a - value * np.eye(m), compute_uv=False)
         if int(np.count_nonzero(s > cutoff)) != m - len(members):
@@ -267,7 +266,7 @@ class TestSingletonSkip:
                                                 critical_share=0.0)
         form = form_for_kind(kind, 4)
         q, base = inst.transform, inst.core
-        cutoff = DEFAULT_TOL.rank_tol * max(1.0, fro(inst.matrix))
+        cutoff = RANK_TOL * max(1.0, fro(inst.matrix))
         for spread in cutoff * np.logspace(-3, 3, 125):
             core = base.copy()
             core[1] = core[0] + spread
@@ -321,7 +320,7 @@ class TestStructuredSpectralFacts:
             stacked = np.hstack([groups[lo].basis, groups[hi].basis])
             g = gram(stacked, form)
             m = groups[lo].multiplicity
-            assert numerical_rank(g, DEFAULT_TOL.rank_tol) == 2 * m
+            assert numerical_rank(g) == 2 * m
             assert fro(g[:m, :m]) <= 1e-9
             assert fro(g[m:, m:]) <= 1e-9
             cross = g[:m, m:]
