@@ -100,8 +100,7 @@ from .spectral import (
 from .structure import (
     Check,
     StructureReport,
-    build_unitary_perplectic,
-    build_unitary_symplectic,
+    build_unitary_automorphism,
     classify,
 )
 

@@ -178,17 +178,14 @@ def reconstruct_from_normal_factor(
     if n_mat.shape[0] != form.dim:
         raise NotStructured("factor dimension does not match the form")
     n = form.half
-    res_normal = rel_residual(herm_transpose(n_mat) @ n_mat,
-                              n_mat @ herm_transpose(n_mat))
-    if res_normal > tol.structure_tol:
-        raise NotNormal(f"factor is not normal (residual {res_normal:.3e})")
-    n_star = adjoint(n_mat, form)
-    scale = max(1.0, fro(n_mat) * fro(n_star))
-    res_left = fro(n_mat @ n_star) / scale
-    res_right = fro(n_star @ n_mat) / scale
-    if max(res_left, res_right) > tol.structure_tol:
+    a = n_mat + sign.factor * adjoint(n_mat, form)
+    res = _decomposition_residuals(a, n_mat, sign, form)
+    if res.normality_n > tol.structure_tol:
+        raise NotNormal(f"factor is not normal (residual {res.normality_n:.3e})")
+    if max(res.annihilation_left, res.annihilation_right) > tol.structure_tol:
         raise NotAnnihilating(
-            f"N N* or N* N does not vanish ({res_left:.3e} / {res_right:.3e})")
+            f"N N* or N* N does not vanish ({res.annihilation_left:.3e} / "
+            f"{res.annihilation_right:.3e})")
 
     values, z = _unitary_eigh_normal(n_mat)
     mags = np.abs(values)
@@ -206,7 +203,6 @@ def reconstruct_from_normal_factor(
     core = np.concatenate([values[keep], np.zeros(n - rank)]).astype(
         np.complex128)
 
-    a = n_mat + sign.factor * n_star
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
     q = build_unitary_automorphism(frame, form)

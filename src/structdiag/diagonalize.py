@@ -9,10 +9,11 @@ inertia. The constructive routine then rescales conjugate-pair
 eigenbases so their cross Gram becomes the identity, pairs the negative
 with the positive Gram directions of each critical eigenspace into
 partner columns, and routes partner columns into the positions that
-reproduce the form matrix exactly. The same
-pairing (_balanced_pairs) gives the neutral half of a critical
-eigenspace, from which the unitary route for normal input reads its
-Lagrangian frame, and of the complement Gram in Lagrangian completion.
+reproduce the form matrix exactly. On normal input the eigenspace bases
+are orthonormal and this automorphism is unitary as built, so
+unitary_refine runs the same construction and certifies unitarity too.
+The same pairing (_balanced_pairs) gives the neutral half of the
+complement Gram in Lagrangian completion.
 
 Every entry point classifies, eigendecomposes, groups and pairs once, in
 one spectral plan that the decision and the construction share.
@@ -62,7 +63,7 @@ from .spectral import (
 )
 from .structure import (
     StructureReport,
-    build_unitary_automorphism,
+    _route_partners,
     classify,
     frame_residuals,
 )
@@ -252,14 +253,6 @@ def _report(plan: _SpectralPlan, form: InnerProduct,
                                    reason)
 
 
-def _route_partners(x_cols: np.ndarray, y_cols: np.ndarray,
-                    form_tag: FormTag) -> np.ndarray:
-    """Place partner columns at (j, n+j) for J and (j, 2n+1-j) for R."""
-    if form_tag is FormTag.SYMPLECTIC_J:
-        return np.hstack([x_cols, y_cols])
-    return np.hstack([x_cols, y_cols[:, ::-1]])
-
-
 def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
                      diagonal: np.ndarray | None = None
                      ) -> tuple[float, float, float]:
@@ -291,17 +284,17 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
         unitary=res_unit <= FACTOR_GUARANTEE)
 
 
-def _eigen_blocks(
-        a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
-        structure: StructureReport | None = None
-) -> tuple[Variant, list[tuple[EigenGroup, EigenGroup | None]], np.ndarray]:
-    """Decide, then split the spectrum of the selfadjoint A_hat = A or i A.
+def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
+               structure: StructureReport | None = None,
+               unitary: bool = False) -> StructuredDiagonalization:
+    """Decide, then build and certify the automorphism of both entry points.
 
-    Blocks are conjugate pairs (lower group, partner) and critical groups
-    (group, None), ascending by their core value: the lower eigenvalue,
-    divided by i for skewadjoint A. Raises NotStructuredDiagonalizable
-    (report attached) if a critical Gram is unbalanced, which includes
-    every critical group of odd multiplicity.
+    The spectrum of the selfadjoint A_hat = A or i A splits into conjugate
+    pairs (lower group, partner) and critical groups, ascending by their
+    core value: the lower eigenvalue, divided by i for skewadjoint A.
+    Raises NotStructuredDiagonalizable (report attached) if a critical
+    Gram is unbalanced, which includes every critical group of odd
+    multiplicity.
     """
     plan = _spectral_plan(a, form, tol, structure)
     report = _report(plan, form, tol)
@@ -313,7 +306,20 @@ def _eigen_blocks(
     values = _core_values(np.array([g.value for g, _ in blocks]),
                           plan.variant)
     order = np.lexsort((values.imag, values.real))
-    return plan.variant, [blocks[k] for k in order], values[order]
+    # Partner columns: x in the first half, y in the second.
+    x_parts, y_parts = [], []
+    for g, partner in (blocks[k] for k in order):
+        if partner is None:
+            x, y = _balanced_pairs(g.basis, form, tol)
+            x_parts.append(g.basis @ x)
+            y_parts.append(g.basis @ y)
+            continue
+        cross = herm_transpose(g.basis) @ form.matrix @ partner.basis
+        x_parts.append(g.basis @ herm_transpose(inverse(cross)))
+        y_parts.append(partner.basis)
+    core = np.repeat(values[order], [x.shape[1] for x in x_parts])
+    s = _route_partners(np.hstack(x_parts), np.hstack(y_parts), form.tag)
+    return certify(a, s, core, form, plan.variant, unitary)
 
 
 def structured_diagonalize(a: np.ndarray, form: InnerProduct,
@@ -332,22 +338,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
     (c) route partner columns into form positions, ascending by the
         final core eigenvalue.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    variant, blocks, values = _eigen_blocks(a, form, tol)
-    # Partner columns: x in the first half, y in the second.
-    x_parts, y_parts = [], []
-    for g, partner in blocks:
-        if partner is not None:
-            cross = herm_transpose(g.basis) @ form.matrix @ partner.basis
-            x_parts.append(g.basis @ herm_transpose(inverse(cross)))
-            y_parts.append(partner.basis)
-        else:
-            x, y = _balanced_pairs(g.basis, form, tol)
-            x_parts.append(g.basis @ x)
-            y_parts.append(g.basis @ y)
-    core = np.repeat(values, [x.shape[1] for x in x_parts])
-    s = _route_partners(np.hstack(x_parts), np.hstack(y_parts), form.tag)
-    return certify(a, s, core, form, variant)
+    return _construct(np.asarray(a, dtype=np.complex128), form, tol)
 
 
 def unitary_refine(a: np.ndarray, form: InnerProduct,
@@ -355,24 +346,18 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
                    ) -> StructuredDiagonalization:
     """Unitary automorphism diagonalizing a normal structured matrix.
 
-    The Lagrangian frame is read off the orthonormal eigenspaces of the
-    selfadjoint A_hat = A or i A, whose eigenspaces for lambda and mu are
-    B-orthogonal unless mu = conj(lambda): it takes the lower member of
-    each conjugate pair and the neutral half of each critical eigenspace.
-    Normality makes the eigenspaces mutually orthogonal.
+    The construction is structured_diagonalize's, certified unitary too.
+    Normality makes the eigenspaces of A_hat = A or i A mutually
+    orthogonal and their bases orthonormal, so every conjugate-pair cross
+    Gram is unitary and the Hermitian part of every critical Gram is an
+    involution (eigenvalues +/-1): the automorphism is unitary as built.
     """
     a = np.asarray(a, dtype=np.complex128)
     cls = classify(a, form, tol)
     if not cls.euclidean_normal.ok:
         raise NotNormal(
             f"matrix is not normal (residual {cls.euclidean_normal.residual:.3e})")
-    variant, blocks, values = _eigen_blocks(a, form, tol, cls)
-    parts = [g.basis if partner is not None
-             else _neutral_half(g.basis, form, tol)
-             for g, partner in blocks]
-    core = np.repeat(values, [p.shape[1] for p in parts])
-    q = build_unitary_automorphism(np.hstack(parts), form)
-    return certify(a, q, core, form, variant, unitary=True)
+    return _construct(a, form, tol, cls, unitary=True)
 
 
 def _balanced_pairs(w: np.ndarray, form: InnerProduct,

@@ -1,8 +1,9 @@
 """Structure classification and unitary automorphism construction.
 
 classify() measures every structure flag as a Frobenius-scaled residual;
-build_unitary_symplectic / build_unitary_perplectic assemble unitary
-automorphisms from orthonormal Lagrangian frames.
+build_unitary_automorphism assembles a unitary automorphism from an
+orthonormal Lagrangian frame, with the partner layout the constructive
+diagonalization uses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, TolerancePolicy, fro,
                    herm_transpose, rel_residual)
 from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
-from .forms import FormTag, InnerProduct, adjoint, flip, symplectic_j
+from .forms import FormTag, InnerProduct, adjoint
 
 
 class Check(NamedTuple):
@@ -143,33 +144,24 @@ def _check_frame(v: np.ndarray, b: np.ndarray) -> None:
             failed="neutrality", residual=res_neut)
 
 
-def build_unitary_symplectic(v: np.ndarray) -> np.ndarray:
-    """[V, J^T V] for an orthonormal Lagrangian frame V; unitary-symplectic."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] % 2 != 0 or v.shape[1] == 0:
-        raise NotLagrangianFrame("frame must be a nonempty 2n x n matrix",
-                                 failed="shape")
-    j = symplectic_j(v.shape[0] // 2)
-    _check_frame(v, j)
-    return np.hstack([v, j.T @ v])
-
-
-def build_unitary_perplectic(v: np.ndarray) -> np.ndarray:
-    """[V, R_{2n} V R_n] for an orthonormal Lagrangian frame V; unitary-perplectic."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] % 2 != 0 or v.shape[1] == 0:
-        raise NotLagrangianFrame("frame must be a nonempty 2n x n matrix",
-                                 failed="shape")
-    n = v.shape[0] // 2
-    r2n = flip(2 * n)
-    _check_frame(v, r2n)
-    return np.hstack([v, r2n @ v @ flip(n)])
+def _route_partners(x_cols: np.ndarray, y_cols: np.ndarray,
+                    form_tag: FormTag) -> np.ndarray:
+    """Place partner columns at (j, n+j) for J and (j, 2n+1-j) for R."""
+    if form_tag is FormTag.SYMPLECTIC_J:
+        return np.hstack([x_cols, y_cols])
+    return np.hstack([x_cols, y_cols[:, ::-1]])
 
 
 def build_unitary_automorphism(v: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """Dispatch on the form tag."""
-    if form.tag is FormTag.SYMPLECTIC_J:
-        return build_unitary_symplectic(v)
-    if form.tag is FormTag.PERPLECTIC_R:
-        return build_unitary_perplectic(v)
-    raise NotStructured("unitary automorphism frames require the J or R form")
+    """Unitary automorphism of the J or R form whose first n columns are
+    the orthonormal Lagrangian frame V: each column v_j is partnered with
+    B^T v_j, giving [V, J^T V] and [V, R V R_n]."""
+    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
+        raise NotStructured(
+            "unitary automorphism frames require the J or R form")
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[0] != form.dim or v.shape[1] == 0:
+        raise NotLagrangianFrame(
+            f"frame must be a nonempty {form.dim} x n matrix", failed="shape")
+    _check_frame(v, form.matrix)
+    return _route_partners(v, form.matrix.T @ v, form.tag)

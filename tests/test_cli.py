@@ -342,9 +342,11 @@ def test_near_critical_analyze_and_diagonalize_agree(tmp_path):
     code, out, _ = run_cli("analyze", "--form", "symplectic", path)
     assert code == 0
     assert json.loads(out)["payload"]["diagonalizability"]["decision"] is True
-    code, _, err = run_cli("diagonalize", "--form", "symplectic", "--out",
-                           tmp_path / "near", path)
-    assert code == 0, err
+    for args in (("diagonalize",), ("diagonalize", "--unitary"),
+                 ("decompose",)):
+        code, _, err = run_cli(*args, "--form", "symplectic", "--out",
+                               tmp_path / "near", path)
+        assert code == 0, (args, err)
 
 
 def test_analyze_reports_a_spectrum_without_conjugate_pairs(tmp_path):

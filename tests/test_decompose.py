@@ -199,9 +199,8 @@ class TestReconstruct:
         form = symplectic_form(2)
         q = random_unitary(4, 57)
         n_mat = q @ np.diag([1.0, 2.0, 0, 0]) @ herm_transpose(q)
-        with pytest.raises((NotAnnihilating, Exception)) as err:
+        with pytest.raises(NotAnnihilating):
             reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
-        assert isinstance(err.value, Exception)
 
     def test_non_normal_rejected(self):
         form = symplectic_form(1)

@@ -286,8 +286,11 @@ class TestUnitaryRefine:
         inst = random_structured_diagonalizable(kind, n, 31,
                                                 critical_share=0.5)
         form = formf(n)
-        assert np.array_equal(unitary_refine(inst.matrix, form).core,
-                              structured_diagonalize(inst.matrix, form).core)
+        unitary = unitary_refine(inst.matrix, form)
+        structured = structured_diagonalize(inst.matrix, form)
+        # One construction: only the certificate differs.
+        assert np.array_equal(unitary.core, structured.core)
+        assert np.array_equal(unitary.transform, structured.transform)
 
     def test_non_normal_rejected(self):
         # Skew-Hamiltonian but not Euclidean-normal.
@@ -501,10 +504,13 @@ class TestNearCriticalSweep:
 
         report = diagonalizability_report(a, form)
         assert report.decision, report.reason
-        try:
-            structured_diagonalize(a, form)
-        except NumericalBreakdown:
-            # A typed exit-3 error only where eigenvalues lie within
-            # 3e-6 of each other: the near-conjugate pair, or a chain
-            # merged into one cluster whose spread the certificate sees.
-            assert delta <= 3e-6 or len(steps) > 0
+        for construct in (structured_diagonalize, unitary_refine,
+                          decompose_additive):
+            try:
+                construct(a, form)
+            except NumericalBreakdown:
+                # A typed exit-3 error only where eigenvalues lie within
+                # 3e-6 of each other: the near-conjugate pair, or a chain
+                # merged into one cluster whose spread the certificate
+                # sees.
+                assert delta <= 3e-6 or len(steps) > 0

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from structdiag import (
     NotLagrangianFrame,
     NotStructured,
-    build_unitary_perplectic,
-    build_unitary_symplectic,
+    build_unitary_automorphism,
     classify,
+    euclidean_form,
     perplectic_form,
     random_automorphism,
     random_lagrangian_frame,
@@ -87,7 +87,7 @@ class TestBuildUnitarySymplectic:
     def test_identity_frame(self):
         n = 3
         v = np.eye(2 * n, dtype=complex)[:, :n]
-        q = build_unitary_symplectic(v)
+        q = build_unitary_automorphism(v, symplectic_form(n))
         j = symplectic_j(n)
         assert np.array_equal(q, np.hstack([v, j.T @ v]))
         assert rel_residual(herm_transpose(q) @ j @ q, j) <= 1e-9
@@ -96,13 +96,13 @@ class TestBuildUnitarySymplectic:
     def test_non_neutral_frame_rejected(self):
         v = np.eye(4, dtype=complex)[:, [0, 2]]  # e1, e3: not neutral for J4
         with pytest.raises(NotLagrangianFrame) as err:
-            build_unitary_symplectic(v)
+            build_unitary_automorphism(v, symplectic_form(2))
         assert err.value.failed == "neutrality"
 
     def test_non_orthonormal_frame_rejected(self):
         v = 2.0 * np.eye(4, dtype=complex)[:, :2]
         with pytest.raises(NotLagrangianFrame) as err:
-            build_unitary_symplectic(v)
+            build_unitary_automorphism(v, symplectic_form(2))
         assert err.value.failed == "orthonormality"
 
     @given(st.integers(0, 10**6))
@@ -110,7 +110,7 @@ class TestBuildUnitarySymplectic:
     def test_random_frames_give_unitary_symplectic(self, seed):
         form = symplectic_form(3)
         v = random_lagrangian_frame(form, seed)
-        q = build_unitary_symplectic(v)
+        q = build_unitary_automorphism(v, form)
         assert rel_residual(herm_transpose(q) @ form.matrix @ q,
                             form.matrix) <= 1e-9
         assert rel_residual(herm_transpose(q) @ q, np.eye(6)) <= 1e-9
@@ -126,24 +126,47 @@ class TestBuildUnitarySymplectic:
         assert fro(q2 - symplectic_j(n).T @ q1) <= 1e-9
 
 
+class TestBuildUnitaryAutomorphism:
+    def test_frame_of_wrong_dimension_rejected(self):
+        v = np.eye(6, dtype=complex)[:, :3]
+        with pytest.raises(NotLagrangianFrame) as err:
+            build_unitary_automorphism(v, symplectic_form(2))
+        assert err.value.failed == "shape"
+
+    def test_euclidean_form_rejected(self):
+        with pytest.raises(NotStructured):
+            build_unitary_automorphism(np.eye(4, dtype=complex)[:, :2],
+                                       euclidean_form(4))
+
+
 class TestBuildUnitaryPerplectic:
     def test_scalar_frame_with_phase(self):
         # v = (e1 + i e2)/sqrt(2): both Gram conditions vanish by hand.
         v = np.array([[1.0], [1j]], dtype=complex) / np.sqrt(2)
-        q = build_unitary_perplectic(v)
+        q = build_unitary_automorphism(v, perplectic_form(1))
         r2 = flip(2)
         assert rel_residual(herm_transpose(q) @ r2 @ q, r2) <= 1e-9
         assert rel_residual(herm_transpose(q) @ q, np.eye(2)) <= 1e-9
 
     def test_basis_vector_frame(self):
         v = np.array([[1.0], [0.0]], dtype=complex)
-        q = build_unitary_perplectic(v)
+        q = build_unitary_automorphism(v, perplectic_form(1))
         assert np.allclose(q, np.eye(2))
 
     def test_bad_orthonormality_rejected(self):
         v = np.array([[2.0], [0.0]], dtype=complex)
         with pytest.raises(NotLagrangianFrame):
-            build_unitary_perplectic(v)
+            build_unitary_automorphism(v, perplectic_form(1))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_partner_layout(self, seed):
+        # [V, R_2n V R_n]: the partner of column j sits at 2n + 1 - j.
+        n = 3
+        form = perplectic_form(n)
+        v = random_lagrangian_frame(form, seed)
+        q = build_unitary_automorphism(v, form)
+        assert np.array_equal(q, np.hstack([v, flip(2 * n) @ v @ flip(n)]))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
