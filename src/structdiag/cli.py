@@ -63,7 +63,7 @@ from .generators import (
     random_structured_diagonalizable,
 )
 from .mmio import read_matrix, write_matrix
-from .structure import classify
+from .structure import STRUCTURE_NAMES, classify
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -165,7 +165,7 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
         return payload, residuals
     try:
         # diagonalizability_report, reusing the classification above.
-        diag_report = _report(_spectral_plan(a, form, tol, report), form, tol)
+        diag_report = _report(_spectral_plan(a, form, tol, report))
     except (NotDiagonalizable, SpectrumNotConjugateSymmetric) as exc:
         # A spectrum that fails the pairing was grouped without a defect.
         payload["diagonalizability"] = {
@@ -180,11 +180,13 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
     return payload, residuals
 
 
+_DECISION_NAMES = ("structure-diagonalizable", "symplectic-diagonalizable",
+                   "perplectic-diagonalizable")
+
+
 def _expect_satisfied(payload: dict, expect: str) -> bool:
-    diagnosable = {"structure-diagonalizable", "symplectic-diagonalizable",
-                   "perplectic-diagonalizable"}
     diag = payload.get("diagonalizability") or {}
-    if expect in diagnosable:
+    if expect in _DECISION_NAMES:
         return diag.get("decision") is True
     if expect == "diagonalizable":
         return bool(diag.get("diagonalizable"))
@@ -364,9 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classification and balance report")
     add_common(p)
-    p.add_argument("--expect", default=None,
-                   help="exit 1 unless this structure name (or "
-                        "'structure-diagonalizable') is satisfied")
+    p.add_argument("--expect", default=None, metavar="NAME",
+                   choices=sorted(STRUCTURE_NAMES.union(
+                       _DECISION_NAMES, {"diagonalizable"})),
+                   help="exit 1 unless NAME (a structure name, "
+                        "'structure-diagonalizable' or 'diagonalizable') "
+                        "is satisfied; an unknown NAME exits 2")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for multiple files")
     p.add_argument("files", nargs="+")

@@ -176,7 +176,7 @@ def reconstruct_from_normal_factor(
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
-        raise NotStructured("factor dimension does not match the form")
+        raise DimensionMismatch("factor dimension does not match the form")
     n = form.half
     a = n_mat + sign.factor * adjoint(n_mat, form)
     res = _decomposition_residuals(a, n_mat, sign, form)
@@ -199,7 +199,7 @@ def reconstruct_from_normal_factor(
     if rank and (fro(gram(v0, form))
                  > FACTOR_GUARANTEE * max(1.0, fro(form.matrix))):
         raise NotNeutralRange("column space of N is not neutral")
-    frame = complete_to_lagrangian(v0, form, tol)
+    frame = complete_to_lagrangian(v0, form)
     core = np.concatenate([values[keep], np.zeros(n - rank)]).astype(
         np.complex128)
 

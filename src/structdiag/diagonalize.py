@@ -15,8 +15,9 @@ unitary_refine runs the same construction and certifies unitarity too.
 The same pairing (_balanced_pairs) gives the neutral half of the
 complement Gram in Lagrangian completion.
 
-Every entry point classifies, eigendecomposes, groups and pairs once, in
-one spectral plan that the decision and the construction share.
+Every entry point classifies, eigendecomposes, groups, pairs and factors
+each critical Gram once, in one spectral plan that the decision and the
+construction share.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from .forms import (
     FormTag,
     Inertia,
     InnerProduct,
-    _hermitian_part_for,
+    _sylvester,
     gram,
-    inertia,
 )
 from .spectral import (
     ConjugatePairing,
@@ -161,12 +161,14 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
 @dataclass(frozen=True)
 class _SpectralPlan:
     """What one call learns about A once: its variant, the eigenvalue
-    groups of A_hat = A or i A (clustered, with orthonormal bases) and
-    their conjugate pairing."""
+    groups of A_hat = A or i A (clustered, with orthonormal bases), their
+    conjugate pairing and, by group index, the Sylvester factor and
+    inertia of each self-conjugate (critical) group's Gram."""
 
     variant: Variant
     groups: list[EigenGroup]
     pairing: ConjugatePairing
+    critical: dict[int, tuple[np.ndarray, Inertia]]
 
 
 def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
@@ -177,7 +179,7 @@ def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
 def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
                    structure: StructureReport | None = None) -> _SpectralPlan:
     """Classify (unless ``structure`` is given), decompose and group A,
-    and pair the groups of A_hat.
+    pair the groups of A_hat and factor the Gram of each critical group.
 
     Raises NotStructured off the J and R forms or for a matrix that is
     neither selfadjoint nor skewadjoint, NotDiagonalizable (from
@@ -205,7 +207,10 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
         # i A has the eigenvectors of A; clustering sees only distances,
         # so the groups of i A are those of A with every value times i.
         groups = [replace(g, value=1j * g.value) for g in groups]
-    return _SpectralPlan(variant, groups, pair_conjugates(groups))
+    pairing = pair_conjugates(groups)
+    critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
+                for i in pairing.selfconjugate}
+    return _SpectralPlan(variant, groups, pairing, critical)
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
@@ -219,25 +224,23 @@ def diagonalizability_report(a: np.ndarray, form: InnerProduct,
     decision is the conjunction of the balance flags.
     """
     a = np.asarray(a, dtype=np.complex128)
-    return _report(_spectral_plan(a, form, tol), form, tol)
+    return _report(_spectral_plan(a, form, tol))
 
 
-def _report(plan: _SpectralPlan, form: InnerProduct,
-            tol: TolerancePolicy) -> DiagonalizabilityReport:
+def _report(plan: _SpectralPlan) -> DiagonalizabilityReport:
     # Group order, which is ascending by A's eigenvalues.
-    critical = [plan.groups[i] for i in sorted(plan.pairing.selfconjugate)]
-    values = _core_values(np.array([g.value for g in critical]),
-                          plan.variant)
+    critical = sorted(plan.critical.items())
+    values = _core_values(
+        np.array([plan.groups[i].value for i, _ in critical]), plan.variant)
     axis = (AxisClass.REAL if plan.variant is Variant.SELFADJOINT
             else AxisClass.PURELY_IMAGINARY)
     entries = []
-    for g, value in zip(critical, values.tolist()):
-        g_inertia = inertia(gram(g.basis, form), form.kind, tol)
+    for (i, (_, g_inertia)), value in zip(critical, values.tolist()):
         entries.append(EigenvalueBalance(
             value=value,
             axis_class=(AxisClass.BOTH if abs(value) <= plan.pairing.radius
                         else axis),
-            multiplicity=g.multiplicity,
+            multiplicity=plan.groups[i].multiplicity,
             gram_inertia=g_inertia,
             balanced=g_inertia.balanced,
         ))
@@ -297,20 +300,21 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     multiplicity.
     """
     plan = _spectral_plan(a, form, tol, structure)
-    report = _report(plan, form, tol)
+    report = _report(plan)
     if not report.decision:
         raise NotStructuredDiagonalizable(report.reason, report)
     groups = plan.groups
-    blocks = [(groups[gi], groups[gj]) for gi, gj in plan.pairing.pairs]
-    blocks += [(groups[gi], None) for gi in plan.pairing.selfconjugate]
-    values = _core_values(np.array([g.value for g, _ in blocks]),
+    blocks = [(groups[gi], groups[gj], None) for gi, gj in plan.pairing.pairs]
+    blocks += [(groups[gi], None, plan.critical[gi][0])
+               for gi in plan.pairing.selfconjugate]
+    values = _core_values(np.array([g.value for g, _, _ in blocks]),
                           plan.variant)
     order = np.lexsort((values.imag, values.real))
     # Partner columns: x in the first half, y in the second.
     x_parts, y_parts = [], []
-    for g, partner in (blocks[k] for k in order):
+    for g, partner, u in (blocks[k] for k in order):
         if partner is None:
-            x, y = _balanced_pairs(g.basis, form, tol)
+            x, y = _balanced_pairs(u, form)
             x_parts.append(g.basis @ x)
             y_parts.append(g.basis @ y)
             continue
@@ -360,41 +364,36 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
     return _construct(a, form, tol, cls, unitary=True)
 
 
-def _balanced_pairs(w: np.ndarray, form: InnerProduct,
-                    tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+def _balanced_pairs(u: np.ndarray, form: InnerProduct
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients x, y (2m x m) with [Wx, Wx] = [Wy, Wy] = 0 and
-    [Wx, Wy] = I, for a frame W of 2m columns with balanced Gram.
-
-    One eigh of the Gram's Hermitian part K gives negative directions a_i
-    scaled to a^H K a = -1 and positive ones b_i scaled to b^H K b = 1,
-    the most negative paired with the least positive; x = (a + b)/sqrt 2
-    and y = (b - a)/sqrt 2, times -i under J, whose Gram is i K.
+    [Wx, Wy] = I, from the _sylvester factor U of a frame W's balanced
+    Gram: x = (a + b)/sqrt 2 and y = (b - a)/sqrt 2 for U's negative
+    columns a and positive ones b, the most negative with the least
+    positive; y times -i under J, whose Gram is i times its Hermitian part.
     """
-    kappa, u = np.linalg.eigh(_hermitian_part_for(gram(w, form), form.kind,
-                                                  tol))
-    half = w.shape[1] // 2
-    if np.count_nonzero(kappa < 0) != half or np.count_nonzero(kappa > 0) != half:
-        raise NumericalBreakdown("Gram of the span is not balanced")
-    a = u[:, :half] / np.sqrt(-kappa[:half])
-    b = u[:, half:] / np.sqrt(kappa[half:])
+    half = u.shape[1] // 2
+    a, b = u[:, :half], u[:, half:]
     x, y = (a + b) / np.sqrt(2.0), (b - a) / np.sqrt(2.0)
     if form.kind is FormKind.SKEW_HERMITIAN:
         y = -1j * y
     return x, y
 
 
-def _neutral_half(w: np.ndarray, form: InnerProduct,
-                  tol: TolerancePolicy) -> np.ndarray:
-    """m orthonormal neutral columns in the span of 2m orthonormal W with
-    balanced Gram: the normalized Wx of _balanced_pairs. Distinct pairs
-    stay orthogonal in both senses.
+def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
+    """m orthonormal neutral columns in the span of 2m orthonormal W: the
+    normalized Wx of _balanced_pairs. Distinct pairs stay orthogonal in
+    both senses. NumericalBreakdown unless W's Gram is balanced.
     """
-    x = w @ _balanced_pairs(w, form, tol)[0]
+    u, w_inertia = _sylvester(gram(w, form), form.kind)
+    if not w_inertia.balanced:
+        raise NumericalBreakdown(f"complement Gram inertia {w_inertia.counts}")
+    x = w @ _balanced_pairs(u, form)[0]
     return x / np.linalg.norm(x, axis=0)
 
 
-def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def complete_to_lagrangian(v: np.ndarray | None,
+                           form: InnerProduct) -> np.ndarray:
     """Extend an orthonormal neutral frame to an orthonormal Lagrangian one.
 
     The completion lives in the Euclidean orthogonal complement of
@@ -433,7 +432,7 @@ def complete_to_lagrangian(v: np.ndarray | None, form: InnerProduct,
     if w.shape[1] != 2 * (n - k):
         raise NumericalBreakdown(
             f"complement dimension {w.shape[1]} != {2 * (n - k)}")
-    out = np.hstack([v, _neutral_half(w, form, tol)])
+    out = np.hstack([v, _neutral_half(w, form)])
 
     res_orth, res_neut = frame_residuals(out, b)
     if res_orth > FRAME_GUARANTEE or res_neut > FRAME_GUARANTEE:

@@ -169,59 +169,52 @@ class Inertia:
         return self.p == self.q and self.r == 0
 
 
-def _hermitian_part_for(h: np.ndarray, kind: FormKind,
-                        tol: TolerancePolicy) -> np.ndarray:
-    """Map H (or -iH) to a genuinely Hermitian matrix, checking symmetry."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch("inertia requires a square matrix")
+def _sylvester(h: np.ndarray, kind: FormKind) -> tuple[np.ndarray, Inertia]:
+    """Nonsingular U with U^H H U = diag(-alpha I_p, alpha I_q, 0_r), and
+    the inertia, from one eigh of the Hermitian part of H (or -iH).
+
+    Eigenvalues within GRAM_ZERO_TOL ||H||_F of 0 are zeros; columns for
+    the others are scaled by 1/sqrt(|eigenvalue|); the order is negatives,
+    then positives (each ascending), then zeros. H is not checked: the
+    package's own Grams are (skew-)Hermitian up to roundoff.
+    """
     hh = herm_transpose(h)
     if kind is FormKind.HERMITIAN:
-        res = rel_residual(h, hh)
-        if res > tol.structure_tol:
-            raise NotStructured("matrix is not Hermitian", res)
-        return (h + hh) / 2.0
-    res = rel_residual(h, -hh)
-    if res > tol.structure_tol:
-        raise NotStructured("matrix is not skew-Hermitian", res)
-    return -1j * (h - hh) / 2.0
+        w, u = np.linalg.eigh((h + hh) / 2.0)
+    else:
+        w, u = np.linalg.eigh(-1j * (h - hh) / 2.0)
+    zero_cut = GRAM_ZERO_TOL * fro(h)
+    neg = np.flatnonzero(w < -zero_cut)
+    pos = np.flatnonzero(w > zero_cut)
+    zer = np.flatnonzero(np.abs(w) <= zero_cut)
+    scales = np.ones(w.shape[0])
+    nz = np.concatenate([neg, pos])
+    scales[nz] = 1.0 / np.sqrt(np.abs(w[nz]))
+    u_scaled = (u * scales)[:, np.concatenate([nz, zer])]
+    alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
+    return u_scaled, Inertia(len(neg), len(pos), len(zer), alpha)
 
 
 def inertia(h: np.ndarray, kind: FormKind,
             tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
     """Sylvester inertia of a (skew-)Hermitian matrix."""
-    k = _hermitian_part_for(h, kind, tol)
-    w = np.linalg.eigvalsh(k)
-    zero_cut = GRAM_ZERO_TOL * fro(h)
-    r = int(np.count_nonzero(np.abs(w) <= zero_cut))
-    p = int(np.count_nonzero(w < -zero_cut))
-    q = int(np.count_nonzero(w > zero_cut))
-    alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
-    return Inertia(p, q, r, alpha)
+    return sylvester_canonical(h, kind, tol)[1]
 
 
 def sylvester_canonical(h: np.ndarray, kind: FormKind,
                         tol: TolerancePolicy = DEFAULT_TOL
                         ) -> tuple[np.ndarray, Inertia]:
-    """Nonsingular U with U^H H U = diag(-alpha I_p, alpha I_q, 0_r).
-
-    Built from the unitary eigendecomposition of H (or -iH), columns for
-    nonzero eigenvalues scaled by 1/sqrt(|eigenvalue|); ordering is
-    negatives, then positives, then zeros.
-    """
-    k = _hermitian_part_for(h, kind, tol)
-    w, u = np.linalg.eigh(k)
-    zero_cut = GRAM_ZERO_TOL * fro(h)
-    neg = np.flatnonzero(w < -zero_cut)
-    pos = np.flatnonzero(w > zero_cut)
-    zer = np.flatnonzero(np.abs(w) <= zero_cut)
-    order = np.concatenate([neg, pos, zer]).astype(int)
-    scales = np.ones(w.shape[0])
-    nz = np.concatenate([neg, pos]).astype(int)
-    scales[nz] = 1.0 / np.sqrt(np.abs(w[nz]))
-    u_scaled = (u * scales)[:, order]
-    alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
-    return u_scaled, Inertia(len(neg), len(pos), len(zer), alpha)
+    """_sylvester of a caller's matrix; NotStructured unless it is
+    Hermitian (skew-Hermitian for that kind) to structure_tol."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatch("inertia requires a square matrix")
+    sign, name = ((1.0, "Hermitian") if kind is FormKind.HERMITIAN
+                  else (-1.0, "skew-Hermitian"))
+    res = rel_residual(h, sign * herm_transpose(h))
+    if res > tol.structure_tol:
+        raise NotStructured(f"matrix is not {name}", res)
+    return _sylvester(h, kind)
 
 
 def congruence_to(h: np.ndarray, c: np.ndarray, kind: FormKind,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, TolerancePolicy, herm_transpose, inverse
+from .core import herm_transpose, inverse
 from .diagonalize import Variant, assemble_core_diagonal
 from .errors import InvalidSize, NotStructured
 from .forms import (
@@ -245,9 +245,7 @@ def random_structured_diagonalizable(kind: str, n: int, seed: int,
     return PlantedInstance(matrix=a, transform=q, core=core, kind=kind)
 
 
-def counterexample_unbalanced(n: int, seed: int,
-                              tol: TolerancePolicy = DEFAULT_TOL
-                              ) -> np.ndarray:
+def counterexample_unbalanced(n: int, seed: int) -> np.ndarray:
     """Skew-Hamiltonian, diagonalizable, NOT symplectic diagonalizable.
 
     W is a congruence witness turning J into G = i I_n (+) -i I_n; G
@@ -263,7 +261,7 @@ def counterexample_unbalanced(n: int, seed: int,
     mu2 = -(0.5 + 1.5 * rng.uniform())
     form = symplectic_form(n)
     g = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
-    w = congruence_to(symplectic_j(n), g, FormKind.SKEW_HERMITIAN, tol)
+    w = congruence_to(symplectic_j(n), g, FormKind.SKEW_HERMITIAN)
     w = random_automorphism(form, n, rng.next_u64()) @ w
     delta = np.diag(np.concatenate([mu1 * np.ones(n), mu2 * np.ones(n)]))
     return (w @ delta @ inverse(w)).astype(np.complex128)

@@ -42,6 +42,9 @@ _NAMES = {
         "automorphism": "unitary",
     },
 }
+# Every name StructureReport.true_names can return, under any form.
+STRUCTURE_NAMES = frozenset({"normal", "b-normal"}.union(
+    *(names.values() for names in _NAMES.values())))
 
 
 @dataclass(frozen=True)

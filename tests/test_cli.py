@@ -362,3 +362,44 @@ def test_analyze_reports_a_spectrum_without_conjugate_pairs(tmp_path):
     diag = json.loads(out)["payload"]["diagonalizability"]
     assert diag["decision"] is None
     assert "conjugate" in diag["reason"]
+
+
+def test_tight_tolerance_analyze_and_diagonalize_accept_the_input(tmp_path):
+    # --tol judges the input only: just above the file's own structure
+    # residual, classify calls it skew-Hamiltonian, and no Gram the
+    # package builds from it may turn that into a negative result.
+    path = tmp_path / "a.mtx"
+    assert run_cli("generate", "--kind", "skew-hamiltonian-diagonalizable",
+                   "--n", 8, "--seed", 1, path)[0] == 0
+    residual = classify(read_matrix(path),
+                        symplectic_form(8)).selfadjoint.residual
+    tol = f"--tol={1.5 * residual!r}"
+    code, out, err = run_cli("analyze", "--form", "symplectic", tol, path)
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert "skew-hamiltonian" in payload["classification"]["structures"]
+    assert payload["diagonalizability"]["decision"] is True
+    code, _, err = run_cli("diagonalize", "--form", "symplectic", tol,
+                           "--out", tmp_path / "fac", path)
+    assert code == 0, err
+
+
+def test_analyze_expect_accepts_only_names_it_can_match(tmp_path, capsys):
+    # A misspelt name is a usage error (exit 2), not an expect miss.
+    path = tmp_path / "m.mtx"
+    write_matrix(path, np.eye(4, dtype=complex))
+    code, out, err = run_cli("analyze", "--expect", "nonsense", path)
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    # Every name a report lists, and each decision name, is accepted.
+    for scale in (1.0, 1j):
+        write_matrix(path, scale * np.eye(4, dtype=complex))
+        for form in ("symplectic", "perplectic"):
+            assert main(["analyze", "--form", form, str(path)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            names = doc["payload"]["classification"]["structures"]
+            for name in names + ["structure-diagonalizable",
+                                 f"{form}-diagonalizable", "diagonalizable"]:
+                assert main(["analyze", "--form", form, "--expect", name,
+                             str(path)]) == 0, (scale, form, name)
+            capsys.readouterr()

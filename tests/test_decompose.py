@@ -208,6 +208,13 @@ class TestReconstruct:
             reconstruct_from_normal_factor(
                 np.array([[0, 1], [0, 0]], dtype=complex), Sign.PLUS, form)
 
+    def test_factor_of_wrong_dimension_rejected(self):
+        # The mistake verify_decomposition reports the same way (exit 2),
+        # not a mathematical negative about the factor.
+        with pytest.raises(DimensionMismatch):
+            reconstruct_from_normal_factor(np.eye(4, dtype=complex),
+                                           Sign.PLUS, symplectic_form(3))
+
 
 class TestVerify:
     def _decomposition(self, seed=59):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdiag import (
-    DEFAULT_TOL,
     AxisClass,
     FrameTooLarge,
     NotDiagonalizable,
@@ -43,6 +42,7 @@ from structdiag import (
 )
 from structdiag.core import fro, herm_transpose
 from structdiag.diagonalize import _balanced_pairs, _neutral_half
+from structdiag.forms import _sylvester
 from structdiag.spectral import (
     _cluster_indices,
     cluster_radius,
@@ -367,15 +367,16 @@ def test_near_normal_defective_is_not_diagonalizable(entry):
 class TestOneSpectralPass:
     """Each entry point classifies once, runs one eig, clusters and pairs
     once, solves with neither J nor R and runs one (2n x k) rank SVD per
-    multi-member eigenvalue group and no other SVD. The constructive
-    entry points pair each critical eigenspace with one eigh of its Gram
-    and never reach congruence_to or sylvester_canonical."""
+    multi-member eigenvalue group and no other SVD. Every entry point
+    factors each critical eigenspace Gram with one eigh, shared by the
+    balance test and the pairing, runs no eigvalsh and never reaches
+    congruence_to or sylvester_canonical."""
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "eigh": 0, "classify": 0,
-                  "cluster": 0, "pair": 0, "congruence": 0, "sylvester": 0,
-                  "lu_on_form": 0, "svd_shapes": []}
+        counts = {"eigen": 0, "eig": 0, "eigh": 0, "eigvalsh": 0,
+                  "classify": 0, "cluster": 0, "pair": 0, "congruence": 0,
+                  "sylvester": 0, "lu_on_form": 0, "svd_shapes": []}
 
         def counted(key, fn, on_form=False):
             def wrapper(*args, **kwargs):
@@ -394,6 +395,8 @@ class TestOneSpectralPass:
                             counted("eig", np.linalg.eig))
         monkeypatch.setattr(np.linalg, "eigh",
                             counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "svd", svd_counted)
         monkeypatch.setattr(scipy.linalg, "lu_factor",
                             counted("lu_on_form", scipy.linalg.lu_factor,
@@ -434,12 +437,36 @@ class TestOneSpectralPass:
         counts = self._count(monkeypatch, form)
         entry(inst.matrix, form)
         shapes = counts.pop("svd_shapes")
-        pairings = 0 if entry is diagonalizability_report else critical
-        assert counts == {"eigen": 1, "eig": 1, "eigh": pairings,
-                          "classify": 1, "cluster": 1, "pair": 1,
-                          "congruence": 0, "sylvester": 0, "lu_on_form": 0}
+        assert counts == {"eigen": 1, "eig": 1, "eigh": critical,
+                          "eigvalsh": 0, "classify": 1, "cluster": 1,
+                          "pair": 1, "congruence": 0, "sylvester": 0,
+                          "lu_on_form": 0}
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
+
+
+@pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                  "per-hermitian", "perskew-hermitian"])
+def test_tight_tolerance_judges_only_the_input(kind):
+    # structure_tol judges the input, never a Gram the package builds:
+    # just above the input's own classify residuals, every entry point
+    # accepts what classify accepts.
+    n = 6
+    form = form_for_kind(kind, n)
+    selfadjoint = variant_for_kind(kind) is Variant.SELFADJOINT
+    for seed in range(10):
+        a = random_structured_diagonalizable(kind, n, seed,
+                                             critical_share=0.5).matrix
+        cls = classify(a, form)
+        structure = cls.selfadjoint if selfadjoint else cls.skewadjoint
+        tol = TolerancePolicy(1.5 * structure.residual)
+        tight = classify(a, form, tol)
+        assert (tight.selfadjoint if selfadjoint else tight.skewadjoint).ok
+        assert diagonalizability_report(a, form, tol).decision, seed
+        structured_diagonalize(a, form, tol)
+        # unitary_refine also checks normality at the tolerance.
+        unitary_refine(a, form, TolerancePolicy(
+            1.5 * max(structure.residual, cls.euclidean_normal.residual)))
 
 
 class TestBalancedPairs:
@@ -451,7 +478,9 @@ class TestBalancedPairs:
     def test_pairs_are_neutral_and_dual(self, m, use_j, seed):
         form = symplectic_form(m) if use_j else perplectic_form(m)
         t = gaussian_matrix(2 * m, 2 * m, seed) + 3 * np.eye(2 * m)
-        x, y = _balanced_pairs(t, form, DEFAULT_TOL)
+        u, t_inertia = _sylvester(gram(t, form), form.kind)
+        assert t_inertia.counts == (m, m, 0)
+        x, y = _balanced_pairs(u, form)
         assert x.shape == y.shape == (2 * m, m)
         wx, wy = t @ x, t @ y
         assert fro(gram(wx, form)) <= 1e-10
@@ -459,7 +488,7 @@ class TestBalancedPairs:
         assert fro(herm_transpose(wx) @ form.matrix @ wy - np.eye(m)) <= 1e-10
 
         w = np.linalg.qr(t)[0]
-        v = _neutral_half(w, form, DEFAULT_TOL)
+        v = _neutral_half(w, form)
         assert v.shape == (2 * m, m)
         assert fro(herm_transpose(v) @ v - np.eye(m)) <= 1e-12
         assert fro(gram(v, form)) <= 1e-12

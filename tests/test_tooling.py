@@ -1,5 +1,7 @@
-"""The repository's benchmark declaration and scripts against the package."""
+"""The repository's benchmark declaration, scripts and tolerance contract
+against the package."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -36,3 +38,45 @@ def test_scripts_run():
                          ("decomposition_demo.py", ("--n", 2, "--seed", 7))]:
         code, _, stderr = run_python(REPO / "scripts" / script, *args)
         assert code == 0, (script, stderr)
+
+
+# The only places that read TolerancePolicy.structure_tol: the policy's
+# own validation, the checks on inputs (classify, the (skew-)Hermitian
+# check of sylvester_canonical, split_normal and
+# reconstruct_from_normal_factor) and the CLI help text. Keyed by module
+# and top-level definition.
+_STRUCTURE_TOL_READERS = {
+    ("core", "TolerancePolicy"),
+    ("structure", "classify"),
+    ("forms", "sylvester_canonical"),
+    ("decompose", "split_normal"),
+    ("decompose", "reconstruct_from_normal_factor"),
+    ("cli", "_build_parser"),
+}
+# Functions that run that check on the matrix they are given.
+_CHECKED = {"inertia", "sylvester_canonical", "congruence_to"}
+
+
+def _package_nodes():
+    """(module, top-level definition name, node) for every AST node."""
+    for path in sorted((REPO / "src" / "structdiag").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                yield path.stem, getattr(top, "name", None), node
+
+
+def test_structure_tol_is_read_only_by_input_checks():
+    readers, checked_callers = set(), set()
+    for module, top, node in _package_nodes():
+        if isinstance(node, ast.Attribute) and node.attr == "structure_tol":
+            readers.add((module, top))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _CHECKED):
+            checked_callers.add((module, top))
+    assert readers == _STRUCTURE_TOL_READERS
+    # The Grams the package builds go straight to forms._sylvester; the
+    # checked functions see only caller-supplied matrices and the exact
+    # form constants of the counterexample.
+    assert checked_callers == {("forms", "inertia"),
+                               ("forms", "congruence_to"),
+                               ("generators", "counterexample_unbalanced")}
