@@ -6,6 +6,7 @@ exponential and p-th root built on top of it.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ from .core import (
 from .diagonalize import (
     StructuredDiagonalization,
     Variant,
+    _complete,
+    _construct,
     certify,
-    complete_to_lagrangian,
     unitary_refine,
 )
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
     SingularInput,
 )
 from .forms import FormTag, InnerProduct, adjoint, gram
-from .structure import build_unitary_automorphism, classify
+from .structure import _route_partners, classify
 
 
 class Sign(enum.Enum):
@@ -170,9 +172,9 @@ def reconstruct_from_normal_factor(
 ) -> tuple[np.ndarray, StructuredDiagonalization]:
     """A = N +/- N* together with a certified unitary diagonalization.
 
-    The rank-k eigenbasis of N spans a neutral subspace; when k < n it
-    is extended to a Lagrangian frame (zero-padding the core) before the
-    unitary automorphism is assembled.
+    The rank-k eigenbasis of N spans a neutral subspace, extended to a
+    Lagrangian frame when k < n (zero-padding the core). N is judged on
+    input; what is built from it, once, by certify.
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
@@ -199,15 +201,20 @@ def reconstruct_from_normal_factor(
     if rank and (fro(gram(v0, form))
                  > FACTOR_GUARANTEE * max(1.0, fro(form.matrix))):
         raise NotNeutralRange("column space of N is not neutral")
-    frame = complete_to_lagrangian(v0, form)
-    core = np.concatenate([values[keep], np.zeros(n - rank)]).astype(
-        np.complex128)
+    frame = _complete(v0, form)
+    core = np.concatenate([values[keep], np.zeros(n - rank, complex)])
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
-    q = build_unitary_automorphism(frame, form)
-    diag = certify(a, q, core, form, variant, unitary=True)
-    return a, diag
+    q = _route_partners(frame, form.matrix.T @ frame, form.tag)
+    return a, certify(a, q, core, form, variant, unitary=True)
+
+
+def _check_form_tag(dec: AdditiveDecomposition, form: InnerProduct) -> None:
+    if dec.form_tag is not form.tag:
+        raise NotStructured(
+            f"decomposition is for the {dec.form_tag.value} form, "
+            f"not {form.tag.value}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +239,7 @@ class VerificationReport:
 def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
                          form: InnerProduct) -> VerificationReport:
     """Recompute every residual; pass iff all are <= FACTOR_GUARANTEE."""
+    _check_form_tag(dec, form)
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
         raise DimensionMismatch("matrix and factor dimensions differ")
@@ -260,6 +268,7 @@ def structured_exp(dec: AdditiveDecomposition, form: InnerProduct
     Returns (exp A, S) with exp A = S (S*)^{-1} for a minus
     decomposition and S S* for a plus decomposition.
     """
+    _check_form_tag(dec, form)
     s = _exp_normal(dec.normal_factor)
     s_star = adjoint(s, form)
     if dec.sign is Sign.MINUS:
@@ -273,28 +282,28 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
                     tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Structured p-th root of a nonsingular normal selfadjoint matrix.
 
-    X = N^{1/p} + (N^{1/p})* with the principal branch per eigenvalue;
+    X = M + M* with M = V D^{1/p} V^H over the first half V of A's unitary
+    structured diagonalization, the principal branch per core value;
     X^p = A because the annihilation kills every mixed product.
     """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError("root order p must be an integer") from None
     if p < 2:
         raise ValueError("root order p must be >= 2")
-    a = np.asarray(a, dtype=np.complex128)
-    if numerical_rank(a) < a.shape[0]:
-        raise SingularInput("matrix roots here require a nonsingular input")
     cls = classify(a, form, tol)
     if not cls.selfadjoint.ok:
         raise NotStructured(
             "structured roots require a selfadjoint matrix "
             f"(residual {cls.selfadjoint.residual:.3e})")
-    dec = decompose_additive(a, form, tol)
-    values, z = _unitary_eigh_normal(dec.normal_factor)
-    # N has rank n; roots of the roundoff-level eigenvalues on its null
-    # space would inject |eps|^(1/p) noise, so they are pinned to zero.
-    mags = np.abs(values)
-    keep = mags > RANK_TOL * (mags.max() if mags.size else 0.0)
-    root_values = np.where(
-        keep, np.power(values.astype(np.complex128), 1.0 / p), 0.0)
-    m_root = z @ np.diag(root_values) @ herm_transpose(z)
+    diag = _construct(a, form, tol, cls, unitary=True)
+    # The singular values of normal A are |core| and their mirror images.
+    mags = np.abs(diag.core)
+    if mags.min() <= RANK_TOL * mags.max():
+        raise SingularInput("matrix roots here require a nonsingular input")
+    v = diag.transform[:, :form.half]
+    m_root = v @ np.diag(np.power(diag.core, 1.0 / p)) @ herm_transpose(v)
     x = m_root + adjoint(m_root, form)
     res = rel_residual(np.linalg.matrix_power(x, p), a)
     if res > ROOT_GUARANTEE:

@@ -290,15 +290,21 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
 def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
                structure: StructureReport | None = None,
                unitary: bool = False) -> StructuredDiagonalization:
-    """Decide, then build and certify the automorphism of both entry points.
+    """Decide, then build and certify the automorphism every constructor uses.
 
     The spectrum of the selfadjoint A_hat = A or i A splits into conjugate
     pairs (lower group, partner) and critical groups, ascending by their
     core value: the lower eigenvalue, divided by i for skewadjoint A.
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
-    multiplicity.
+    multiplicity. With ``unitary``: NotNormal unless A is normal.
     """
+    a = np.asarray(a, dtype=np.complex128)
+    if unitary:
+        structure = structure or classify(a, form, tol)
+        if not structure.euclidean_normal.ok:
+            raise NotNormal("matrix is not normal (residual "
+                            f"{structure.euclidean_normal.residual:.3e})")
     plan = _spectral_plan(a, form, tol, structure)
     report = _report(plan)
     if not report.decision:
@@ -342,7 +348,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
     (c) route partner columns into form positions, ascending by the
         final core eigenvalue.
     """
-    return _construct(np.asarray(a, dtype=np.complex128), form, tol)
+    return _construct(a, form, tol)
 
 
 def unitary_refine(a: np.ndarray, form: InnerProduct,
@@ -356,12 +362,7 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
     Gram is unitary and the Hermitian part of every critical Gram is an
     involution (eigenvalues +/-1): the automorphism is unitary as built.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    cls = classify(a, form, tol)
-    if not cls.euclidean_normal.ok:
-        raise NotNormal(
-            f"matrix is not normal (residual {cls.euclidean_normal.residual:.3e})")
-    return _construct(a, form, tol, cls, unitary=True)
+    return _construct(a, form, tol, unitary=True)
 
 
 def _balanced_pairs(u: np.ndarray, form: InnerProduct
@@ -392,6 +393,22 @@ def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
     return x / np.linalg.norm(x, axis=0)
 
 
+def _complete(v: np.ndarray, form: InnerProduct) -> np.ndarray:
+    """complete_to_lagrangian's construction, without its checks."""
+    n, k = form.half, v.shape[1]
+    if k == n:
+        return v.copy()
+    if k:
+        w = scipy.linalg.null_space(
+            herm_transpose(np.hstack([v, form.matrix @ v])))
+    else:
+        w = np.eye(2 * n, dtype=np.complex128)
+    if w.shape[1] != 2 * (n - k):
+        raise NumericalBreakdown(
+            f"complement dimension {w.shape[1]} != {2 * (n - k)}")
+    return np.hstack([v, _neutral_half(w, form)])
+
+
 def complete_to_lagrangian(v: np.ndarray | None,
                            form: InnerProduct) -> np.ndarray:
     """Extend an orthonormal neutral frame to an orthonormal Lagrangian one.
@@ -404,7 +421,6 @@ def complete_to_lagrangian(v: np.ndarray | None,
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("Lagrangian completion targets the J or R forms")
     n = form.half
-    b = form.matrix
     if v is None:
         v = np.zeros((2 * n, 0), dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
@@ -415,26 +431,15 @@ def complete_to_lagrangian(v: np.ndarray | None,
         raise FrameTooLarge(
             f"a neutral frame in dimension {2 * n} has at most {n} columns")
     if k:
-        res_orth, res_neut = frame_residuals(v, b)
+        res_orth, res_neut = frame_residuals(v, form.matrix)
         if res_orth > FRAME_GUARANTEE:
             raise NotNeutral(
                 f"frame columns are not orthonormal (residual {res_orth:.3e})")
         if res_neut > FRAME_GUARANTEE:
             raise NotNeutral(
                 f"frame span is not neutral (residual {res_neut:.3e})")
-    if k == n:
-        return v.copy()
-
-    if k:
-        w = scipy.linalg.null_space(herm_transpose(np.hstack([v, b @ v])))
-    else:
-        w = np.eye(2 * n, dtype=np.complex128)
-    if w.shape[1] != 2 * (n - k):
-        raise NumericalBreakdown(
-            f"complement dimension {w.shape[1]} != {2 * (n - k)}")
-    out = np.hstack([v, _neutral_half(w, form)])
-
-    res_orth, res_neut = frame_residuals(out, b)
+    out = _complete(v, form)
+    res_orth, res_neut = frame_residuals(out, form.matrix)
     if res_orth > FRAME_GUARANTEE or res_neut > FRAME_GUARANTEE:
         raise NumericalBreakdown(
             f"completion residuals too large (orthonormality {res_orth:.3e}, "

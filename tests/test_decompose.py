@@ -8,10 +8,13 @@ from structdiag import (
     AdditiveDecomposition,
     DimensionMismatch,
     NotAnnihilating,
+    NotNeutralRange,
     NotNormal,
+    NotStructured,
     NotStructuredDiagonalizable,
     Sign,
     SingularInput,
+    TolerancePolicy,
     adjoint,
     classify,
     decompose_additive,
@@ -30,8 +33,9 @@ from structdiag import (
     symplectic_form,
     verify_decomposition,
 )
-from structdiag.core import fro, herm_transpose
-from structdiag.decompose import _exp_normal
+from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
+                             FRAME_INPUT_TOL, fro, herm_transpose)
+from structdiag.decompose import _decomposition_residuals, _exp_normal
 
 from conftest import gaussian_matrix, random_unitary
 
@@ -46,6 +50,25 @@ def make_factor(form, seed, rank=None):
     d = rng * phases
     d[rank:] = 0.0
     return v @ np.diag(d) @ herm_transpose(v), d[:rank]
+
+
+def near_neutral_factor(form, seed, neutrality):
+    """N = V D V^H over n/2 orthonormal columns V = QR(V0 + eps E), V0
+    from a Lagrangian frame and E a unit complex Gaussian direction; eps
+    is scaled (to first order) so that ||V^H B V||_F = neutrality."""
+    v0 = random_lagrangian_frame(form, 1000 + seed)[:, :form.half // 2]
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(v0.shape) + 1j * rng.standard_normal(v0.shape)
+    e /= fro(e)
+
+    def frame(eps):
+        return np.linalg.qr(v0 + eps * e)[0]
+
+    trial = 1e-10
+    v = frame(trial * neutrality / fro(gram(frame(trial), form)))
+    k = v.shape[1]
+    d = np.linspace(0.6, 1.9, k) * np.exp(2j * np.pi * 0.37 * np.arange(k))
+    return v @ np.diag(d) @ herm_transpose(v), v
 
 
 class TestSplitNormal:
@@ -208,6 +231,40 @@ class TestReconstruct:
             reconstruct_from_normal_factor(
                 np.array([[0, 1], [0, 0]], dtype=complex), Sign.PLUS, form)
 
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    @pytest.mark.parametrize("two_n,neutrality,frame_threshold", [
+        (16, 2e-10, FRAME_INPUT_TOL),
+        (100, 2e-9, FRAME_GUARANTEE),
+    ])
+    def test_near_neutral_range_is_certified(self, formf, two_n, neutrality,
+                                             frame_threshold):
+        # The eigenbasis of N is as neutral as the frame N was built on,
+        # which misses a frame threshold while N passes every input check;
+        # only the certificate of what is built from it decides.
+        form = formf(two_n // 2)
+        n_mat, v = near_neutral_factor(form, 3, neutrality)
+        assert fro(gram(v, form)) > frame_threshold
+        a = n_mat + adjoint(n_mat, form)
+        res = _decomposition_residuals(a, n_mat, Sign.PLUS, form)
+        assert max(res.annihilation_left, res.annihilation_right) \
+            <= DEFAULT_TOL.structure_tol
+        _, diag = reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
+        assert diag.unitary
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 0, 0], [1.0, 2.0, 3.0, 0]])
+    def test_non_neutral_range_rejected(self, values):
+        # A loose tolerance lets the non-annihilating factor through the
+        # input checks; its range is not neutral (rank 2) or too large
+        # to be (rank 3 > n).
+        form = symplectic_form(2)
+        q = random_unitary(4, 57)
+        n_mat = q @ np.diag(values) @ herm_transpose(q)
+        with pytest.raises(NotNeutralRange):
+            reconstruct_from_normal_factor(n_mat, Sign.PLUS, form,
+                                           TolerancePolicy(structure_tol=1.0))
+
     def test_factor_of_wrong_dimension_rejected(self):
         # The mistake verify_decomposition reports the same way (exit 2),
         # not a mathematical negative about the factor.
@@ -253,6 +310,12 @@ class TestVerify:
             verify_decomposition(a, small, form)
 
 
+    def test_factor_for_another_form_raises(self):
+        a, dec, form = self._decomposition()
+        with pytest.raises(NotStructured):
+            verify_decomposition(a, dec, perplectic_form(form.half))
+
+
 class TestStructuredExp:
     def test_zero_factor(self):
         form = symplectic_form(2)
@@ -285,6 +348,13 @@ class TestStructuredExp:
         # The factor S = exp(N) of a normal N stays normal.
         assert rel_residual(herm_transpose(s) @ s,
                             s @ herm_transpose(s)) <= 1e-9
+
+
+    def test_factor_for_another_form_raises(self):
+        inst = random_structured_diagonalizable("hamiltonian", 3, 1)
+        dec = decompose_additive(inst.matrix, symplectic_form(3))
+        with pytest.raises(NotStructured):
+            structured_exp(dec, perplectic_form(3))
 
 
 class TestStructuredRoot:
@@ -325,6 +395,12 @@ class TestStructuredRoot:
         form = symplectic_form(1)
         with pytest.raises(SingularInput):
             structured_root(np.zeros((2, 2), dtype=complex), 2, form)
+
+    @pytest.mark.parametrize("p", [2.5, 2.0, "2"])
+    def test_non_integer_order_rejected_before_any_work(self, p):
+        # A matrix of the wrong size would raise DimensionMismatch.
+        with pytest.raises(ValueError, match="integer"):
+            structured_root(np.eye(3, dtype=complex), p, symplectic_form(2))
 
     def test_root_spectrum_containment(self):
         n = 2

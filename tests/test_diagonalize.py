@@ -35,6 +35,7 @@ from structdiag import (
     random_structured_diagonalizable,
     rel_residual,
     structured_diagonalize,
+    structured_root,
     sylvester_canonical,
     symplectic_form,
     unitary_refine,
@@ -364,17 +365,30 @@ def test_near_normal_defective_is_not_diagonalizable(entry):
         entry(a, form)
 
 
+_KIND_FORMS = [
+    ("skew-hamiltonian", symplectic_form),
+    ("hamiltonian", symplectic_form),
+    ("per-hermitian", perplectic_form),
+    ("perskew-hermitian", perplectic_form),
+]
+
+
+def structured_square_root(a, form):
+    return structured_root(a, 2, form)
+
+
 class TestOneSpectralPass:
     """Each entry point classifies once, runs one eig, clusters and pairs
     once, solves with neither J nor R and runs one (2n x k) rank SVD per
     multi-member eigenvalue group and no other SVD. Every entry point
     factors each critical eigenspace Gram with one eigh, shared by the
-    balance test and the pairing, runs no eigvalsh and never reaches
-    congruence_to or sylvester_canonical."""
+    balance test and the pairing, runs no eigvalsh or Schur and never
+    reaches congruence_to or sylvester_canonical. structured_root counts
+    over the selfadjoint kinds, the only ones it accepts."""
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "eigh": 0, "eigvalsh": 0,
+        counts = {"eigen": 0, "eig": 0, "eigh": 0, "eigvalsh": 0, "schur": 0,
                   "classify": 0, "cluster": 0, "pair": 0, "congruence": 0,
                   "sylvester": 0, "lu_on_form": 0, "svd_shapes": []}
 
@@ -398,6 +412,8 @@ class TestOneSpectralPass:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "svd", svd_counted)
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            counted("schur", scipy.linalg.schur))
         monkeypatch.setattr(scipy.linalg, "lu_factor",
                             counted("lu_on_form", scipy.linalg.lu_factor,
                                     on_form=True))
@@ -415,15 +431,12 @@ class TestOneSpectralPass:
                             monkeypatch.setattr(module, attr, wrapper)
         return counts
 
-    @pytest.mark.parametrize("entry", [diagonalizability_report,
-                                       structured_diagonalize, unitary_refine,
-                                       decompose_additive])
-    @pytest.mark.parametrize("kind,formf", [
-        ("skew-hamiltonian", symplectic_form),
-        ("hamiltonian", symplectic_form),
-        ("per-hermitian", perplectic_form),
-        ("perskew-hermitian", perplectic_form),
-    ])
+    @pytest.mark.parametrize("kind,formf,entry", [
+        (kind, formf, entry) for kind, formf in _KIND_FORMS
+        for entry in (diagonalizability_report, structured_diagonalize,
+                      unitary_refine, decompose_additive)
+    ] + [(kind, formf, structured_square_root)
+         for kind, formf in _KIND_FORMS[::2]])
     def test_counts(self, monkeypatch, entry, kind, formf):
         inst = random_structured_diagonalizable(kind, 8, 41,
                                                 critical_share=0.5)
@@ -438,9 +451,9 @@ class TestOneSpectralPass:
         entry(inst.matrix, form)
         shapes = counts.pop("svd_shapes")
         assert counts == {"eigen": 1, "eig": 1, "eigh": critical,
-                          "eigvalsh": 0, "classify": 1, "cluster": 1,
-                          "pair": 1, "congruence": 0, "sylvester": 0,
-                          "lu_on_form": 0}
+                          "eigvalsh": 0, "schur": 0, "classify": 1,
+                          "cluster": 1, "pair": 1, "congruence": 0,
+                          "sylvester": 0, "lu_on_form": 0}
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
 
