@@ -416,6 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--tol" in argv[:-1]:
+        # argparse takes "-1e-3" for an option, not for --tol's value;
+        # joined as --tol=-1e-3 it reaches the range check.
+        i = argv.index("--tol")
+        argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

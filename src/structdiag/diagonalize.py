@@ -5,15 +5,20 @@ or i A is self-conjugate in the one conjugate pairing of A_hat's groups
 (spectral.pair_conjugates); see Gohberg, Lancaster & Rodman, Indefinite
 Linear Algebra and Applications (2005), ch. 5. The decision procedure
 tests, per critical eigenvalue, whether the eigenspace Gram has balanced
-inertia. The constructive routine then rescales conjugate-pair
-eigenbases so their cross Gram becomes the identity, pairs the negative
-with the positive Gram directions of each critical eigenspace into
-partner columns, and routes partner columns into the positions that
-reproduce the form matrix exactly. On normal input the eigenspace bases
-are orthonormal and this automorphism is unitary as built, so
-unitary_refine runs the same construction and certifies unitarity too.
-The same pairing (_balanced_pairs) gives the neutral half of the
-complement Gram in Lagrangian completion.
+inertia. The constructive routine then splits the cross Gram of every
+conjugate pair of eigenbases evenly between its two sides (van der
+Sluis's column equilibration, limited to the scalings the form allows),
+so that it becomes the identity, pairs the negative with the positive
+Gram directions of each critical eigenspace into partner columns,
+corrects all partner columns at once for neutrality to first order, and
+routes them into the positions that reproduce the form matrix. On
+normal input the eigenspace bases are orthonormal, so the automorphism
+is unitary up to the eigenvector error, and one Newton-Schulz step takes
+it to its unitary polar factor, an automorphism too for the unitary J
+and R (Higham, Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl.
+2005); unitary_refine runs the same construction and certifies
+unitarity too. The same pairing (_balanced_pairs) gives the neutral half
+of the complement Gram in Lagrangian completion.
 
 Every entry point classifies, eigendecomposes, groups, pairs and factors
 each critical Gram once, in one spectral plan that the decision and the
@@ -34,7 +39,6 @@ from .core import (
     FRAME_GUARANTEE,
     TolerancePolicy,
     herm_transpose,
-    inverse,
     rel_residual,
     solve_linear,
 )
@@ -162,13 +166,15 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
 class _SpectralPlan:
     """What one call learns about A once: its variant, the eigenvalue
     groups of A_hat = A or i A (clustered, with orthonormal bases), their
-    conjugate pairing and, by group index, the Sylvester factor and
-    inertia of each self-conjugate (critical) group's Gram."""
+    conjugate pairing, by group index the Sylvester factor and inertia
+    of each self-conjugate (critical) group's Gram, and whether A is
+    normal."""
 
     variant: Variant
     groups: list[EigenGroup]
     pairing: ConjugatePairing
     critical: dict[int, tuple[np.ndarray, Inertia]]
+    normal: bool
 
 
 def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
@@ -210,7 +216,8 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     pairing = pair_conjugates(groups)
     critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
                 for i in pairing.selfconjugate}
-    return _SpectralPlan(variant, groups, pairing, critical)
+    return _SpectralPlan(variant, groups, pairing, critical,
+                         structure.euclidean_normal.ok)
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
@@ -273,10 +280,13 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
             form: InnerProduct, variant: Variant,
             unitary: bool = False) -> StructuredDiagonalization:
     """S as a diagonalization of A; NumericalBreakdown unless its residuals
-    (unitarity too, with ``unitary``) meet FACTOR_GUARANTEE."""
+    (unitarity too, with ``unitary``) meet FACTOR_GUARANTEE, which a
+    non-finite S never does."""
     res_auto, res_sim, res_unit = factor_residuals(
         a, s, form, assemble_core_diagonal(core, form.tag, variant))
-    if max(res_auto, res_sim, res_unit if unitary else 0.0) > FACTOR_GUARANTEE:
+    # A NaN residual fails too: it compares false either way.
+    if not all(res <= FACTOR_GUARANTEE for res in
+               (res_auto, res_sim, res_unit if unitary else 0.0)):
         raise NumericalBreakdown(
             f"diagonalization residuals too large (automorphism "
             f"{res_auto:.3e}, similarity {res_sim:.3e}, unitary "
@@ -310,25 +320,56 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     if not report.decision:
         raise NotStructuredDiagonalizable(report.reason, report)
     groups = plan.groups
+    # (primary group, partner group, critical Sylvester factor or None); a
+    # critical group is its own partner.
     blocks = [(groups[gi], groups[gj], None) for gi, gj in plan.pairing.pairs]
-    blocks += [(groups[gi], None, plan.critical[gi][0])
+    blocks += [(groups[gi], groups[gi], plan.critical[gi][0])
                for gi in plan.pairing.selfconjugate]
     values = _core_values(np.array([g.value for g, _, _ in blocks]),
                           plan.variant)
     order = np.lexsort((values.imag, values.real))
-    # Partner columns: x in the first half, y in the second.
-    x_parts, y_parts = [], []
-    for g, partner, u in (blocks[k] for k in order):
-        if partner is None:
-            x, y = _balanced_pairs(u, form)
-            x_parts.append(g.basis @ x)
-            y_parts.append(g.basis @ y)
+    blocks = [blocks[k] for k in order]
+    # Partner columns x = V L (first half) and y = W R (second half), with
+    # the bases stacked in V and W and block-diagonal coefficients L and R.
+    v = np.hstack([g.basis for g, _, _ in blocks])
+    w = np.hstack([p.basis for _, p, _ in blocks])
+    k = np.array([g.multiplicity for g, _, _ in blocks])
+    width = np.array([m // 2 if u is not None else m for m, (_, _, u)
+                      in zip(k, blocks)])
+    row0, col0 = np.cumsum(k) - k, np.cumsum(width) - width
+    c = herm_transpose(v) @ (form.matrix @ w)
+    l = np.zeros((v.shape[1], form.half), dtype=np.complex128)
+    r = np.zeros_like(l)
+    # Balanced split of each pair's cross Gram, so that [x, y] = I: a
+    # scalar c as c/|c|^{3/2} and 1/|c|^{1/2}, a larger block
+    # C = U Sigma Z^H as U Sigma^{-1/2} and Z Sigma^{-1/2}. Critical
+    # groups have even multiplicity, so every 1 x 1 block is a pair's.
+    one = k == 1
+    d = c[row0[one], row0[one]]
+    l[row0[one], col0[one]] = d / np.abs(d) ** 1.5
+    r[row0[one], col0[one]] = np.abs(d) ** -0.5
+    for (_, _, u), m, n_x, i, j in zip(blocks, k, width, row0, col0):
+        if m == 1:
             continue
-        cross = herm_transpose(g.basis) @ form.matrix @ partner.basis
-        x_parts.append(g.basis @ herm_transpose(inverse(cross)))
-        y_parts.append(partner.basis)
-    core = np.repeat(values[order], [x.shape[1] for x in x_parts])
-    s = _route_partners(np.hstack(x_parts), np.hstack(y_parts), form.tag)
+        rows, cols = slice(i, i + m), slice(j, j + n_x)
+        if u is not None:
+            l[rows, cols], r[rows, cols] = _balanced_pairs(u, form)
+        else:
+            uu, sigma, zh = np.linalg.svd(c[rows, rows])
+            l[rows, cols] = uu / np.sqrt(sigma)
+            r[rows, cols] = herm_transpose(zh) / np.sqrt(sigma)
+    x, y = v @ l, w @ r
+    # First-order neutrality correction over all columns at once: with
+    # [x, y] = I it zeroes [x, x] and [y, y] up to second order.
+    sign = 1.0 if form.kind is FormKind.SKEW_HERMITIAN else -1.0
+    x, y = (x - y @ (herm_transpose(x) @ (form.matrix @ x)) / 2,
+            y + sign * x @ (herm_transpose(y) @ (form.matrix @ y)) / 2)
+    s = _route_partners(x, y, form.tag)
+    if plan.normal:
+        # One Newton-Schulz step towards the unitary polar factor, which
+        # for the unitary J and R is an automorphism too.
+        s = 1.5 * s - 0.5 * s @ (herm_transpose(s) @ s)
+    core = np.repeat(values[order], width)
     return certify(a, s, core, form, plan.variant, unitary)
 
 
@@ -341,12 +382,20 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
     i A, with the core diagonal divided by i afterwards. The selfadjoint
     core works per eigenvalue group:
 
-    (a) for a conjugate pair, rescale the primary basis by the inverse
-        Hermitian transpose of the cross Gram, making the cross Gram I;
+    (a) for a conjugate pair with bases V and W, split the cross Gram
+        C = V^H B W between the two sides: x = V c/|c|^{3/2} and
+        y = W/|c|^{1/2} for a scalar c, x = V U Sigma^{-1/2} and
+        y = W Z Sigma^{-1/2} for C = U Sigma Z^H, so that [x, y] = I;
+        all pairs in one pass, C formed once;
     (b) for a critical-axis eigenvalue, pair the negative with the
         positive directions of the eigenspace Gram (_balanced_pairs);
-    (c) route partner columns into form positions, ascending by the
-        final core eigenvalue.
+    (c) correct all partner columns for neutrality to first order,
+        x <- x - y [x, x]/2 and y <- y -/+ x [y, y]/2 (- under R, + under
+        J), which moves each column along its partner by the eigenvector
+        error and costs the similarity only roundoff;
+    (d) route partner columns into form positions, ascending by the
+        final core eigenvalue, and on normal input take one Newton-Schulz
+        step S <- S (3I - S^H S)/2 towards the unitary polar factor.
     """
     return _construct(a, form, tol)
 
@@ -360,7 +409,10 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
     Normality makes the eigenspaces of A_hat = A or i A mutually
     orthogonal and their bases orthonormal, so every conjugate-pair cross
     Gram is unitary and the Hermitian part of every critical Gram is an
-    involution (eigenvalues +/-1): the automorphism is unitary as built.
+    involution (eigenvalues +/-1): the balanced split and the neutrality
+    correction give an automorphism that is unitary up to the eigenvector
+    error, which the Newton-Schulz step of the construction removes to
+    first order while keeping it an automorphism.
     """
     return _construct(a, form, tol, unitary=True)
 
