@@ -393,11 +393,11 @@ class TestOneSpectralPass:
     """Each entry point classifies once, runs one eig, clusters and pairs
     once, solves with neither J nor R and runs one (2n x k) rank SVD per
     multi-member eigenvalue group and, its conjugate pairs being simple
-    here, no other SVD. Every entry point
-    factors each critical eigenspace Gram with one eigh, shared by the
-    balance test and the pairing, runs no eigvalsh or Schur and never
-    reaches congruence_to or sylvester_canonical. structured_root counts
-    over the selfadjoint kinds, the only ones it accepts."""
+    here, no other SVD. Every entry point factors each critical
+    eigenspace Gram with one eigh, shared by the balance test and the
+    pairing, runs no eigvalsh or Schur and never reaches congruence_to
+    or sylvester_canonical. structured_root counts over the selfadjoint
+    kinds, the only ones it accepts."""
 
     @staticmethod
     def _count(monkeypatch, form):
