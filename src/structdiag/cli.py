@@ -13,6 +13,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -346,8 +347,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads "-1e-3", "-inf" and "-nan" as
+    negative numbers, as it already reads "-1" and "-0.5", so that a
+    negative --tol reaches the range check instead of being taken for an
+    option. Subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="structdiag",
         description="Structured matrix analysis for symplectic and "
                     "perplectic inner products.")
@@ -416,12 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--tol" in argv[:-1]:
-        # argparse takes "-1e-3" for an option, not for --tol's value;
-        # joined as --tol=-1e-3 it reaches the range check.
-        i = argv.index("--tol")
-        argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -13,12 +13,12 @@ Gram directions of each critical eigenspace into partner columns,
 corrects all partner columns at once for neutrality to first order, and
 routes them into the positions that reproduce the form matrix. On
 normal input the eigenspace bases are orthonormal, so the automorphism
-is unitary up to the eigenvector error, and one Newton-Schulz step takes
-it to its unitary polar factor, an automorphism too for the unitary J
-and R (Higham, Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl.
-2005); unitary_refine runs the same construction and certifies
-unitarity too. The same pairing (_balanced_pairs) gives the neutral half
-of the complement Gram in Lagrangian completion.
+is unitary up to the eigenvector error; unitary_refine runs the same
+construction, then one Newton-Schulz step towards the unitary polar
+factor, which for the unitary J and R is an automorphism too (Higham,
+Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 2005), and
+certifies unitarity as well. The same pairing (_balanced_pairs) gives
+the neutral half of the complement Gram in Lagrangian completion.
 
 Every entry point classifies, eigendecomposes, groups, pairs and factors
 each critical Gram once, in one spectral plan that the decision and the
@@ -166,15 +166,13 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
 class _SpectralPlan:
     """What one call learns about A once: its variant, the eigenvalue
     groups of A_hat = A or i A (clustered, with orthonormal bases), their
-    conjugate pairing, by group index the Sylvester factor and inertia
-    of each self-conjugate (critical) group's Gram, and whether A is
-    normal."""
+    conjugate pairing and, by group index, the Sylvester factor and
+    inertia of each self-conjugate (critical) group's Gram."""
 
     variant: Variant
     groups: list[EigenGroup]
     pairing: ConjugatePairing
     critical: dict[int, tuple[np.ndarray, Inertia]]
-    normal: bool
 
 
 def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
@@ -216,8 +214,7 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     pairing = pair_conjugates(groups)
     critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
                 for i in pairing.selfconjugate}
-    return _SpectralPlan(variant, groups, pairing, critical,
-                         structure.euclidean_normal.ok)
+    return _SpectralPlan(variant, groups, pairing, critical)
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
@@ -307,7 +304,8 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     core value: the lower eigenvalue, divided by i for skewadjoint A.
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
-    multiplicity. With ``unitary``: NotNormal unless A is normal.
+    multiplicity. With ``unitary``: NotNormal unless A is normal, and
+    the automorphism takes _polar_step before it is certified.
     """
     a = np.asarray(a, dtype=np.complex128)
     if unitary:
@@ -365,12 +363,22 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     x, y = (x - y @ (herm_transpose(x) @ (form.matrix @ x)) / 2,
             y + sign * x @ (herm_transpose(y) @ (form.matrix @ y)) / 2)
     s = _route_partners(x, y, form.tag)
-    if plan.normal:
-        # One Newton-Schulz step towards the unitary polar factor, which
-        # for the unitary J and R is an automorphism too.
-        s = 1.5 * s - 0.5 * s @ (herm_transpose(s) @ s)
+    if unitary:
+        s = _polar_step(s)
     core = np.repeat(values[order], width)
     return certify(a, s, core, form, plan.variant, unitary)
+
+
+def _polar_step(s: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step S (3I - S^H S)/2 towards the unitary polar
+    factor of S, which for the unitary J and R is an automorphism when S
+    is one; the step itself keeps S an automorphism only up to second
+    order in ||S^H S - I||. It moves the columns of S off their
+    eigenvectors by (S^H S - I)/2, which costs the similarity only
+    roundoff when A is normal (its eigenvectors are orthogonal) and the
+    non-normal part of A otherwise, so only the unitary constructors
+    take it."""
+    return 1.5 * s - 0.5 * s @ (herm_transpose(s) @ s)
 
 
 def structured_diagonalize(a: np.ndarray, form: InnerProduct,
@@ -394,8 +402,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
         J), which moves each column along its partner by the eigenvector
         error and costs the similarity only roundoff;
     (d) route partner columns into form positions, ascending by the
-        final core eigenvalue, and on normal input take one Newton-Schulz
-        step S <- S (3I - S^H S)/2 towards the unitary polar factor.
+        final core eigenvalue.
     """
     return _construct(a, form, tol)
 
@@ -405,14 +412,16 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
                    ) -> StructuredDiagonalization:
     """Unitary automorphism diagonalizing a normal structured matrix.
 
-    The construction is structured_diagonalize's, certified unitary too.
-    Normality makes the eigenspaces of A_hat = A or i A mutually
-    orthogonal and their bases orthonormal, so every conjugate-pair cross
-    Gram is unitary and the Hermitian part of every critical Gram is an
-    involution (eigenvalues +/-1): the balanced split and the neutrality
-    correction give an automorphism that is unitary up to the eigenvector
-    error, which the Newton-Schulz step of the construction removes to
-    first order while keeping it an automorphism.
+    The construction is structured_diagonalize's plus one polar step,
+    certified unitary too. Normality makes the eigenspaces of A_hat = A
+    or i A mutually orthogonal and their bases orthonormal, so every
+    conjugate-pair cross Gram is unitary and the Hermitian part of every
+    critical Gram is an involution (eigenvalues +/-1): the balanced split
+    and the neutrality correction give an automorphism that is unitary up
+    to the eigenvector error. One Newton-Schulz step S (3I - S^H S)/2
+    (_polar_step) moves it towards its unitary polar factor, which
+    removes that error to first order and keeps S an automorphism up to
+    second order in it.
     """
     return _construct(a, form, tol, unitary=True)
 

@@ -336,50 +336,46 @@ def _near_critical_file(path):
     write_matrix(path, q @ np.diag(full) @ q.conj().T)
 
 
-def test_near_critical_analyze_and_diagonalize_agree(tmp_path):
-    path = tmp_path / "near.mtx"
-    _near_critical_file(path)
-    code, out, _ = run_cli("analyze", "--form", "symplectic", path)
-    assert code == 0
-    assert json.loads(out)["payload"]["diagonalizability"]["decision"] is True
-    for args in (("diagonalize",), ("diagonalize", "--unitary"),
-                 ("decompose",)):
-        code, _, err = run_cli(*args, "--form", "symplectic", "--out",
-                               tmp_path / "near", path)
-        assert code == 0, (args, err)
-
-
-def test_near_conjugate_pair_certifies(tmp_path):
-    # 2n = 16 Hamiltonian normal input with the core value
-    # -1e-8 - 0.3 i (up to roundoff in its modulus 0.3): -1e-8 -/+ 0.3 i
-    # are eigenvalues 2e-8 apart, just outside the cluster radius, whose
-    # eigenvectors are only ~eps/2e-8 neutral. Every constructor
-    # certifies; splitting the cross Gram by an LU left an automorphism
-    # residual of ~1e-8 here, and diagonalize and decompose exited 3.
+def _near_conjugate_pair_file(path):
+    """2n = 16 Hamiltonian normal input with the core value -1e-8 - 0.3 i
+    (up to roundoff in its modulus 0.3): -1e-8 -/+ 0.3 i are eigenvalues
+    2e-8 apart, just outside the cluster radius, whose eigenvectors are
+    only ~eps/2e-8 neutral. Splitting the cross Gram by an LU left an
+    automorphism residual of ~1e-8 here, and diagonalize and decompose
+    exited 3."""
     inst = random_structured_diagonalizable("hamiltonian", 8, 34)
     core = inst.core.copy()
     core[1] = complex(-1e-8, -np.sqrt(0.09 - 1e-16))
     full = assemble_core_diagonal(core, symplectic_form(8).tag,
                                   Variant.SKEWADJOINT)
     q = inst.transform
-    path = tmp_path / "near.mtx"
     write_matrix(path, q @ np.diag(full) @ q.conj().T)
-    code, out, _ = run_cli("analyze", "--form", "symplectic", path)
-    assert code == 0
-    assert json.loads(out)["payload"]["diagonalizability"]["decision"] is True
-    for args in (("diagonalize",), ("diagonalize", "--unitary"),
-                 ("decompose",)):
-        code, _, err = run_cli(*args, "--form", "symplectic", "--out",
-                               tmp_path / "near", path)
-        assert code == 0, (args, err)
 
 
-def test_negative_tolerance_reaches_the_range_check(tmp_path, capsys):
-    # argparse reads "-1e-3" as an option unless it is joined to --tol.
+def test_near_critical_analyze_and_diagonalize_agree(tmp_path):
+    for build in (_near_critical_file, _near_conjugate_pair_file):
+        path = tmp_path / f"{build.__name__}.mtx"
+        build(path)
+        code, out, _ = run_cli("analyze", "--form", "symplectic", path)
+        assert code == 0
+        assert (json.loads(out)["payload"]["diagonalizability"]["decision"]
+                is True)
+        for args in (("diagonalize",), ("diagonalize", "--unitary"),
+                     ("decompose",)):
+            code, _, err = run_cli(*args, "--form", "symplectic", "--out",
+                                   tmp_path / "near", path)
+            assert code == 0, (build.__name__, args, err)
+
+
+@pytest.mark.parametrize("tols", [("-1e-3",), ("-inf",),
+                                  ("1e-4", "-1e-3")])
+def test_negative_tolerance_reaches_the_range_check(tmp_path, capsys, tols):
+    # Plain argparse reads "-1e-3" and "-inf" as options, not as values;
+    # of a repeated --tol the last one wins.
     path = tmp_path / "h.mtx"
     write_matrix(path, random_structured("hamiltonian", 2, 3))
-    code = main(["analyze", "--form", "symplectic", "--tol", "-1e-3",
-                 str(path)])
+    tol_args = [arg for tol in tols for arg in ("--tol", tol)]
+    code = main(["analyze", "--form", "symplectic", *tol_args, str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "structure_tol must be finite and nonnegative" in captured.err

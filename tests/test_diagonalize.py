@@ -45,7 +45,12 @@ from structdiag import (
 )
 from structdiag import cli
 from structdiag.core import fro, herm_transpose
-from structdiag.diagonalize import _balanced_pairs, _neutral_half, certify
+from structdiag.diagonalize import (
+    _balanced_pairs,
+    _neutral_half,
+    _polar_step,
+    certify,
+)
 from structdiag.forms import _sylvester
 from structdiag.spectral import (
     _cluster_indices,
@@ -254,6 +259,38 @@ class TestStructuredDiagonalize:
         # Skew-Hermitian input: purely imaginary spectrum.
         assert np.max(np.abs(d.full_diagonal.real)) <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    def test_near_normal_input_keeps_its_eigenvectors(self, kind):
+        # A = Q (D~ + N) Q^H with N = E +/- E* (E = 5e-8 e_0 e_1^T), so N
+        # is structured and strictly triangular within each diagonal
+        # block, and two core values 1e-3 apart: A counts as normal at
+        # the default tolerance (commutator residual ~1e-11), yet its
+        # eigenvectors are ~N/gap = 5e-5 from orthogonal. The automorphism
+        # keeps them; a step towards the unitary polar factor would cost
+        # the similarity ~N/2 = 2.5e-8. No unitary automorphism
+        # diagonalizes A within the guarantee.
+        n = 4
+        inst = random_structured_diagonalizable(kind, n, 5)
+        form = form_for_kind(kind, n)
+        variant = variant_for_kind(kind)
+        core = inst.core.copy()
+        core[1] = core[0] + 1e-3
+        e = np.zeros((2 * n, 2 * n), dtype=complex)
+        e[0, 1] = 5e-8
+        sign = 1 if variant is Variant.SELFADJOINT else -1
+        nil = e + sign * np.linalg.solve(form.matrix,
+                                         herm_transpose(e) @ form.matrix)
+        full = assemble_core_diagonal(core, form.tag, variant)
+        q = inst.transform
+        a = q @ (np.diag(full) + nil) @ herm_transpose(q)
+        assert classify(a, form).euclidean_normal.ok
+        d = structured_diagonalize(a, form)
+        assert d.residual_automorphism <= 1e-12
+        assert d.residual_similarity <= 1e-12
+        with pytest.raises(NumericalBreakdown):
+            unitary_refine(a, form)
+
 
 def test_certify_rejects_a_non_finite_transform():
     # NaN compares false against every bound, so it must fail, not pass.
@@ -301,9 +338,11 @@ class TestUnitaryRefine:
         form = formf(n)
         unitary = unitary_refine(inst.matrix, form)
         structured = structured_diagonalize(inst.matrix, form)
-        # One construction: only the certificate differs.
+        # One construction: unitary_refine adds only the polar step and
+        # the unitarity certificate.
         assert np.array_equal(unitary.core, structured.core)
-        assert np.array_equal(unitary.transform, structured.transform)
+        assert np.array_equal(unitary.transform,
+                              _polar_step(structured.transform))
 
     def test_non_normal_rejected(self):
         # Skew-Hamiltonian but not Euclidean-normal.
