@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a git revision against the working tree.
+
+    python3 scripts/bench_pairs.py --workload desk-100 --seeds 301 302 ...
+        [--rev HEAD] [--seconds 30]
+
+Extracts ``git archive <rev>`` into a temporary directory and runs
+``bench/run.py --trace 0`` once in it and once in this working tree for
+every seed, the revision first on even pairs and the working tree first
+on odd ones, so that a drift in machine speed falls on both sides alike.
+Each run's last line must parse as strict JSON (a bare ``NaN`` or
+``Infinity`` is an error, as is a run that exits non-zero). For every
+end-to-end metric the script prints each side's median and quartiles, the
+number of pairs the working tree wins (ties count for neither), the
+relative change of the medians and whether their gap exceeds the
+revision's interquartile range. It only reads ``bench/`` and
+``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def extract(rev: str, dest: Path) -> None:
+    """The committed files of ``rev``, as ``git archive`` gives them."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in ``tree``: its JSON summary line."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{tree} seed {seed}: exit {proc.returncode}\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1], parse_constant=_reject_constant)
+
+
+def summarize(name: str, lower_better: bool, base: list[float],
+              change: list[float]) -> str:
+    q_base = statistics.quantiles(base, n=4, method="inclusive")
+    q_change = statistics.quantiles(change, n=4, method="inclusive")
+    wins = sum((c < b) if lower_better else (c > b)
+               for b, c in zip(base, change))
+    gap = abs(q_change[1] - q_base[1])
+    return (f"{name}: {q_base[1]:.6g} ({q_base[0]:.6g}-{q_base[2]:.6g}) -> "
+            f"{q_change[1]:.6g} ({q_change[0]:.6g}-{q_change[2]:.6g}), "
+            f"change better in {wins}/{len(base)}, "
+            f"{(q_change[1] / q_base[1] - 1) * 100:+.1f}%, median gap "
+            f"{gap:.6g} {'>' if gap > q_base[2] - q_base[0] else '<='} "
+            f"base IQR {q_base[2] - q_base[0]:.6g}")
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--rev", default="HEAD",
+                        help="the revision to compare against (HEAD)")
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
+                        help="seconds per run (BENCHMARK.json's run_seconds)")
+    args = parser.parse_args()
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two pairs")
+
+    metrics = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    values = {side: {name: [] for name in metrics}
+              for side in ("base", "change")}
+    with tempfile.TemporaryDirectory() as tmp:
+        base_tree = Path(tmp)
+        extract(args.rev, base_tree)
+        for i, seed in enumerate(args.seeds):
+            order = [("base", base_tree), ("change", ROOT)]
+            if i % 2:
+                order.reverse()
+            row = []
+            for side, tree in order:
+                summary = run(tree, args.workload, seed, args.seconds)
+                for name in metrics:
+                    values[side][name].append(
+                        summary["metrics"][name]["value"])
+                row.append(f"{side} failed {summary['failed']}/"
+                           f"{summary['attempted']} " + " ".join(
+                               f"{name} {values[side][name][-1]:.6g}"
+                               for name in metrics))
+            print(f"pair {i} seed {seed}: " + "; ".join(row), flush=True)
+    print(f"# {args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s, "
+          f"{args.rev} -> working tree, median (quartiles)")
+    for name, lower_better in metrics.items():
+        print(summarize(name, lower_better, values["base"][name],
+                        values["change"][name]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

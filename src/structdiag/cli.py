@@ -64,7 +64,7 @@ from .generators import (
     random_structured_diagonalizable,
 )
 from .mmio import read_matrix, write_matrix
-from .structure import STRUCTURE_NAMES, classify
+from .structure import STRUCTURE_NAMES, _adjoint_checks, classify
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -311,15 +311,15 @@ def _verify_diag(a: np.ndarray, s: np.ndarray,
 
 def _verify_decomp(a: np.ndarray, n_mat: np.ndarray, form: InnerProduct,
                    tol: TolerancePolicy) -> tuple[bool, dict, str]:
-    report = classify(a, form, tol)
-    if report.selfadjoint.ok:
+    checks = _adjoint_checks(a, form, tol)
+    if checks.selfadjoint.ok:
         sign = Sign.PLUS
-    elif report.skewadjoint.ok:
+    elif checks.skewadjoint.ok:
         sign = Sign.MINUS
     else:
         return False, {
-            "selfadjoint": report.selfadjoint.residual,
-            "skewadjoint": report.skewadjoint.residual,
+            "selfadjoint": checks.selfadjoint.residual,
+            "skewadjoint": checks.skewadjoint.residual,
         }, "unstructured"
     dec = AdditiveDecomposition(normal_factor=n_mat, sign=sign,
                                 form_tag=form.tag)

@@ -42,8 +42,8 @@ from .errors import (
     NumericalBreakdown,
     SingularInput,
 )
-from .forms import FormTag, InnerProduct, adjoint, gram
-from .structure import _route_partners, classify
+from .forms import FormTag, InnerProduct, _form_times, adjoint, gram
+from .structure import _adjoint_checks, _route_partners
 
 
 class Sign(enum.Enum):
@@ -91,7 +91,9 @@ class AdditiveDecomposition:
 
 
 def _unitary_eigh_normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary diagonalization of a (numerically) normal matrix.
+    """Unitary diagonalization of a (numerically) normal matrix: a 2n x 2n
+    one in split_normal and _exp_normal, the k x k compression of N to its
+    range in reconstruct_from_normal_factor.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
     vectors are an orthonormal eigenbasis.
@@ -117,8 +119,8 @@ def split_normal(a: np.ndarray,
         raise NotNormal(f"matrix is not normal (residual {res_normal:.3e})")
     n = a.shape[0] // 2
     values, z = _unitary_eigh_normal(a)
-    e = z[:, :n] @ np.diag(values[:n]) @ herm_transpose(z[:, :n])
-    f = z[:, n:] @ np.diag(values[n:]) @ herm_transpose(z[:, n:])
+    e = (z[:, :n] * values[:n]) @ herm_transpose(z[:, :n])
+    f = (z[:, n:] * values[n:]) @ herm_transpose(z[:, n:])
     checks = (
         rel_residual(e + f, a),
         fro(e @ f) / max(1.0, fro(e) * fro(f)),
@@ -157,6 +159,9 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     diag = unitary_refine(a, form, tol)
     n = form.half
     v = diag.transform[:, :n]
+    # A product with diag(core), not v * core: numpy's elementwise complex
+    # product rounds differently from OpenBLAS's GEMM, and would move every
+    # factor N in its last bits.
     n_mat = v @ np.diag(diag.core) @ herm_transpose(v)
     sign = sign_for_variant(diag.variant)
     residuals = _decomposition_residuals(a, n_mat, sign, form)
@@ -172,9 +177,15 @@ def reconstruct_from_normal_factor(
 ) -> tuple[np.ndarray, StructuredDiagonalization]:
     """A = N +/- N* together with a certified unitary diagonalization.
 
-    The rank-k eigenbasis of N spans a neutral subspace, extended to a
-    Lagrangian frame when k < n (zero-padding the core). N is judged on
-    input; what is built from it, once, by certify.
+    Only N's range is factored. One SVD of N gives an orthonormal basis Q
+    of it, the left singular vectors above RANK_TOL times the largest
+    singular value (for normal N these are its |eigenvalues|). N maps its
+    range to itself, so N = Q M Q^H with M = Q^H N Q normal and k x k; the
+    Schur vectors Z of M give N's rank-k eigenbasis Q Z (Rayleigh-Ritz on
+    an invariant subspace; Golub & Van Loan, Matrix Computations, 7.6 and
+    8.1). It spans a neutral subspace, extended to a Lagrangian frame when
+    k < n (zero-padding the core). N is judged on input; what is built
+    from it, once, by certify.
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
@@ -189,25 +200,25 @@ def reconstruct_from_normal_factor(
             f"N N* or N* N does not vanish ({res.annihilation_left:.3e} / "
             f"{res.annihilation_right:.3e})")
 
-    values, z = _unitary_eigh_normal(n_mat)
-    mags = np.abs(values)
-    cutoff = RANK_TOL * (mags.max() if mags.size else 0.0)
-    keep = np.flatnonzero(mags > cutoff)
-    rank = keep.size
+    u, s, _ = np.linalg.svd(n_mat)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     if rank > n:
         raise NotNeutralRange(
             f"rank {rank} exceeds the maximal neutral dimension {n}")
-    v0 = z[:, keep]
+    q = u[:, :rank]
+    values, z = _unitary_eigh_normal(herm_transpose(q) @ n_mat @ q)
+    v0 = q @ z
     if rank and (fro(gram(v0, form))
                  > FACTOR_GUARANTEE * max(1.0, fro(form.matrix))):
         raise NotNeutralRange("column space of N is not neutral")
     frame = _complete(v0, form)
-    core = np.concatenate([values[keep], np.zeros(n - rank, complex)])
+    core = np.concatenate([values, np.zeros(n - rank, complex)])
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
-    q = _route_partners(frame, form.matrix.T @ frame, form.tag)
-    return a, certify(a, q, core, form, variant, unitary=True)
+    # Partner columns B^T V = (V^T B)^T.
+    transform = _route_partners(frame, _form_times(form, frame.T).T, form.tag)
+    return a, certify(a, transform, core, form, variant, unitary=True)
 
 
 def _check_form_tag(dec: AdditiveDecomposition, form: InnerProduct) -> None:
@@ -258,7 +269,7 @@ def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
 def _exp_normal(a: np.ndarray) -> np.ndarray:
     """exp of a normal matrix through its unitary eigendecomposition."""
     values, z = _unitary_eigh_normal(a)
-    return z @ np.diag(np.exp(values)) @ herm_transpose(z)
+    return (z * np.exp(values)) @ herm_transpose(z)
 
 
 def structured_exp(dec: AdditiveDecomposition, form: InnerProduct
@@ -292,18 +303,18 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
         raise ValueError("root order p must be an integer") from None
     if p < 2:
         raise ValueError("root order p must be >= 2")
-    cls = classify(a, form, tol)
-    if not cls.selfadjoint.ok:
+    checks = _adjoint_checks(a, form, tol)
+    if not checks.selfadjoint.ok:
         raise NotStructured(
             "structured roots require a selfadjoint matrix "
-            f"(residual {cls.selfadjoint.residual:.3e})")
-    diag = _construct(a, form, tol, cls, unitary=True)
+            f"(residual {checks.selfadjoint.residual:.3e})")
+    diag = _construct(a, form, tol, checks, unitary=True)
     # The singular values of normal A are |core| and their mirror images.
     mags = np.abs(diag.core)
     if mags.min() <= RANK_TOL * mags.max():
         raise SingularInput("matrix roots here require a nonsingular input")
     v = diag.transform[:, :form.half]
-    m_root = v @ np.diag(np.power(diag.core, 1.0 / p)) @ herm_transpose(v)
+    m_root = (v * np.power(diag.core, 1.0 / p)) @ herm_transpose(v)
     x = m_root + adjoint(m_root, form)
     res = rel_residual(np.linalg.matrix_power(x, p), a)
     if res > ROOT_GUARANTEE:

@@ -20,9 +20,12 @@ Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 2005), and
 certifies unitarity as well. The same pairing (_balanced_pairs) gives
 the neutral half of the complement Gram in Lagrangian completion.
 
-Every entry point classifies, eigendecomposes, groups, pairs and factors
-each critical Gram once, in one spectral plan that the decision and the
-construction share.
+Every entry point checks only the structure it reads (selfadjoint or
+skewadjoint, and normality on the unitary routes), then eigendecomposes,
+groups, pairs and factors each critical Gram once, in one spectral plan
+that the decision and the construction share. J and R enter every
+product as signed permutations (forms._times_form, forms._form_times),
+never as dense matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -55,7 +57,9 @@ from .forms import (
     FormTag,
     Inertia,
     InnerProduct,
+    _form_times,
     _sylvester,
+    _times_form,
     gram,
 )
 from .spectral import (
@@ -67,8 +71,11 @@ from .spectral import (
 )
 from .structure import (
     StructureReport,
+    _AdjointChecks,
+    _adjoint_checks,
+    _check_square,
+    _normal_check,
     _route_partners,
-    classify,
     frame_residuals,
 )
 
@@ -181,9 +188,11 @@ def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
 
 
 def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
-                   structure: StructureReport | None = None) -> _SpectralPlan:
-    """Classify (unless ``structure`` is given), decompose and group A,
-    pair the groups of A_hat and factor the Gram of each critical group.
+                   structure: StructureReport | _AdjointChecks | None = None
+                   ) -> _SpectralPlan:
+    """Check A selfadjoint or skewadjoint (unless ``structure`` gives the
+    two flags), decompose and group A, pair the groups of A_hat and factor
+    the Gram of each critical group.
 
     Raises NotStructured off the J and R forms or for a matrix that is
     neither selfadjoint nor skewadjoint, NotDiagonalizable (from
@@ -194,7 +203,7 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("diagonalizability analysis targets J or R forms")
     if structure is None:
-        structure = classify(a, form, tol)
+        structure = _adjoint_checks(a, form, tol)
     if structure.selfadjoint.ok:
         variant = Variant.SELFADJOINT
     elif structure.skewadjoint.ok:
@@ -268,7 +277,7 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     sh = herm_transpose(s)
     x = solve_linear(s, a @ s)
     target = np.diag(np.diag(x) if diagonal is None else diagonal)
-    return (rel_residual(sh @ form.matrix @ s, form.matrix),
+    return (rel_residual(_form_times(form, sh) @ s, form.matrix),
             rel_residual(x, target),
             rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
 
@@ -295,7 +304,7 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
 
 
 def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
-               structure: StructureReport | None = None,
+               structure: _AdjointChecks | None = None,
                unitary: bool = False) -> StructuredDiagonalization:
     """Decide, then build and certify the automorphism every constructor uses.
 
@@ -304,15 +313,17 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     core value: the lower eigenvalue, divided by i for skewadjoint A.
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
-    multiplicity. With ``unitary``: NotNormal unless A is normal, and
-    the automorphism takes _polar_step before it is certified.
+    multiplicity. With ``unitary``: NotNormal unless A is normal (a
+    matrix of the wrong shape raises DimensionMismatch first), and the
+    automorphism takes _polar_step before it is certified.
     """
     a = np.asarray(a, dtype=np.complex128)
     if unitary:
-        structure = structure or classify(a, form, tol)
-        if not structure.euclidean_normal.ok:
-            raise NotNormal("matrix is not normal (residual "
-                            f"{structure.euclidean_normal.residual:.3e})")
+        _check_square(a, form)
+        normal = _normal_check(a, tol)
+        if not normal.ok:
+            raise NotNormal(
+                f"matrix is not normal (residual {normal.residual:.3e})")
     plan = _spectral_plan(a, form, tol, structure)
     report = _report(plan)
     if not report.decision:
@@ -335,7 +346,7 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     width = np.array([m // 2 if u is not None else m for m, (_, _, u)
                       in zip(k, blocks)])
     row0, col0 = np.cumsum(k) - k, np.cumsum(width) - width
-    c = herm_transpose(v) @ (form.matrix @ w)
+    c = herm_transpose(v) @ _times_form(form, w)
     l = np.zeros((v.shape[1], form.half), dtype=np.complex128)
     r = np.zeros_like(l)
     # Balanced split of each pair's cross Gram, so that [x, y] = I: a
@@ -360,8 +371,8 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     # First-order neutrality correction over all columns at once: with
     # [x, y] = I it zeroes [x, x] and [y, y] up to second order.
     sign = 1.0 if form.kind is FormKind.SKEW_HERMITIAN else -1.0
-    x, y = (x - y @ (herm_transpose(x) @ (form.matrix @ x)) / 2,
-            y + sign * x @ (herm_transpose(y) @ (form.matrix @ y)) / 2)
+    x, y = (x - y @ (herm_transpose(x) @ _times_form(form, x)) / 2,
+            y + sign * x @ (herm_transpose(y) @ _times_form(form, y)) / 2)
     s = _route_partners(x, y, form.tag)
     if unitary:
         s = _polar_step(s)
@@ -455,18 +466,20 @@ def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
 
 
 def _complete(v: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """complete_to_lagrangian's construction, without its checks."""
+    """complete_to_lagrangian's construction, without its checks.
+
+    V is orthonormal and neutral (both callers check it), so V and BV are
+    orthogonal and [V, BV] is orthonormal: the trailing 2(n - k) columns
+    of its complete QR are an orthonormal basis of the complement.
+    """
     n, k = form.half, v.shape[1]
     if k == n:
         return v.copy()
     if k:
-        w = scipy.linalg.null_space(
-            herm_transpose(np.hstack([v, form.matrix @ v])))
+        w = np.linalg.qr(np.hstack([v, _times_form(form, v)]),
+                         mode="complete")[0][:, 2 * k:]
     else:
         w = np.eye(2 * n, dtype=np.complex128)
-    if w.shape[1] != 2 * (n - k):
-        raise NumericalBreakdown(
-            f"complement dimension {w.shape[1]} != {2 * (n - k)}")
     return np.hstack([v, _neutral_half(w, form)])
 
 
@@ -492,7 +505,7 @@ def complete_to_lagrangian(v: np.ndarray | None,
         raise FrameTooLarge(
             f"a neutral frame in dimension {2 * n} has at most {n} columns")
     if k:
-        res_orth, res_neut = frame_residuals(v, form.matrix)
+        res_orth, res_neut = frame_residuals(v, form)
         if res_orth > FRAME_GUARANTEE:
             raise NotNeutral(
                 f"frame columns are not orthonormal (residual {res_orth:.3e})")
@@ -500,7 +513,7 @@ def complete_to_lagrangian(v: np.ndarray | None,
             raise NotNeutral(
                 f"frame span is not neutral (residual {res_neut:.3e})")
     out = _complete(v, form)
-    res_orth, res_neut = frame_residuals(out, form.matrix)
+    res_orth, res_neut = frame_residuals(out, form)
     if res_orth > FRAME_GUARANTEE or res_neut > FRAME_GUARANTEE:
         raise NumericalBreakdown(
             f"completion residuals too large (orthonormality {res_orth:.3e}, "

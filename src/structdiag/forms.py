@@ -138,13 +138,36 @@ def adjoint(a: np.ndarray, form: InnerProduct) -> np.ndarray:
                      [-ah[:n, n:], ah[:n, :n]]])
 
 
+def _times_form(form: InnerProduct, x: np.ndarray) -> np.ndarray:
+    """B x for a 2-D x, entry for entry equal to form.matrix @ x: J and R
+    act as signed row permutations, I returns x itself. The result is
+    C-contiguous, so a product with it goes to the same BLAS kernel."""
+    if form.tag is FormTag.PERPLECTIC_R:
+        return np.ascontiguousarray(x[::-1])
+    if form.tag is FormTag.SYMPLECTIC_J:
+        n = form.half
+        return np.concatenate([x[n:], -x[:n]])
+    return x
+
+
+def _form_times(form: InnerProduct, x: np.ndarray) -> np.ndarray:
+    """x B for a 2-D x, entry for entry equal to x @ form.matrix: J and R
+    act as signed column permutations, I returns x itself."""
+    if form.tag is FormTag.PERPLECTIC_R:
+        return np.ascontiguousarray(x[:, ::-1])
+    if form.tag is FormTag.SYMPLECTIC_J:
+        n = form.half
+        return np.concatenate([-x[:, n:], x[:, :n]], axis=1)
+    return x
+
+
 def gram(v: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """Gram matrix V^H B V of a column frame."""
+    """Gram matrix (V^H B) V of a column frame."""
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2:
         raise DimensionMismatch("frame must be 2-D")
     _check_dim(v, form)
-    return herm_transpose(v) @ form.matrix @ v
+    return _form_times(form, herm_transpose(v)) @ v
 
 
 @dataclass(frozen=True)

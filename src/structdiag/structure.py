@@ -1,9 +1,10 @@
 """Structure classification and unitary automorphism construction.
 
-classify() measures every structure flag as a Frobenius-scaled residual;
-build_unitary_automorphism assembles a unitary automorphism from an
-orthonormal Lagrangian frame, with the partner layout the constructive
-diagonalization uses.
+classify() measures every structure flag as a Frobenius-scaled residual,
+through _check; the entry points, which read at most two flags, call its
+_adjoint_checks and _normal_check alone. build_unitary_automorphism
+assembles a unitary automorphism from an orthonormal Lagrangian frame,
+with the partner layout the constructive diagonalization uses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, TolerancePolicy, fro,
                    herm_transpose, rel_residual)
 from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
-from .forms import FormTag, InnerProduct, adjoint
+from .forms import FormTag, InnerProduct, _form_times, adjoint
 
 
 class Check(NamedTuple):
@@ -94,49 +95,75 @@ class StructureReport:
         return d
 
 
-def classify(a: np.ndarray, form: InnerProduct,
-             tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
-    """Residual-based structure report of a square matrix against a form."""
-    a = np.asarray(a, dtype=np.complex128)
+def _check(x: np.ndarray, y: np.ndarray, tol: TolerancePolicy) -> Check:
+    """One structure flag: the residual of x against y, within
+    structure_tol or not."""
+    res = rel_residual(x, y)
+    return Check(res <= tol.structure_tol, res)
+
+
+def _check_square(a: np.ndarray, form: InnerProduct) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("classification requires a square matrix")
     if a.shape[0] != form.dim:
         raise DimensionMismatch("matrix dimension does not match the form")
+
+
+class _AdjointChecks(NamedTuple):
+    selfadjoint: Check
+    skewadjoint: Check
+
+
+def _adjoint_checks(a: np.ndarray, form: InnerProduct,
+                    tol: TolerancePolicy) -> _AdjointChecks:
+    """classify's selfadjoint and skewadjoint flags, and nothing else, for
+    the entry points that read only these two."""
+    a = np.asarray(a, dtype=np.complex128)
+    _check_square(a, form)
+    a_star = adjoint(a, form)
+    return _AdjointChecks(_check(a_star, a, tol), _check(a_star, -a, tol))
+
+
+def _normal_check(a: np.ndarray, tol: TolerancePolicy) -> Check:
+    """classify's euclidean_normal flag of a square matrix."""
+    ah = herm_transpose(a)
+    return _check(ah @ a, a @ ah, tol)
+
+
+def classify(a: np.ndarray, form: InnerProduct,
+             tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
+    """Residual-based structure report of a square matrix against a form."""
+    a = np.asarray(a, dtype=np.complex128)
+    selfadjoint, skewadjoint = _adjoint_checks(a, form, tol)
     ah = herm_transpose(a)
     eye = np.eye(a.shape[0], dtype=np.complex128)
     a_star = adjoint(a, form)
-    ah_a = ah @ a
     star_a = a_star @ a
-
-    def check(x, y) -> Check:
-        res = rel_residual(x, y)
-        return Check(res <= tol.structure_tol, res)
-
     return StructureReport(
-        hermitian=check(a, ah),
-        skew_hermitian=check(a, -ah),
-        unitary=check(ah_a, eye),
-        euclidean_normal=check(ah_a, a @ ah),
-        selfadjoint=check(a_star, a),
-        skewadjoint=check(a_star, -a),
-        automorphism=check(star_a, eye),
-        b_normal=check(a @ a_star, star_a),
+        hermitian=_check(a, ah, tol),
+        skew_hermitian=_check(a, -ah, tol),
+        unitary=_check(ah @ a, eye, tol),
+        euclidean_normal=_normal_check(a, tol),
+        selfadjoint=selfadjoint,
+        skewadjoint=skewadjoint,
+        automorphism=_check(star_a, eye, tol),
+        b_normal=_check(a @ a_star, star_a, tol),
         form_tag=form.tag,
     )
 
 
-def frame_residuals(v: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Orthonormality ||V^H V - I||_F and neutrality ||V^H B V||_F."""
+def frame_residuals(v: np.ndarray, form: InnerProduct) -> tuple[float, float]:
+    """Orthonormality ||V^H V - I||_F and neutrality ||(V^H B) V||_F."""
     vh = herm_transpose(v)
-    return fro(vh @ v - np.eye(v.shape[1])), fro(vh @ b @ v)
+    return fro(vh @ v - np.eye(v.shape[1])), fro(_form_times(form, vh) @ v)
 
 
-def _check_frame(v: np.ndarray, b: np.ndarray) -> None:
+def _check_frame(v: np.ndarray, form: InnerProduct) -> None:
     two_n, n = v.shape[0], v.shape[1]
     if two_n != 2 * n:
         raise NotLagrangianFrame(
             f"frame must be 2n x n, got {two_n} x {n}", failed="shape")
-    res_orth, res_neut = frame_residuals(v, b)
+    res_orth, res_neut = frame_residuals(v, form)
     if res_orth > FRAME_INPUT_TOL:
         raise NotLagrangianFrame(
             f"frame columns not orthonormal (residual {res_orth:.3e})",
@@ -166,5 +193,6 @@ def build_unitary_automorphism(v: np.ndarray, form: InnerProduct) -> np.ndarray:
     if v.ndim != 2 or v.shape[0] != form.dim or v.shape[1] == 0:
         raise NotLagrangianFrame(
             f"frame must be a nonempty {form.dim} x n matrix", failed="shape")
-    _check_frame(v, form.matrix)
-    return _route_partners(v, form.matrix.T @ v, form.tag)
+    _check_frame(v, form)
+    # B^T V = (V^T B)^T.
+    return _route_partners(v, _form_times(form, v.T).T, form.tag)

@@ -12,6 +12,7 @@ from structdiag import (
     NotNormal,
     NotStructured,
     NotStructuredDiagonalizable,
+    NumericalBreakdown,
     Sign,
     SingularInput,
     TolerancePolicy,
@@ -34,7 +35,7 @@ from structdiag import (
     verify_decomposition,
 )
 from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
-                             FRAME_INPUT_TOL, fro, herm_transpose)
+                             FRAME_INPUT_TOL, RANK_TOL, fro, herm_transpose)
 from structdiag.decompose import _decomposition_residuals, _exp_normal
 
 from conftest import gaussian_matrix, random_unitary
@@ -264,6 +265,38 @@ class TestReconstruct:
         with pytest.raises(NotNeutralRange):
             reconstruct_from_normal_factor(n_mat, Sign.PLUS, form,
                                            TolerancePolicy(structure_tol=1.0))
+
+    # One core modulus of a rank-3 factor at t RANK_TOL max|core|, t
+    # log-spaced over [0.1, 10] (never exactly 1): it is dropped iff t < 1.
+    # Kept, it lies ~t 1e-10 from N's zero singular values, so roundoff of
+    # ~eps ||N|| turns its eigenvector ~1e-6/t off N's range, which the
+    # unweighted neutrality check of the range rejects (NotNeutralRange)
+    # or the certificate does (NumericalBreakdown) up to t ~ 50.
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    @pytest.mark.parametrize("t", [
+        pytest.param(t, id=f"t={t:.3g}", marks=() if t < 1.0 else
+                     pytest.mark.xfail(
+                         raises=(NotNeutralRange, NumericalBreakdown),
+                         reason="a kept modulus this close to the cut has "
+                                "an inaccurate eigenvector"))
+        for t in np.logspace(-1.0, 1.0, 8)] + ["zero", "full"])
+    def test_rank_cut_sweep(self, formf, t):
+        form = formf(3)
+        v = random_lagrangian_frame(form, 61)
+        d = np.array([0.7, -1.3j, 1.9 * np.exp(0.4j)])
+        if t == "zero":
+            d[:], rank = 0.0, 0
+        elif t == "full":
+            rank = 3
+        else:
+            d[1] = t * RANK_TOL * np.abs(d).max() * 1j
+            rank = 3 if t > 1.0 else 2
+        n_mat = v @ np.diag(d) @ herm_transpose(v)
+        a, diag = reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
+        assert np.count_nonzero(diag.core) == rank
+        assert diag.unitary
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
 
     def test_factor_of_wrong_dimension_rejected(self):
         # The mistake verify_decomposition reports the same way (exit 2),

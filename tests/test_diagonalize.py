@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from structdiag import (
     AxisClass,
+    DimensionMismatch,
     FormTag,
     FrameTooLarge,
     NotDiagonalizable,
@@ -16,6 +17,7 @@ from structdiag import (
     NotStructured,
     NotStructuredDiagonalizable,
     NumericalBreakdown,
+    Sign,
     SpectrumNotConjugateSymmetric,
     StructDiagError,
     TolerancePolicy,
@@ -35,6 +37,7 @@ from structdiag import (
     random_lagrangian_frame,
     random_structured,
     random_structured_diagonalizable,
+    reconstruct_from_normal_factor,
     rel_residual,
     structured_diagonalize,
     structured_root,
@@ -429,20 +432,22 @@ def structured_square_root(a, form):
 
 
 class TestOneSpectralPass:
-    """Each entry point classifies once, runs one eig, clusters and pairs
-    once, solves with neither J nor R and runs one (2n x k) rank SVD per
-    multi-member eigenvalue group and, its conjugate pairs being simple
-    here, no other SVD. Every entry point factors each critical
-    eigenspace Gram with one eigh, shared by the balance test and the
-    pairing, runs no eigvalsh or Schur and never reaches congruence_to
-    or sylvester_canonical. structured_root counts over the selfadjoint
-    kinds, the only ones it accepts."""
+    """Each entry point runs no full classify (it checks only the flags it
+    reads), runs one eig, clusters and pairs once, solves with neither J
+    nor R and runs one (2n x k) rank SVD per multi-member eigenvalue group
+    and, its conjugate pairs being simple here, no other SVD. Every entry
+    point factors each critical eigenspace Gram with one eigh, shared by
+    the balance test and the pairing, runs no eigvalsh, Schur or
+    null_space and never reaches congruence_to or sylvester_canonical.
+    structured_root counts over the selfadjoint kinds, the only ones it
+    accepts. reconstruct_from_normal_factor factors only N's range."""
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "eigh": 0, "eigvalsh": 0, "schur": 0,
-                  "classify": 0, "cluster": 0, "pair": 0, "congruence": 0,
-                  "sylvester": 0, "lu_on_form": 0, "svd_shapes": []}
+        counts = {"eigen": 0, "eig": 0, "eigh": 0, "eigvalsh": 0,
+                  "null_space": 0, "classify": 0, "cluster": 0, "pair": 0,
+                  "congruence": 0, "sylvester": 0, "lu_on_form": 0,
+                  "svd_shapes": [], "schur_shapes": []}
 
         def counted(key, fn, on_form=False):
             def wrapper(*args, **kwargs):
@@ -451,11 +456,11 @@ class TestOneSpectralPass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        svd = np.linalg.svd
-
-        def svd_counted(*args, **kwargs):
-            counts["svd_shapes"].append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+        def shaped(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key].append(np.shape(args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(np.linalg, "eig",
                             counted("eig", np.linalg.eig))
@@ -463,9 +468,12 @@ class TestOneSpectralPass:
                             counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "svd", svd_counted)
+        monkeypatch.setattr(np.linalg, "svd",
+                            shaped("svd_shapes", np.linalg.svd))
         monkeypatch.setattr(scipy.linalg, "schur",
-                            counted("schur", scipy.linalg.schur))
+                            shaped("schur_shapes", scipy.linalg.schur))
+        monkeypatch.setattr(scipy.linalg, "null_space",
+                            counted("null_space", scipy.linalg.null_space))
         monkeypatch.setattr(scipy.linalg, "lu_factor",
                             counted("lu_on_form", scipy.linalg.lu_factor,
                                     on_form=True))
@@ -503,11 +511,46 @@ class TestOneSpectralPass:
         entry(inst.matrix, form)
         shapes = counts.pop("svd_shapes")
         assert counts == {"eigen": 1, "eig": 1, "eigh": critical,
-                          "eigvalsh": 0, "schur": 0, "classify": 1,
+                          "eigvalsh": 0, "null_space": 0, "classify": 0,
                           "cluster": 1, "pair": 1, "congruence": 0,
-                          "sylvester": 0, "lu_on_form": 0}
+                          "sylvester": 0, "lu_on_form": 0,
+                          "schur_shapes": []}
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    def test_reconstruct_counts(self, monkeypatch, kind, formf):
+        # A rank-5 factor: one 2n x 2n SVD finds the range, one 5 x 5
+        # Schur its eigenbasis, and the completion's QR and one eigh of
+        # the complement Gram replace null_space.
+        inst = random_structured_diagonalizable(kind, 8, 41)
+        form = formf(8)
+        diag = unitary_refine(inst.matrix, form)
+        v, core = diag.transform[:, :8], diag.core.copy()
+        core[:3] = 0.0
+        n_mat = v @ np.diag(core) @ herm_transpose(v)
+        sign = (Sign.PLUS if variant_for_kind(kind) is Variant.SELFADJOINT
+                else Sign.MINUS)
+        counts = self._count(monkeypatch, form)
+        reconstruct_from_normal_factor(n_mat, sign, form)
+        assert counts == {"eigen": 0, "eig": 0, "eigh": 1, "eigvalsh": 0,
+                          "null_space": 0, "classify": 0, "cluster": 0,
+                          "pair": 0, "congruence": 0, "sylvester": 0,
+                          "lu_on_form": 0, "svd_shapes": [(16, 16)],
+                          "schur_shapes": [(5, 5)]}
+
+
+@pytest.mark.parametrize("entry", [
+    diagonalizability_report, structured_diagonalize, unitary_refine,
+    decompose_additive, structured_square_root])
+@pytest.mark.parametrize("shape", [(6, 6), (4, 3)])
+def test_wrong_shape_is_reported_before_structure(entry, shape):
+    # A non-normal, unstructured matrix of the wrong shape is a usage
+    # mistake (DimensionMismatch, exit 2), not a mathematical negative
+    # about the matrix (NotNormal or NotStructured, exit 1).
+    a = gaussian_matrix(*shape, seed=71)
+    with pytest.raises(DimensionMismatch):
+        entry(a, symplectic_form(2))
 
 
 @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",

@@ -20,7 +20,8 @@ from structdiag import (
     sylvester_canonical,
 )
 from structdiag.core import fro, herm_transpose, numerical_rank, solve_linear
-from structdiag.forms import perplectic_r, symplectic_j
+from structdiag.forms import (_form_times, _times_form, perplectic_r,
+                              symplectic_j)
 
 from conftest import (
     gaussian_matrix,
@@ -111,6 +112,22 @@ class TestGram:
         form = perplectic_form(1)
         v = np.array([[1.0], [0.0]], dtype=complex)
         assert gram(v, form)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("formf", [symplectic_form, perplectic_form,
+                                   lambda n: euclidean_form(2 * n)])
+def test_form_products_are_signed_permutations(formf, n):
+    # Entry for entry the dense products, on a full, a tall and a wide
+    # operand, also on a transposed (Fortran-ordered) one.
+    form = formf(n)
+    b = form.matrix
+    for cols in (1, n, 2 * n + 1):
+        x = gaussian_matrix(2 * n, cols, seed=10 * n + cols)
+        assert np.array_equal(_times_form(form, x), b @ x)
+        assert np.array_equal(_form_times(form, x.T), x.T @ b)
+        assert np.array_equal(_form_times(form, herm_transpose(x)),
+                              herm_transpose(x) @ b)
 
 
 def _gram_rank(v, form):

@@ -35,19 +35,20 @@ def test_benchmark_traced_names_are_public_package_functions():
 
 def test_scripts_run():
     for script, args in [("residual_sweep.py", ("--sizes", 1, 2, "--seeds", 1)),
-                         ("decomposition_demo.py", ("--n", 2, "--seed", 7))]:
+                         ("decomposition_demo.py", ("--n", 2, "--seed", 7)),
+                         ("bench_pairs.py", ("--help",))]:
         code, _, stderr = run_python(REPO / "scripts" / script, *args)
         assert code == 0, (script, stderr)
 
 
 # The only places that read TolerancePolicy.structure_tol: the policy's
-# own validation, the checks on inputs (classify, the (skew-)Hermitian
-# check of sylvester_canonical, split_normal and
-# reconstruct_from_normal_factor) and the CLI help text. Keyed by module
-# and top-level definition.
+# own validation, the checks on inputs (structure._check, behind classify
+# and the flag checks of the entry points, the (skew-)Hermitian check of
+# sylvester_canonical, split_normal and reconstruct_from_normal_factor)
+# and the CLI help text. Keyed by module and top-level definition.
 _STRUCTURE_TOL_READERS = {
     ("core", "TolerancePolicy"),
-    ("structure", "classify"),
+    ("structure", "_check"),
     ("forms", "sylvester_canonical"),
     ("decompose", "split_normal"),
     ("decompose", "reconstruct_from_normal_factor"),
