@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy
+from .core import DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy, _within
 from .decompose import (
     AdditiveDecomposition,
     Sign,
@@ -64,7 +64,8 @@ from .generators import (
     random_structured_diagonalizable,
 )
 from .mmio import read_matrix, write_matrix
-from .structure import STRUCTURE_NAMES, _adjoint_checks, classify
+from .structure import (FLAG_NAMES, STRUCTURE_NAMES, _adjoint_checks,
+                        classify)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -148,12 +149,7 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
                       tol: TolerancePolicy) -> tuple[dict, dict]:
     report = classify(a, form, tol)
     payload: dict = {"classification": report.to_dict()}
-    residuals = {
-        name: getattr(report, name).residual
-        for name in ("hermitian", "skew_hermitian", "unitary",
-                     "euclidean_normal", "selfadjoint", "skewadjoint",
-                     "automorphism", "b_normal")
-    }
+    residuals = {name: getattr(report, name).residual for name in FLAG_NAMES}
     if form.tag.value == "euclidean":
         payload["diagonalizability"] = None
         return payload, residuals
@@ -230,8 +226,6 @@ def cmd_analyze(args) -> int:
 def cmd_diagonalize(args) -> int:
     tol = _resolve_tol(args.tol)
     a, form, digest = _load(args.file, args.form)
-    if form.tag.value == "euclidean":
-        raise ParseError("diagonalize requires --form symplectic|perplectic")
     try:
         diag = unitary_refine(a, form, tol) if args.unitary \
             else structured_diagonalize(a, form, tol)
@@ -259,8 +253,6 @@ def cmd_diagonalize(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _resolve_tol(args.tol)
     a, form, digest = _load(args.file, args.form)
-    if form.tag.value == "euclidean":
-        raise ParseError("decompose requires --form symplectic|perplectic")
     try:
         dec = decompose_additive(a, form, tol)
     except _NEGATIVE_ERRORS as exc:
@@ -287,9 +279,6 @@ def cmd_generate(args) -> int:
     if args.kind == "counterexample":
         a = counterexample_unbalanced(args.n, args.seed)
     elif args.kind == "automorphism":
-        if args.form == "euclidean":
-            raise ParseError("automorphism generation needs "
-                             "--form symplectic|perplectic")
         form = _form_for(args.form, 2 * args.n)
         a = random_automorphism(form, args.n, args.seed)
     elif args.kind.endswith("-diagonalizable"):
@@ -305,7 +294,7 @@ def cmd_generate(args) -> int:
 def _verify_diag(a: np.ndarray, s: np.ndarray,
                  form: InnerProduct) -> tuple[bool, dict]:
     res_auto, res_diag, _ = factor_residuals(a, s, form)
-    ok = max(res_auto, res_diag) <= FACTOR_GUARANTEE
+    ok = _within(FACTOR_GUARANTEE, res_auto, res_diag)
     return ok, {"automorphism": res_auto, "similarity_diagonal": res_diag}
 
 
@@ -330,8 +319,6 @@ def _verify_decomp(a: np.ndarray, n_mat: np.ndarray, form: InnerProduct,
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args.tol)
     a, form, digest = _load(args.file_a, args.form)
-    if form.tag.value == "euclidean":
-        raise ParseError("verify requires --form symplectic|perplectic")
     factor = read_matrix(args.file_factor)
     if factor.shape != a.shape:
         raise DimensionMismatch("matrix and factor dimensions differ")
@@ -367,18 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_tol=True):
-        p.add_argument("--form", choices=("symplectic", "perplectic",
-                                          "euclidean"),
-                       default="symplectic")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="the structure tolerance, finite and >= 0 "
-                                f"(default {DEFAULT_TOL.structure_tol:g}, "
-                                "or STRUCTDIAG_TOL)")
+    def add_common(p, forms=("symplectic", "perplectic")):
+        p.add_argument("--form", choices=forms, default="symplectic")
+        p.add_argument("--tol", type=float, default=None,
+                       help="the structure tolerance, finite and >= 0 "
+                            f"(default {DEFAULT_TOL.structure_tol:g}, "
+                            "or STRUCTDIAG_TOL)")
 
     p = sub.add_parser("analyze", help="classification and balance report")
-    add_common(p)
+    add_common(p, ("symplectic", "perplectic", "euclidean"))
     p.add_argument("--expect", default=None, metavar="NAME",
                    choices=sorted(STRUCTURE_NAMES.union(
                        _DECISION_NAMES, {"diagonalizable"})),

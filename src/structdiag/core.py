@@ -1,7 +1,10 @@
-"""Dense complex matrix primitives shared by every other module.
+"""Dense complex matrix primitives shared by every other module, the
+table of pinned thresholds and the one judge of residuals against them.
 
 Matrices are plain ``numpy.ndarray`` values with dtype complex128 and
-C-contiguous (row-major) layout; all functions here are pure.
+C-contiguous (row-major) layout; all functions here are pure. _within
+makes every comparison of a residual with structure_tol (through _check)
+or a guarantee of the table, and a NaN residual never passes it.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +49,24 @@ FRAME_INPUT_TOL = 1e-10   # frames accepted by build_unitary_automorphism
 CLUSTER_TOL = 1e-8        # radius r of every spectral decision, relative
 GRAM_ZERO_TOL = 1e-8      # zero cut of Gram inertia, times ||Gram||_F
 RANK_TOL = 1e-10          # singular-value and LU-pivot cutoff, relative
+
+
+def _within(bound: float, *residuals: float) -> bool:
+    """Whether every residual is at most bound: the one comparison of a
+    residual with structure_tol or a guarantee above. A NaN residual
+    (from an overflow, say) compares false, so it never lies within."""
+    return all(res <= bound for res in residuals)
+
+
+class Check(NamedTuple):
+    ok: bool
+    residual: float
+
+
+def _check(residual: float, tol: TolerancePolicy) -> Check:
+    """A structure test on an input: its residual, within structure_tol
+    or not."""
+    return Check(_within(tol.structure_tol, residual), residual)
 
 
 def as_matrix(a) -> np.ndarray:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,8 @@ from .core import (
     RANK_TOL,
     ROOT_GUARANTEE,
     TolerancePolicy,
+    _check,
+    _within,
     fro,
     herm_transpose,
     inverse,
@@ -43,7 +45,7 @@ from .errors import (
     SingularInput,
 )
 from .forms import FormTag, InnerProduct, _form_times, adjoint, gram
-from .structure import _adjoint_checks, _route_partners
+from .structure import _adjoint_checks, _normal_check, _route_partners
 
 
 class Sign(enum.Enum):
@@ -55,11 +57,6 @@ class Sign(enum.Enum):
         return 1.0 if self is Sign.PLUS else -1.0
 
 
-def sign_for_variant(variant: Variant) -> Sign:
-    """Skewadjoint structures decompose with a minus, selfadjoint with a plus."""
-    return Sign.PLUS if variant is Variant.SELFADJOINT else Sign.MINUS
-
-
 @dataclass(frozen=True)
 class DecompositionResiduals:
     normality_n: float
@@ -69,8 +66,8 @@ class DecompositionResiduals:
 
     @property
     def worst(self) -> float:
-        return max(self.normality_n, self.annihilation_left,
-                   self.annihilation_right, self.reconstruction)
+        """The largest residual; NaN if any is."""
+        return float(np.max(astuple(self)))
 
     def to_dict(self) -> dict:
         return {
@@ -114,9 +111,9 @@ def split_normal(a: np.ndarray,
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[0] % 2 != 0:
         raise NotStructured("split requires an even dimension")
-    res_normal = rel_residual(herm_transpose(a) @ a, a @ herm_transpose(a))
-    if res_normal > tol.structure_tol:
-        raise NotNormal(f"matrix is not normal (residual {res_normal:.3e})")
+    normal = _normal_check(a, tol)
+    if not normal.ok:
+        raise NotNormal(f"matrix is not normal (residual {normal.residual:.3e})")
     n = a.shape[0] // 2
     values, z = _unitary_eigh_normal(a)
     e = (z[:, :n] * values[:n]) @ herm_transpose(z[:, :n])
@@ -125,21 +122,21 @@ def split_normal(a: np.ndarray,
         rel_residual(e + f, a),
         fro(e @ f) / max(1.0, fro(e) * fro(f)),
         fro(f @ e) / max(1.0, fro(e) * fro(f)),
-        rel_residual(herm_transpose(e) @ e, e @ herm_transpose(e)),
-        rel_residual(herm_transpose(f) @ f, f @ herm_transpose(f)),
+        _normal_check(e).residual,
+        _normal_check(f).residual,
     )
-    if max(checks) > FRAME_GUARANTEE:
+    if not _within(FRAME_GUARANTEE, *checks):
         raise NumericalBreakdown(f"split residuals exceed {FRAME_GUARANTEE:g}")
     return e, f
 
 
-def _decomposition_residuals(a: np.ndarray, n_mat: np.ndarray, sign: Sign,
-                             form: InnerProduct) -> DecompositionResiduals:
-    n_star = adjoint(n_mat, form)
+def _decomposition_residuals(a: np.ndarray, n_mat: np.ndarray,
+                             n_star: np.ndarray,
+                             sign: Sign) -> DecompositionResiduals:
+    """The residuals of A = N +/- N* for N and its form adjoint N*."""
     scale = max(1.0, fro(n_mat) * fro(n_star))
     return DecompositionResiduals(
-        normality_n=rel_residual(herm_transpose(n_mat) @ n_mat,
-                                 n_mat @ herm_transpose(n_mat)),
+        normality_n=_normal_check(n_mat).residual,
         annihilation_left=fro(n_mat @ n_star) / scale,
         annihilation_right=fro(n_star @ n_mat) / scale,
         reconstruction=rel_residual(n_mat + sign.factor * n_star, a),
@@ -163,9 +160,10 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     # product rounds differently from OpenBLAS's GEMM, and would move every
     # factor N in its last bits.
     n_mat = v @ np.diag(diag.core) @ herm_transpose(v)
-    sign = sign_for_variant(diag.variant)
-    residuals = _decomposition_residuals(a, n_mat, sign, form)
-    if residuals.worst > FACTOR_GUARANTEE:
+    # Skewadjoint structures decompose with a minus, selfadjoint with a plus.
+    sign = Sign.PLUS if diag.variant is Variant.SELFADJOINT else Sign.MINUS
+    residuals = _decomposition_residuals(a, n_mat, adjoint(n_mat, form), sign)
+    if not _within(FACTOR_GUARANTEE, *astuple(residuals)):
         raise NumericalBreakdown(
             f"decomposition residuals too large ({residuals.to_dict()})")
     return AdditiveDecomposition(n_mat, sign, form.tag, residuals)
@@ -191,11 +189,13 @@ def reconstruct_from_normal_factor(
     if n_mat.shape[0] != form.dim:
         raise DimensionMismatch("factor dimension does not match the form")
     n = form.half
-    a = n_mat + sign.factor * adjoint(n_mat, form)
-    res = _decomposition_residuals(a, n_mat, sign, form)
-    if res.normality_n > tol.structure_tol:
+    n_star = adjoint(n_mat, form)
+    a = n_mat + sign.factor * n_star
+    res = _decomposition_residuals(a, n_mat, n_star, sign)
+    if not _check(res.normality_n, tol).ok:
         raise NotNormal(f"factor is not normal (residual {res.normality_n:.3e})")
-    if max(res.annihilation_left, res.annihilation_right) > tol.structure_tol:
+    if not (_check(res.annihilation_left, tol).ok
+            and _check(res.annihilation_right, tol).ok):
         raise NotAnnihilating(
             f"N N* or N* N does not vanish ({res.annihilation_left:.3e} / "
             f"{res.annihilation_right:.3e})")
@@ -208,8 +208,8 @@ def reconstruct_from_normal_factor(
     q = u[:, :rank]
     values, z = _unitary_eigh_normal(herm_transpose(q) @ n_mat @ q)
     v0 = q @ z
-    if rank and (fro(gram(v0, form))
-                 > FACTOR_GUARANTEE * max(1.0, fro(form.matrix))):
+    if rank and not _within(FACTOR_GUARANTEE * max(1.0, fro(form.matrix)),
+                            fro(gram(v0, form))):
         raise NotNeutralRange("column space of N is not neutral")
     frame = _complete(v0, form)
     core = np.concatenate([values, np.zeros(n - rank, complex)])
@@ -249,19 +249,22 @@ class VerificationReport:
 
 def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
                          form: InnerProduct) -> VerificationReport:
-    """Recompute every residual; pass iff all are <= FACTOR_GUARANTEE."""
+    """Recompute every residual; pass iff N's rank is at most n and every
+    residual is within FACTOR_GUARANTEE (a NaN one never is)."""
     _check_form_tag(dec, form)
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
         raise DimensionMismatch("matrix and factor dimensions differ")
-    residuals = _decomposition_residuals(a, dec.normal_factor, dec.sign, form)
-    a_star = adjoint(a, form)
-    want = a if dec.sign is Sign.PLUS else -a
-    structure_res = rel_residual(a_star, want)
-    normal_res = rel_residual(herm_transpose(a) @ a, a @ herm_transpose(a))
-    rank_ok = numerical_rank(dec.normal_factor) <= form.half
-    passed = (max(residuals.worst, structure_res, normal_res)
-              <= FACTOR_GUARANTEE and rank_ok)
+    n_mat = dec.normal_factor
+    residuals = _decomposition_residuals(a, n_mat, adjoint(n_mat, form),
+                                         dec.sign)
+    checks = _adjoint_checks(a, form)
+    structure_res = (checks.selfadjoint if dec.sign is Sign.PLUS
+                     else checks.skewadjoint).residual
+    normal_res = _normal_check(a).residual
+    rank_ok = numerical_rank(n_mat) <= form.half
+    passed = rank_ok and _within(FACTOR_GUARANTEE, *astuple(residuals),
+                                 structure_res, normal_res)
     return VerificationReport(passed, residuals, structure_res, normal_res,
                               rank_ok)
 
@@ -317,7 +320,7 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
     m_root = (v * np.power(diag.core, 1.0 / p)) @ herm_transpose(v)
     x = m_root + adjoint(m_root, form)
     res = rel_residual(np.linalg.matrix_power(x, p), a)
-    if res > ROOT_GUARANTEE:
+    if not _within(ROOT_GUARANTEE, res):
         raise NumericalBreakdown(
             f"root residual {res:.3e} exceeds {ROOT_GUARANTEE:g}")
     return x

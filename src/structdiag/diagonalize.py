@@ -40,6 +40,7 @@ from .core import (
     FACTOR_GUARANTEE,
     FRAME_GUARANTEE,
     TolerancePolicy,
+    _within,
     herm_transpose,
     rel_residual,
     solve_linear,
@@ -290,9 +291,9 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
     non-finite S never does."""
     res_auto, res_sim, res_unit = factor_residuals(
         a, s, form, assemble_core_diagonal(core, form.tag, variant))
-    # A NaN residual fails too: it compares false either way.
-    if not all(res <= FACTOR_GUARANTEE for res in
-               (res_auto, res_sim, res_unit if unitary else 0.0)):
+    is_unitary = _within(FACTOR_GUARANTEE, res_unit)
+    if (not _within(FACTOR_GUARANTEE, res_auto, res_sim)
+            or (unitary and not is_unitary)):
         raise NumericalBreakdown(
             f"diagonalization residuals too large (automorphism "
             f"{res_auto:.3e}, similarity {res_sim:.3e}, unitary "
@@ -300,7 +301,7 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
     return StructuredDiagonalization(
         transform=s, core=core, form_tag=form.tag, variant=variant,
         residual_automorphism=res_auto, residual_similarity=res_sim,
-        unitary=res_unit <= FACTOR_GUARANTEE)
+        unitary=is_unitary)
 
 
 def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
@@ -506,15 +507,15 @@ def complete_to_lagrangian(v: np.ndarray | None,
             f"a neutral frame in dimension {2 * n} has at most {n} columns")
     if k:
         res_orth, res_neut = frame_residuals(v, form)
-        if res_orth > FRAME_GUARANTEE:
+        if not _within(FRAME_GUARANTEE, res_orth):
             raise NotNeutral(
                 f"frame columns are not orthonormal (residual {res_orth:.3e})")
-        if res_neut > FRAME_GUARANTEE:
+        if not _within(FRAME_GUARANTEE, res_neut):
             raise NotNeutral(
                 f"frame span is not neutral (residual {res_neut:.3e})")
     out = _complete(v, form)
     res_orth, res_neut = frame_residuals(out, form)
-    if res_orth > FRAME_GUARANTEE or res_neut > FRAME_GUARANTEE:
+    if not _within(FRAME_GUARANTEE, res_orth, res_neut):
         raise NumericalBreakdown(
             f"completion residuals too large (orthonormality {res_orth:.3e}, "
             f"neutrality {res_neut:.3e})")

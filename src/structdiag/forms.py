@@ -15,6 +15,7 @@ from .core import (
     DEFAULT_TOL,
     GRAM_ZERO_TOL,
     TolerancePolicy,
+    _check,
     fro,
     herm_transpose,
     inverse,
@@ -234,9 +235,9 @@ def sylvester_canonical(h: np.ndarray, kind: FormKind,
         raise DimensionMismatch("inertia requires a square matrix")
     sign, name = ((1.0, "Hermitian") if kind is FormKind.HERMITIAN
                   else (-1.0, "skew-Hermitian"))
-    res = rel_residual(h, sign * herm_transpose(h))
-    if res > tol.structure_tol:
-        raise NotStructured(f"matrix is not {name}", res)
+    check = _check(rel_residual(h, sign * herm_transpose(h)), tol)
+    if not check.ok:
+        raise NotStructured(f"matrix is not {name}", check.residual)
     return _sylvester(h, kind)
 
 

@@ -1,8 +1,10 @@
 """Structure classification and unitary automorphism construction.
 
-classify() measures every structure flag as a Frobenius-scaled residual,
-through _check; the entry points, which read at most two flags, call its
-_adjoint_checks and _normal_check alone. build_unitary_automorphism
+classify() measures every structure flag as a Frobenius-scaled residual
+and judges it with core._check, whose Check it re-exports; the entry
+points, which read at most two flags, call its _adjoint_checks and
+_normal_check alone, and the decomposition routines take their
+structure and normality residuals from them. build_unitary_automorphism
 assembles a unitary automorphism from an orthonormal Lagrangian frame,
 with the partner layout the constructive diagonalization uses.
 """
@@ -14,16 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, TolerancePolicy, fro,
-                   herm_transpose, rel_residual)
+from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, Check, TolerancePolicy,
+                   _check, _within, fro, herm_transpose, rel_residual)
 from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
 from .forms import FormTag, InnerProduct, _form_times, adjoint
-
-
-class Check(NamedTuple):
-    ok: bool
-    residual: float
-
 
 # Form-specific display names for the three adjoint-relative structures.
 _NAMES = {
@@ -43,6 +39,9 @@ _NAMES = {
         "automorphism": "unitary",
     },
 }
+# The eight flags of a StructureReport, in report order.
+FLAG_NAMES = ("hermitian", "skew_hermitian", "unitary", "euclidean_normal",
+              "selfadjoint", "skewadjoint", "automorphism", "b_normal")
 # Every name StructureReport.true_names can return, under any form.
 STRUCTURE_NAMES = frozenset({"normal", "b-normal"}.union(
     *(names.values() for names in _NAMES.values())))
@@ -62,44 +61,17 @@ class StructureReport:
 
     def true_names(self) -> list[str]:
         """Form-specific names of all satisfied structures."""
-        names = []
-        if self.hermitian.ok:
-            names.append("hermitian")
-        if self.skew_hermitian.ok:
-            names.append("skew-hermitian")
-        if self.unitary.ok:
-            names.append("unitary")
-        if self.euclidean_normal.ok:
-            names.append("normal")
-        local = _NAMES[self.form_tag]
+        names = {"hermitian": "hermitian", "skew_hermitian": "skew-hermitian",
+                 "unitary": "unitary", "euclidean_normal": "normal"}
         if self.form_tag is not FormTag.EUCLIDEAN:
-            if self.selfadjoint.ok:
-                names.append(local["selfadjoint"])
-            if self.skewadjoint.ok:
-                names.append(local["skewadjoint"])
-            if self.automorphism.ok:
-                names.append(local["automorphism"])
-            if self.b_normal.ok:
-                names.append("b-normal")
-        return names
+            names.update(_NAMES[self.form_tag], b_normal="b-normal")
+        return [name for flag, name in names.items() if getattr(self, flag).ok]
 
     def to_dict(self) -> dict:
-        d = {}
-        for field in ("hermitian", "skew_hermitian", "unitary",
-                      "euclidean_normal", "selfadjoint", "skewadjoint",
-                      "automorphism", "b_normal"):
-            c = getattr(self, field)
-            d[field] = {"ok": c.ok, "residual": c.residual}
+        d = {field: getattr(self, field)._asdict() for field in FLAG_NAMES}
         d["form"] = self.form_tag.value
         d["structures"] = self.true_names()
         return d
-
-
-def _check(x: np.ndarray, y: np.ndarray, tol: TolerancePolicy) -> Check:
-    """One structure flag: the residual of x against y, within
-    structure_tol or not."""
-    res = rel_residual(x, y)
-    return Check(res <= tol.structure_tol, res)
 
 
 def _check_square(a: np.ndarray, form: InnerProduct) -> None:
@@ -112,42 +84,46 @@ def _check_square(a: np.ndarray, form: InnerProduct) -> None:
 class _AdjointChecks(NamedTuple):
     selfadjoint: Check
     skewadjoint: Check
+    a_star: np.ndarray
 
 
 def _adjoint_checks(a: np.ndarray, form: InnerProduct,
-                    tol: TolerancePolicy) -> _AdjointChecks:
-    """classify's selfadjoint and skewadjoint flags, and nothing else, for
-    the entry points that read only these two."""
+                    tol: TolerancePolicy = DEFAULT_TOL) -> _AdjointChecks:
+    """classify's selfadjoint and skewadjoint flags, and the A* they
+    compare with A, for the callers that read only these two."""
     a = np.asarray(a, dtype=np.complex128)
     _check_square(a, form)
     a_star = adjoint(a, form)
-    return _AdjointChecks(_check(a_star, a, tol), _check(a_star, -a, tol))
+    return _AdjointChecks(_check(rel_residual(a_star, a), tol),
+                          _check(rel_residual(a_star, -a), tol), a_star)
 
 
-def _normal_check(a: np.ndarray, tol: TolerancePolicy) -> Check:
-    """classify's euclidean_normal flag of a square matrix."""
+def _normal_check(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
+                  aha: np.ndarray | None = None) -> Check:
+    """classify's euclidean_normal flag of a square matrix, the residual
+    of A^H A (``aha`` when the caller has formed it) against A A^H."""
     ah = herm_transpose(a)
-    return _check(ah @ a, a @ ah, tol)
+    return _check(rel_residual(ah @ a if aha is None else aha, a @ ah), tol)
 
 
 def classify(a: np.ndarray, form: InnerProduct,
              tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
     """Residual-based structure report of a square matrix against a form."""
     a = np.asarray(a, dtype=np.complex128)
-    selfadjoint, skewadjoint = _adjoint_checks(a, form, tol)
+    selfadjoint, skewadjoint, a_star = _adjoint_checks(a, form, tol)
     ah = herm_transpose(a)
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    a_star = adjoint(a, form)
+    aha = ah @ a
     star_a = a_star @ a
     return StructureReport(
-        hermitian=_check(a, ah, tol),
-        skew_hermitian=_check(a, -ah, tol),
-        unitary=_check(ah @ a, eye, tol),
-        euclidean_normal=_normal_check(a, tol),
+        hermitian=_check(rel_residual(a, ah), tol),
+        skew_hermitian=_check(rel_residual(a, -ah), tol),
+        unitary=_check(rel_residual(aha, eye), tol),
+        euclidean_normal=_normal_check(a, tol, aha),
         selfadjoint=selfadjoint,
         skewadjoint=skewadjoint,
-        automorphism=_check(star_a, eye, tol),
-        b_normal=_check(a @ a_star, star_a, tol),
+        automorphism=_check(rel_residual(star_a, eye), tol),
+        b_normal=_check(rel_residual(a @ a_star, star_a), tol),
         form_tag=form.tag,
     )
 
@@ -164,11 +140,11 @@ def _check_frame(v: np.ndarray, form: InnerProduct) -> None:
         raise NotLagrangianFrame(
             f"frame must be 2n x n, got {two_n} x {n}", failed="shape")
     res_orth, res_neut = frame_residuals(v, form)
-    if res_orth > FRAME_INPUT_TOL:
+    if not _within(FRAME_INPUT_TOL, res_orth):
         raise NotLagrangianFrame(
             f"frame columns not orthonormal (residual {res_orth:.3e})",
             failed="orthonormality", residual=res_orth)
-    if res_neut > FRAME_INPUT_TOL:
+    if not _within(FRAME_INPUT_TOL, res_neut):
         raise NotLagrangianFrame(
             f"frame span not neutral (residual {res_neut:.3e})",
             failed="neutrality", residual=res_neut)

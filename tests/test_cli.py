@@ -298,6 +298,31 @@ def test_analyze_euclidean_form_classification_only(tmp_path, capsys):
     assert doc["payload"]["diagonalizability"] is None
 
 
+@pytest.mark.parametrize("args", [("diagonalize", "--out", "x"),
+                                  ("decompose", "--out", "x"),
+                                  ("verify", "--mode", "diag")])
+def test_structured_subcommands_reject_the_euclidean_form(args, capsys):
+    files = ["a.mtx", "f.mtx"] if args[0] == "verify" else ["a.mtx"]
+    with pytest.raises(SystemExit) as exit_:
+        main([*args, "--form", "euclidean", *files])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'euclidean'" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_verify_fails_an_overflowing_residual(tmp_path, capsys):
+    # ||A||_F overflows, so the similarity residual is inf/inf = NaN.
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 1] = a[1, 0] = 1e200
+    write_matrix(tmp_path / "a.mtx", a)
+    write_matrix(tmp_path / "s.mtx", np.eye(4, dtype=complex))
+    code = main(["verify", "--mode", "diag", "--form", "symplectic",
+                 str(tmp_path / "a.mtx"), str(tmp_path / "s.mtx")])
+    doc = json.loads(capsys.readouterr().out)
+    assert np.isnan(doc["residuals"]["similarity_diagonal"])
+    assert (code, doc["payload"]["passed"]) == (1, False)
+
+
 def test_odd_dimension_rejected_for_form(tmp_path):
     path = tmp_path / "odd.mtx"
     write_matrix(path, np.eye(3, dtype=complex))

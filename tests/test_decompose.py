@@ -245,8 +245,9 @@ class TestReconstruct:
         form = formf(two_n // 2)
         n_mat, v = near_neutral_factor(form, 3, neutrality)
         assert fro(gram(v, form)) > frame_threshold
-        a = n_mat + adjoint(n_mat, form)
-        res = _decomposition_residuals(a, n_mat, Sign.PLUS, form)
+        n_star = adjoint(n_mat, form)
+        res = _decomposition_residuals(n_mat + n_star, n_mat, n_star,
+                                       Sign.PLUS)
         assert max(res.annihilation_left, res.annihilation_right) \
             <= DEFAULT_TOL.structure_tol
         _, diag = reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)

@@ -394,6 +394,11 @@ class TestCompleteToLagrangian:
         with pytest.raises(NotNeutral):
             complete_to_lagrangian(v, form)
 
+    def test_nan_frame_rejected(self):
+        v = np.full((4, 1), np.nan, dtype=complex)
+        with pytest.raises(NotNeutral):
+            complete_to_lagrangian(v, symplectic_form(2))
+
     @given(st.integers(0, 10**5), st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_always_produces_lagrangian(self, seed, k):

@@ -183,6 +183,11 @@ class TestInertia:
         with pytest.raises(NotStructured):
             inertia(gaussian_matrix(3, 3, 1), FormKind.HERMITIAN)
 
+    @pytest.mark.parametrize("kind", list(FormKind))
+    def test_nan_matrix_rejected(self, kind):
+        with pytest.raises(NotStructured):
+            inertia(np.full((3, 3), np.nan, dtype=complex), kind)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_congruence_invariance(self, seed):

@@ -138,6 +138,13 @@ class TestBuildUnitaryAutomorphism:
             build_unitary_automorphism(np.eye(4, dtype=complex)[:, :2],
                                        euclidean_form(4))
 
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    def test_nan_frame_rejected(self, formf):
+        v = np.full((4, 2), np.nan, dtype=complex)
+        with pytest.raises(NotLagrangianFrame) as err:
+            build_unitary_automorphism(v, formf(2))
+        assert err.value.failed == "orthonormality"
+
 
 class TestBuildUnitaryPerplectic:
     def test_scalar_frame_with_phase(self):

@@ -42,16 +42,14 @@ def test_scripts_run():
 
 
 # The only places that read TolerancePolicy.structure_tol: the policy's
-# own validation, the checks on inputs (structure._check, behind classify
-# and the flag checks of the entry points, the (skew-)Hermitian check of
-# sylvester_canonical, split_normal and reconstruct_from_normal_factor)
-# and the CLI help text. Keyed by module and top-level definition.
+# own validation, core._check, which judges every structure test on an
+# input (the flags of classify and the entry points, the (skew-)Hermitian
+# check of sylvester_canonical, the normality and annihilation checks of
+# split_normal and reconstruct_from_normal_factor), and the CLI help
+# text. Keyed by module and top-level definition.
 _STRUCTURE_TOL_READERS = {
     ("core", "TolerancePolicy"),
-    ("structure", "_check"),
-    ("forms", "sylvester_canonical"),
-    ("decompose", "split_normal"),
-    ("decompose", "reconstruct_from_normal_factor"),
+    ("core", "_check"),
     ("cli", "_build_parser"),
 }
 # Functions that run that check on the matrix they are given.
@@ -81,3 +79,20 @@ def test_structure_tol_is_read_only_by_input_checks():
     assert checked_callers == {("forms", "inertia"),
                                ("forms", "congruence_to"),
                                ("generators", "counterexample_unbalanced")}
+
+
+# structure_tol and the pinned guarantees; a residual is compared with
+# them only by core._within, which a NaN residual never passes.
+_BOUNDS = {"structure_tol", "FACTOR_GUARANTEE", "FRAME_GUARANTEE",
+           "FRAME_INPUT_TOL", "ROOT_GUARANTEE"}
+
+
+def test_residual_bounds_are_compared_only_by_the_judge():
+    comparers = set()
+    for module, top, node in _package_nodes():
+        if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) in _BOUNDS
+                for n in ast.walk(node)):
+            comparers.add((module, top))
+    # TolerancePolicy compares structure_tol only to validate it.
+    assert comparers <= {("core", "_within"), ("core", "TolerancePolicy")}
