@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -23,8 +24,8 @@ from .core import DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy, _within
 from .decompose import (
     AdditiveDecomposition,
     Sign,
+    _verify,
     decompose_additive,
-    verify_decomposition,
 )
 from .diagonalize import (
     _report,
@@ -99,11 +100,23 @@ def _document(command: str, digest: str, payload: dict,
     }
 
 
+def _strict(value):
+    """value with every non-finite float (a residual that overflowed, say)
+    replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(doc: dict, compact: bool = False) -> None:
-    if compact:
-        print(json.dumps(doc, separators=(",", ":"), sort_keys=True))
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    """Print doc as strict JSON: a non-finite float is written as null."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    print(json.dumps(_strict(doc), allow_nan=False, sort_keys=True,
+                     **layout))
 
 
 def _resolve_tol(tol_arg: float | None) -> TolerancePolicy:
@@ -312,7 +325,8 @@ def _verify_decomp(a: np.ndarray, n_mat: np.ndarray, form: InnerProduct,
         }, "unstructured"
     dec = AdditiveDecomposition(normal_factor=n_mat, sign=sign,
                                 form_tag=form.tag)
-    verdict = verify_decomposition(a, dec, form)
+    # verify_decomposition, reusing the checks above.
+    verdict = _verify(a, dec, form, checks)
     return verdict.passed, verdict.to_dict(), sign.value
 
 

@@ -45,7 +45,8 @@ from .errors import (
     SingularInput,
 )
 from .forms import FormTag, InnerProduct, _form_times, adjoint, gram
-from .structure import _adjoint_checks, _normal_check, _route_partners
+from .structure import (_AdjointChecks, _adjoint_checks, _normal_check,
+                        _route_partners)
 
 
 class Sign(enum.Enum):
@@ -255,10 +256,16 @@ def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
         raise DimensionMismatch("matrix and factor dimensions differ")
+    return _verify(a, dec, form, _adjoint_checks(a, form))
+
+
+def _verify(a: np.ndarray, dec: AdditiveDecomposition, form: InnerProduct,
+            checks: _AdjointChecks) -> VerificationReport:
+    """verify_decomposition from the adjoint checks of A its caller has
+    made (the CLI picks the sign from them), so A* is formed once."""
     n_mat = dec.normal_factor
     residuals = _decomposition_residuals(a, n_mat, adjoint(n_mat, form),
                                          dec.sign)
-    checks = _adjoint_checks(a, form)
     structure_res = (checks.selfadjoint if dec.sign is Sign.PLUS
                      else checks.skewadjoint).residual
     normal_res = _normal_check(a).residual

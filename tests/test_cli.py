@@ -9,12 +9,14 @@ import pytest
 from structdiag import (
     Variant,
     assemble_core_diagonal,
+    decompose_additive,
     random_structured,
     random_structured_diagonalizable,
     read_matrix,
     symplectic_form,
     write_matrix,
 )
+from structdiag import forms
 from structdiag.cli import main
 from structdiag.structure import classify
 
@@ -319,8 +321,38 @@ def test_verify_fails_an_overflowing_residual(tmp_path, capsys):
     code = main(["verify", "--mode", "diag", "--form", "symplectic",
                  str(tmp_path / "a.mtx"), str(tmp_path / "s.mtx")])
     doc = json.loads(capsys.readouterr().out)
-    assert np.isnan(doc["residuals"]["similarity_diagonal"])
+    assert doc["residuals"]["similarity_diagonal"] is None
     assert (code, doc["payload"]["passed"]) == (1, False)
+
+
+def test_verify_decomp_forms_the_adjoint_of_a_once(tmp_path, monkeypatch,
+                                                   capsys):
+    # The CLI picks the sign from the adjoint checks of A and hands them
+    # to the verification, which forms only N* itself.
+    inst = random_structured_diagonalizable("hamiltonian", 3, 4)
+    form = symplectic_form(3)
+    dec = decompose_additive(inst.matrix, form)
+    write_matrix(tmp_path / "a.mtx", inst.matrix)
+    write_matrix(tmp_path / "n.mtx", dec.normal_factor)
+    a = read_matrix(tmp_path / "a.mtx")
+    on_a = []
+    adjoint = forms.adjoint
+
+    def counted(x, f):
+        on_a.append(np.array_equal(x, a))
+        return adjoint(x, f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "structdiag":
+            for attr, value in list(vars(module).items()):
+                if value is adjoint:
+                    monkeypatch.setattr(module, attr, counted)
+    code = main(["verify", "--mode", "decomp", "--form", "symplectic",
+                 str(tmp_path / "a.mtx"), str(tmp_path / "n.mtx")])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["payload"]["passed"]) == (0, True)
+    assert sum(on_a) == 1
+    assert len(on_a) == 2  # A* once, N* once
 
 
 def test_odd_dimension_rejected_for_form(tmp_path):

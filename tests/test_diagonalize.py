@@ -262,37 +262,59 @@ class TestStructuredDiagonalize:
         # Skew-Hermitian input: purely imaginary spectrum.
         assert np.max(np.abs(d.full_diagonal.real)) <= 1e-8
 
-    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
-                                      "per-hermitian", "perskew-hermitian"])
-    def test_near_normal_input_keeps_its_eigenvectors(self, kind):
-        # A = Q (D~ + N) Q^H with N = E +/- E* (E = 5e-8 e_0 e_1^T), so N
-        # is structured and strictly triangular within each diagonal
-        # block, and two core values 1e-3 apart: A counts as normal at
-        # the default tolerance (commutator residual ~1e-11), yet its
-        # eigenvectors are ~N/gap = 5e-5 from orthogonal. The automorphism
-        # keeps them; a step towards the unitary polar factor would cost
-        # the similarity ~N/2 = 2.5e-8. No unitary automorphism
-        # diagonalizes A within the guarantee.
+    @staticmethod
+    def _near_normal(kind, gap, size):
+        """A = Q (D~ + N) Q^H with N = E +/- E* (E = size e_0 e_1^T), so N
+        is structured and strictly triangular within each diagonal block,
+        and two core values gap apart: A's eigenvectors are ~size/gap from
+        orthogonal."""
         n = 4
         inst = random_structured_diagonalizable(kind, n, 5)
         form = form_for_kind(kind, n)
         variant = variant_for_kind(kind)
         core = inst.core.copy()
-        core[1] = core[0] + 1e-3
+        core[1] = core[0] + gap
         e = np.zeros((2 * n, 2 * n), dtype=complex)
-        e[0, 1] = 5e-8
+        e[0, 1] = size
         sign = 1 if variant is Variant.SELFADJOINT else -1
         nil = e + sign * np.linalg.solve(form.matrix,
                                          herm_transpose(e) @ form.matrix)
         full = assemble_core_diagonal(core, form.tag, variant)
         q = inst.transform
-        a = q @ (np.diag(full) + nil) @ herm_transpose(q)
+        return q @ (np.diag(full) + nil) @ herm_transpose(q), form
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    def test_near_normal_input_keeps_its_eigenvectors(self, kind):
+        # size 5e-8, gap 1e-3: A counts as normal at the default tolerance
+        # (commutator residual ~1e-11), yet its eigenvectors are
+        # ~N/gap = 5e-5 from orthogonal. The automorphism keeps them; a
+        # step towards the unitary polar factor would cost the similarity
+        # ~N/2 = 2.5e-8. No unitary automorphism diagonalizes A within
+        # the guarantee.
+        a, form = self._near_normal(kind, 1e-3, 5e-8)
         assert classify(a, form).euclidean_normal.ok
         d = structured_diagonalize(a, form)
         assert d.residual_automorphism <= 1e-12
         assert d.residual_similarity <= 1e-12
         with pytest.raises(NumericalBreakdown):
             unitary_refine(a, form)
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    @pytest.mark.parametrize("size", np.logspace(-15, -8, 8).tolist())
+    def test_near_normal_sweep_certifies(self, kind, gap, size):
+        # eigen's Hermitian route must not keep M's orthonormal
+        # eigenvectors, which lie ~size/gap off A's: its first-order
+        # correction (or the fallback to eig) recovers them, so every
+        # constructor certifies as it does with eig alone. Accepting the
+        # route on a small off-diagonal Q^H A Q instead fails here.
+        a, form = self._near_normal(kind, gap, size)
+        structured_diagonalize(a, form)
+        if gap == 1e-3:
+            unitary_refine(a, form)
+            decompose_additive(a, form)
 
 
 def test_certify_rejects_a_non_finite_transform():
@@ -438,20 +460,23 @@ def structured_square_root(a, form):
 
 class TestOneSpectralPass:
     """Each entry point runs no full classify (it checks only the flags it
-    reads), runs one eig, clusters and pairs once, solves with neither J
-    nor R and runs one (2n x k) rank SVD per multi-member eigenvalue group
-    and, its conjugate pairs being simple here, no other SVD. Every entry
-    point factors each critical eigenspace Gram with one eigh, shared by
-    the balance test and the pairing, runs no eigvalsh, Schur or
-    null_space and never reaches congruence_to or sylvester_canonical.
-    structured_root counts over the selfadjoint kinds, the only ones it
-    accepts. reconstruct_from_normal_factor factors only N's range."""
+    reads), eigendecomposes once, clusters and pairs once, solves with
+    neither J nor R and runs one (2n x k) rank SVD per multi-member
+    eigenvalue group and, its conjugate pairs being simple here, no other
+    SVD. The one eigendecomposition is one 2n x 2n eigh of a Hermitian
+    combination of A and A^H for normal A, with no eig; a non-normal A
+    takes that eigh and one eig. Every entry point factors each critical
+    eigenspace Gram with one (smaller) eigh, shared by the balance test
+    and the pairing, runs no eigvalsh, Schur or null_space and never
+    reaches congruence_to or sylvester_canonical. structured_root counts
+    over the selfadjoint kinds, the only ones it accepts.
+    reconstruct_from_normal_factor factors only N's range."""
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "eigh": 0, "eigvalsh": 0,
-                  "null_space": 0, "classify": 0, "cluster": 0, "pair": 0,
-                  "congruence": 0, "sylvester": 0, "lu_on_form": 0,
+        counts = {"eigen": 0, "eig": 0, "eigvalsh": 0, "null_space": 0,
+                  "classify": 0, "cluster": 0, "pair": 0, "congruence": 0,
+                  "sylvester": 0, "lu_on_form": 0, "eigh_shapes": [],
                   "svd_shapes": [], "schur_shapes": []}
 
         def counted(key, fn, on_form=False):
@@ -470,7 +495,7 @@ class TestOneSpectralPass:
         monkeypatch.setattr(np.linalg, "eig",
                             counted("eig", np.linalg.eig))
         monkeypatch.setattr(np.linalg, "eigh",
-                            counted("eigh", np.linalg.eigh))
+                            shaped("eigh_shapes", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "svd",
@@ -505,21 +530,38 @@ class TestOneSpectralPass:
     def test_counts(self, monkeypatch, entry, kind, formf):
         inst = random_structured_diagonalizable(kind, 8, 41,
                                                 critical_share=0.5)
+        self._assert_counts(monkeypatch, entry, inst.matrix, formf(8),
+                            eig=0)
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS[:2])
+    @pytest.mark.parametrize("entry", [diagonalizability_report,
+                                       structured_diagonalize])
+    def test_non_normal_counts(self, monkeypatch, entry, kind, formf):
+        # A = S D~ S^{-1} with a shear automorphism S: diagonalizable, not
+        # normal, so eigen falls back to one eig.
+        inst = random_structured_diagonalizable(kind, 8, 41,
+                                                critical_share=0.5)
         form = formf(8)
-        multi = sum(g.multiplicity > 1
-                    for g in group_eigenvalues(eigen(inst.matrix)))
+        s = TestConditioning._shear(form, 10.0, 41) @ inst.transform
+        a = s @ np.diag(inst.full_diagonal) @ np.linalg.inv(s)
+        assert not classify(a, form).euclidean_normal.ok
+        self._assert_counts(monkeypatch, entry, a, form, eig=1)
+
+    def _assert_counts(self, monkeypatch, entry, a, form, eig):
+        multi = sum(g.multiplicity > 1 for g in group_eigenvalues(eigen(a)))
         assert multi > 0
-        critical = len(diagonalizability_report(inst.matrix,
-                                                form).per_eigenvalue)
+        critical = len(diagonalizability_report(a, form).per_eigenvalue)
         assert critical > 0
         counts = self._count(monkeypatch, form)
-        entry(inst.matrix, form)
+        entry(a, form)
         shapes = counts.pop("svd_shapes")
-        assert counts == {"eigen": 1, "eig": 1, "eigh": critical,
-                          "eigvalsh": 0, "null_space": 0, "classify": 0,
-                          "cluster": 1, "pair": 1, "congruence": 0,
-                          "sylvester": 0, "lu_on_form": 0,
-                          "schur_shapes": []}
+        eigh_shapes = counts.pop("eigh_shapes")
+        assert counts == {"eigen": 1, "eig": eig, "eigvalsh": 0,
+                          "null_space": 0, "classify": 0, "cluster": 1,
+                          "pair": 1, "congruence": 0, "sylvester": 0,
+                          "lu_on_form": 0, "schur_shapes": []}
+        assert len(eigh_shapes) == critical + 1
+        assert eigh_shapes.count((16, 16)) == 1
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
 
@@ -538,10 +580,11 @@ class TestOneSpectralPass:
                 else Sign.MINUS)
         counts = self._count(monkeypatch, form)
         reconstruct_from_normal_factor(n_mat, sign, form)
-        assert counts == {"eigen": 0, "eig": 0, "eigh": 1, "eigvalsh": 0,
+        assert counts == {"eigen": 0, "eig": 0, "eigvalsh": 0,
                           "null_space": 0, "classify": 0, "cluster": 0,
                           "pair": 0, "congruence": 0, "sylvester": 0,
-                          "lu_on_form": 0, "svd_shapes": [(16, 16)],
+                          "lu_on_form": 0, "eigh_shapes": [(6, 6)],
+                          "svd_shapes": [(16, 16)],
                           "schur_shapes": [(5, 5)]}
 
 

@@ -23,6 +23,7 @@ from structdiag import (
 )
 from structdiag.core import RANK_TOL, fro, herm_transpose, numerical_rank
 from structdiag.spectral import (
+    _MIX,
     _cluster_indices,
     cluster_radius,
     eigenvalues_match,
@@ -61,6 +62,64 @@ class TestEigen:
         res = fro(a @ dec.vectors - dec.vectors @ np.diag(dec.values))
         assert res <= 1e-8 * fro(a)
         assert np.allclose(np.linalg.norm(dec.vectors, axis=0), 1.0)
+
+
+class TestHermitianRoute:
+    """eigen diagonalizes a normal A through one eigh of the Hermitian
+    M = W A + conj(W) A^H and a first-order correction, and anything that
+    fails the correction's test through one general eig."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {"eig": 0, "eigh": 0}
+        for name in counts:
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        return counts
+
+    @staticmethod
+    def _assert_eigenpairs(a, dec):
+        assert eigenvalues_match(dec.values, np.linalg.eigvals(a), 1e-12)
+        assert np.allclose(np.linalg.norm(dec.vectors, axis=0), 1.0)
+        res = np.linalg.norm(a @ dec.vectors - dec.vectors * dec.values,
+                             axis=0)
+        assert res.max() <= 20 * np.finfo(float).eps * fro(a)
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "per-hermitian",
+                                      "hamiltonian", "perskew-hermitian"])
+    @pytest.mark.parametrize("n", [2, 8, 25])
+    def test_normal_input_takes_one_eigh(self, monkeypatch, kind, n):
+        a = random_structured_diagonalizable(kind, n, 3 + n).matrix
+        counts = self._count(monkeypatch)
+        dec = eigen(a)
+        assert counts == {"eig": 0, "eigh": 1}
+        self._assert_eigenpairs(a, dec)
+
+    def test_non_normal_input_falls_back_to_eig(self, monkeypatch):
+        a = gaussian_matrix(6, 6, 32)
+        counts = self._count(monkeypatch)
+        dec = eigen(a)
+        assert counts == {"eig": 1, "eigh": 1}
+        self._assert_eigenpairs(a, dec)
+
+    def test_values_sharing_one_mu_fall_back_to_eig(self, monkeypatch):
+        # lambda_2 = lambda_1 + t (c - i) has the same
+        # mu = Re(lambda) + c Im(lambda), so M cannot tell the two
+        # eigenvectors apart.
+        c = -2.0 * _MIX.imag
+        first = 0.3 + 0.2j
+        d = np.array([first, first + 0.5 * (c - 1j), 1.7 - 0.4j, -0.9 + 1.1j])
+        q = random_unitary(4, 31)
+        a = q @ np.diag(d) @ herm_transpose(q)
+        counts = self._count(monkeypatch)
+        dec = eigen(a)
+        assert counts == {"eig": 1, "eigh": 1}
+        self._assert_eigenpairs(a, dec)
+        assert eigenvalues_match(dec.values, d, 1e-12)
 
 
 class TestGrouping:

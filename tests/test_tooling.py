@@ -96,3 +96,12 @@ def test_residual_bounds_are_compared_only_by_the_judge():
             comparers.add((module, top))
     # TolerancePolicy compares structure_tol only to validate it.
     assert comparers <= {("core", "_within"), ("core", "TolerancePolicy")}
+
+
+def test_general_eigensolver_is_reached_only_through_eigen():
+    # Every entry point eigendecomposes through spectral.eigen, so every
+    # one takes its Hermitian route for normal input: the general LAPACK
+    # eig (numpy's or scipy's) appears nowhere else in the package.
+    users = {(module, top) for module, top, node in _package_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "eig"}
+    assert users == {("spectral", "eigen")}
