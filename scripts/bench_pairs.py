@@ -13,7 +13,10 @@ Each run's last line must parse as strict JSON (a bare ``NaN`` or
 end-to-end metric the script prints each side's median and quartiles, the
 number of pairs the working tree wins (ties count for neither), the
 relative change of the medians and whether their gap exceeds the
-revision's interquartile range. It only reads ``bench/`` and
+revision's interquartile range. After the pairs it runs ``bench/run.py
+--trace 1`` once in this working tree for TRACE_SECONDS, with the first
+seed, under the same rule, so that a traced run that fails or prints no
+strict JSON fails the script too. It only reads ``bench/`` and
 ``BENCHMARK.json``.
 """
 
@@ -30,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TRACE_SECONDS = 5.0
 
 
 def _reject_constant(name: str):
@@ -44,17 +48,22 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``tree``: its JSON summary line."""
+def run(tree: Path, workload: str, seed: int, seconds: float,
+        trace: int = 0) -> dict:
+    """One benchmark run in ``tree``: its JSON summary line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{tree} seed {seed}: exit {proc.returncode}\n"
-                         f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1], parse_constant=_reject_constant)
+        raise SystemExit(f"{tree} seed {seed} trace {trace}: exit "
+                         f"{proc.returncode}\n{proc.stderr[-2000:]}")
+    try:
+        return json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise SystemExit(f"{tree} seed {seed} trace {trace}: last line is "
+                         f"not strict JSON ({exc})") from None
 
 
 def summarize(name: str, lower_better: bool, base: list[float],
@@ -107,6 +116,9 @@ def main() -> int:
                                f"{name} {values[side][name][-1]:.6g}"
                                for name in metrics))
             print(f"pair {i} seed {seed}: " + "; ".join(row), flush=True)
+    traced = run(ROOT, args.workload, args.seeds[0], TRACE_SECONDS, trace=1)
+    print(f"traced run seed {args.seeds[0]}: failed {traced['failed']}/"
+          f"{traced['attempted']}, strict JSON", flush=True)
     print(f"# {args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s, "
           f"{args.rev} -> working tree, median (quartiles)")
     for name, lower_better in metrics.items():

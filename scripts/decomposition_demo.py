@@ -4,7 +4,7 @@
 Draws a random normal Hamiltonian instance, shows its classification,
 the balance report, the unitary-symplectic diagonalization, the
 additive decomposition A = N - N*, and the structured exponential
-checked against a direct eigendecomposition oracle.
+checked against scipy's expm.
 
 Usage:
     python scripts/decomposition_demo.py --n 2 --seed 7
@@ -13,6 +13,7 @@ Usage:
 import argparse
 
 import numpy as np
+import scipy.linalg
 
 from structdiag import (
     classify,
@@ -24,7 +25,6 @@ from structdiag import (
     symplectic_form,
     unitary_refine,
 )
-from structdiag.decompose import _exp_normal
 
 
 def main():
@@ -59,8 +59,8 @@ def main():
         print(f"  {name}: {value:.2e}")
 
     exp_a, _ = structured_exp(dec, form)
-    oracle = _exp_normal(a)
-    print(f"\nexp(A) through the factors vs direct oracle: "
+    oracle = scipy.linalg.expm(a)
+    print(f"\nexp(A) through the factors vs scipy expm: "
           f"{rel_residual(exp_a, oracle):.2e}")
     print("exp(A) is symplectic:",
           classify(exp_a, form).automorphism.ok)

@@ -98,14 +98,16 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     return fro(a - b) / max(1.0, fro(a))
 
 
+def _rank(s: np.ndarray) -> int:
+    """Count of singular values s above RANK_TOL times the largest."""
+    return int(np.count_nonzero(s > RANK_TOL * np.max(s, initial=0.0)))
+
+
 def numerical_rank(a: np.ndarray) -> int:
     """Number of singular values above RANK_TOL times the largest."""
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
+    return _rank(np.linalg.svd(a, compute_uv=False))
 
 
 def solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,17 +135,13 @@ def solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse through solve_linear."""
-    return solve_linear(a, np.eye(a.shape[0], dtype=np.complex128))
-
-
 def orthonormalize_columns(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, via Householder QR.
+    """Orthonormal basis of the column span: the polar factor U W^H of one
+    thin SVD V = U Sigma W^H, whose singular values also give the rank.
 
-    Requires full column rank; the R diagonal is rotated to be real
-    positive so an already orthonormal input is reproduced (up to
-    roundoff) instead of being re-phased.
+    Requires full column rank. U W^H is the orthonormal matrix nearest to
+    V (Higham, Computing the polar decomposition, 1986), so an already
+    orthonormal input is reproduced up to roundoff.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2:
@@ -152,10 +150,7 @@ def orthonormalize_columns(v: np.ndarray) -> np.ndarray:
         return v.copy()
     if v.shape[1] > v.shape[0]:
         raise RankDeficient("more columns than rows cannot be independent")
-    if numerical_rank(v) < v.shape[1]:
+    u, s, wh = np.linalg.svd(v, full_matrices=False)
+    if _rank(s) < v.shape[1]:
         raise RankDeficient("columns are numerically dependent")
-    q, r = np.linalg.qr(v, mode="reduced")
-    d = np.diag(r).copy()
-    d[np.abs(d) == 0] = 1.0
-    return q * (d / np.abs(d))
-
+    return u @ wh

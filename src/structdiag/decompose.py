@@ -16,14 +16,13 @@ from .core import (
     DEFAULT_TOL,
     FACTOR_GUARANTEE,
     FRAME_GUARANTEE,
-    RANK_TOL,
     ROOT_GUARANTEE,
     TolerancePolicy,
     _check,
+    _rank,
     _within,
     fro,
     herm_transpose,
-    inverse,
     numerical_rank,
     rel_residual,
 )
@@ -90,7 +89,7 @@ class AdditiveDecomposition:
 
 def _unitary_eigh_normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitary diagonalization of a (numerically) normal matrix: a 2n x 2n
-    one in split_normal and _exp_normal, the k x k compression of N to its
+    one in split_normal and structured_exp, the k x k compression of N to its
     range in reconstruct_from_normal_factor.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
@@ -202,7 +201,7 @@ def reconstruct_from_normal_factor(
             f"{res.annihilation_right:.3e})")
 
     u, s, _ = np.linalg.svd(n_mat)
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    rank = _rank(s)
     if rank > n:
         raise NotNeutralRange(
             f"rank {rank} exceeds the maximal neutral dimension {n}")
@@ -276,26 +275,24 @@ def _verify(a: np.ndarray, dec: AdditiveDecomposition, form: InnerProduct,
                               rank_ok)
 
 
-def _exp_normal(a: np.ndarray) -> np.ndarray:
-    """exp of a normal matrix through its unitary eigendecomposition."""
-    values, z = _unitary_eigh_normal(a)
-    return (z * np.exp(values)) @ herm_transpose(z)
-
-
 def structured_exp(dec: AdditiveDecomposition, form: InnerProduct
                    ) -> tuple[np.ndarray, np.ndarray]:
     """exp(A) written through S = exp(N).
 
     Returns (exp A, S) with exp A = S (S*)^{-1} for a minus
-    decomposition and S S* for a plus decomposition.
+    decomposition and S S* for a plus decomposition. N is normal, so one
+    Schur factorization N = Z diag(values) Z^H gives S = Z exp(values) Z^H
+    and (S*)^{-1} = exp(-N)* = (Z exp(-values) Z^H)* (Higham, Functions of
+    Matrices, 2008).
     """
     _check_form_tag(dec, form)
-    s = _exp_normal(dec.normal_factor)
-    s_star = adjoint(s, form)
+    values, z = _unitary_eigh_normal(dec.normal_factor)
+    zh = herm_transpose(z)
+    s = (z * np.exp(values)) @ zh
     if dec.sign is Sign.MINUS:
-        exp_a = s @ inverse(s_star)
+        exp_a = s @ adjoint((z * np.exp(-values)) @ zh, form)
     else:
-        exp_a = s @ s_star
+        exp_a = s @ adjoint(s, form)
     return exp_a, s
 
 
@@ -321,7 +318,7 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
     diag = _construct(a, form, tol, checks, unitary=True)
     # The singular values of normal A are |core| and their mirror images.
     mags = np.abs(diag.core)
-    if mags.min() <= RANK_TOL * mags.max():
+    if _rank(mags) < mags.size:
         raise SingularInput("matrix roots here require a nonsingular input")
     v = diag.transform[:, :form.half]
     m_root = (v * np.power(diag.core, 1.0 / p)) @ herm_transpose(v)

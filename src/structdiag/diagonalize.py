@@ -311,7 +311,8 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
 
     The spectrum of the selfadjoint A_hat = A or i A splits into conjugate
     pairs (lower group, partner) and critical groups, ascending by their
-    core value: the lower eigenvalue, divided by i for skewadjoint A.
+    core value (the lower eigenvalue, divided by i for skewadjoint A),
+    its real part rounded to the cluster radius.
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
     multiplicity. With ``unitary``: NotNormal unless A is normal (a
@@ -337,7 +338,10 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
                for gi in plan.pairing.selfconjugate]
     values = _core_values(np.array([g.value for g, _, _ in blocks]),
                           plan.variant)
-    order = np.lexsort((values.imag, values.real))
+    # Rounded, real parts equal in exact arithmetic (0 for imaginary
+    # values) tie, so roundoff never decides the order.
+    order = np.lexsort((values.imag,
+                        np.round(values.real / plan.pairing.radius)))
     blocks = [blocks[k] for k in order]
     # Partner columns x = V L (first half) and y = W R (second half), with
     # the bases stacked in V and W and block-diagonal coefficients L and R.
@@ -414,7 +418,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
         J), which moves each column along its partner by the eigenvector
         error and costs the similarity only roundoff;
     (d) route partner columns into form positions, ascending by the
-        final core eigenvalue.
+        final core eigenvalue, its real part rounded to the cluster radius.
     """
     return _construct(a, form, tol)
 

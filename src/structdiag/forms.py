@@ -18,7 +18,6 @@ from .core import (
     _check,
     fro,
     herm_transpose,
-    inverse,
     rel_residual,
 )
 from .errors import (
@@ -247,7 +246,8 @@ def congruence_to(h: np.ndarray, c: np.ndarray, kind: FormKind,
 
     Both sides are routed through sylvester_canonical; the shared
     negatives/positives/zeros ordering makes the alignment permutation the
-    identity.
+    identity. S = U_h U_c^{-1}, and the columns u_j of a Sylvester factor
+    are orthogonal, so U_c^{-1} = diag(1/||u_j||^2) U_c^H.
     """
     h = np.asarray(h, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
@@ -258,4 +258,5 @@ def congruence_to(h: np.ndarray, c: np.ndarray, kind: FormKind,
     if in_h.counts != in_c.counts:
         raise InertiaMismatch(
             f"inertia {in_h.counts} differs from target {in_c.counts}")
-    return u_h @ inverse(u_c)
+    u_c_inv = herm_transpose(u_c) / np.linalg.norm(u_c, axis=0)[:, None] ** 2
+    return u_h @ u_c_inv

@@ -13,19 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import herm_transpose, inverse
+from .core import herm_transpose
 from .diagonalize import Variant, assemble_core_diagonal
 from .errors import InvalidSize, NotStructured
 from .forms import (
-    FormKind,
     FormTag,
     InnerProduct,
     adjoint,
-    congruence_to,
     flip,
     perplectic_form,
     symplectic_form,
-    symplectic_j,
 )
 from .structure import build_unitary_automorphism
 
@@ -245,23 +242,28 @@ def random_structured_diagonalizable(kind: str, n: int, seed: int,
     return PlantedInstance(matrix=a, transform=q, core=core, kind=kind)
 
 
+def _witness(n: int) -> np.ndarray:
+    """The unitary W = [[I, I], [iI, -iI]]/sqrt 2, with W^H J W equal to
+    G = i I_n (+) -i I_n."""
+    eye = np.eye(n, dtype=np.complex128)
+    return np.block([[eye, eye], [1j * eye, -1j * eye]]) / np.sqrt(2.0)
+
+
 def counterexample_unbalanced(n: int, seed: int) -> np.ndarray:
     """Skew-Hamiltonian, diagonalizable, NOT symplectic diagonalizable.
 
-    W is a congruence witness turning J into G = i I_n (+) -i I_n; G
-    commutes with diag(mu1 I, mu2 I), so A = W diag W^{-1} stays
+    The unitary witness W (_witness) turns J into G = i I_n (+) -i I_n; G
+    commutes with diag(mu1 I, mu2 I), so A = W diag W^H stays
     selfadjoint while the mu1 eigenspace Gram is definite, hence
     unbalanced. A random unitary automorphism in front adds variety
-    without touching any of these properties.
+    without touching any of these properties, and keeps A Hermitian.
     """
     if n < 2:
         raise InvalidSize("the counterexample needs n >= 2")
     rng = PortableRng(seed)
     mu1 = 0.5 + 1.5 * rng.uniform()
     mu2 = -(0.5 + 1.5 * rng.uniform())
-    form = symplectic_form(n)
-    g = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
-    w = congruence_to(symplectic_j(n), g, FormKind.SKEW_HERMITIAN)
-    w = random_automorphism(form, n, rng.next_u64()) @ w
-    delta = np.diag(np.concatenate([mu1 * np.ones(n), mu2 * np.ones(n)]))
-    return (w @ delta @ inverse(w)).astype(np.complex128)
+    q = random_automorphism(symplectic_form(n), n, rng.next_u64())
+    w = q @ _witness(n)
+    delta = np.concatenate([mu1 * np.ones(n), mu2 * np.ones(n)])
+    return (w * delta) @ herm_transpose(w)

@@ -108,6 +108,14 @@ class TestOrthonormalize:
         proj = v @ np.linalg.solve(herm_transpose(v) @ v, herm_transpose(v))
         assert fro(w @ herm_transpose(w) - proj) <= 1e-10
 
+    def test_polar_factor_of_a_positive_definite_mixing(self):
+        # V = Q P with P Hermitian positive definite: the polar factor of
+        # V is Q itself, not merely a basis of its span.
+        q = random_unitary(7, 12)[:, :4]
+        g = gaussian_matrix(4, 4, 14)
+        p = herm_transpose(g) @ g + np.eye(4)
+        assert fro(orthonormalize_columns(q @ p) - q) <= 1e-12
+
     def test_rank_deficient_rejected(self):
         v = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficient):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdiag import (
     DEFAULT_TOL,
+    STRUCTURE_KINDS,
     AdditiveDecomposition,
     DimensionMismatch,
     NotAnnihilating,
@@ -20,6 +22,7 @@ from structdiag import (
     classify,
     decompose_additive,
     diagonalizability_report,
+    form_for_kind,
     gram,
     orthonormalize_columns,
     perplectic_form,
@@ -36,7 +39,7 @@ from structdiag import (
 )
 from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
                              FRAME_INPUT_TOL, RANK_TOL, fro, herm_transpose)
-from structdiag.decompose import _decomposition_residuals, _exp_normal
+from structdiag.decompose import _decomposition_residuals
 
 from conftest import gaussian_matrix, random_unitary
 
@@ -360,13 +363,26 @@ class TestStructuredExp:
         assert rel_residual(exp_a, np.eye(4)) <= 1e-12
         assert rel_residual(s, np.eye(4)) <= 1e-12
 
+    @pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+    def test_matches_expm(self, kind):
+        # Ten decompositions per kind, n = 4..8: S = exp(N) and, for a
+        # minus decomposition, (S*)^{-1} = exp(-N)*, both from one Schur
+        # factorization of N.
+        for seed in range(10):
+            n = 4 + seed % 5
+            form = form_for_kind(kind, n)
+            a = random_structured_diagonalizable(kind, n, seed).matrix
+            exp_a, _ = structured_exp(decompose_additive(a, form), form)
+            ref = scipy.linalg.expm(a)
+            assert fro(exp_a - ref) <= 1e-12 * fro(ref)
+
     def test_hamiltonian_exponential_is_symplectic(self):
         n = 2
         form = symplectic_form(n)
         inst = random_structured_diagonalizable("hamiltonian", n, 61)
         dec = decompose_additive(inst.matrix, form)
         exp_a, _ = structured_exp(dec, form)
-        assert rel_residual(exp_a, _exp_normal(inst.matrix)) <= 1e-8
+        assert rel_residual(exp_a, scipy.linalg.expm(inst.matrix)) <= 1e-8
         report = classify(exp_a, form)
         assert report.automorphism.ok
         assert report.euclidean_normal.ok
@@ -378,7 +394,7 @@ class TestStructuredExp:
         dec = decompose_additive(inst.matrix, form)
         exp_a, s = structured_exp(dec, form)
         assert dec.sign is Sign.PLUS
-        assert rel_residual(exp_a, _exp_normal(inst.matrix)) <= 1e-8
+        assert rel_residual(exp_a, scipy.linalg.expm(inst.matrix)) <= 1e-8
         # The factor S = exp(N) of a normal N stays normal.
         assert rel_residual(herm_transpose(s) @ s,
                             s @ herm_transpose(s)) <= 1e-9

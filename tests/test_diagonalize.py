@@ -34,6 +34,7 @@ from structdiag import (
     inertia,
     pair_conjugates,
     perplectic_form,
+    random_automorphism,
     random_lagrangian_frame,
     random_structured,
     random_structured_diagonalizable,
@@ -178,6 +179,23 @@ class TestStructuredDiagonalize:
         assert np.allclose(d.core, np.ones(2))
         assert d.residual_automorphism <= 1e-8
         assert d.residual_similarity <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_core_order_survives_roundoff(self, seed):
+        # A and Q A Q^H (Q a unitary automorphism) have one spectrum and
+        # differ by roundoff; the imaginary critical values of skewadjoint
+        # input have real parts 0 in exact arithmetic, so their order must
+        # not follow the sign of that roundoff.
+        kind = ("hamiltonian", "perskew-hermitian")[seed % 2]
+        n = 6
+        form = form_for_kind(kind, n)
+        a = random_structured_diagonalizable(kind, n, seed,
+                                             critical_share=0.6).matrix
+        q = random_automorphism(form, n, seed)
+        moved = q @ a @ herm_transpose(q)
+        core = structured_diagonalize(a, form).core
+        assert np.max(np.abs(
+            structured_diagonalize(moved, form).core - core)) <= 1e-10
 
     # J2 and R2 are normal, so the unitary routes reach the same decision.
     _CONSTRUCTORS = pytest.mark.parametrize(
@@ -461,9 +479,10 @@ def structured_square_root(a, form):
 class TestOneSpectralPass:
     """Each entry point runs no full classify (it checks only the flags it
     reads), eigendecomposes once, clusters and pairs once, solves with
-    neither J nor R and runs one (2n x k) rank SVD per multi-member
-    eigenvalue group and, its conjugate pairs being simple here, no other
-    SVD. The one eigendecomposition is one 2n x 2n eigh of a Hermitian
+    neither J nor R and runs one (2n x k) SVD per multi-member eigenvalue
+    group, which gives both its rank test and its orthonormal basis, and,
+    its conjugate pairs being simple here, no other SVD and no QR. The one
+    eigendecomposition is one 2n x 2n eigh of a Hermitian
     combination of A and A^H for normal A, with no eig; a non-normal A
     takes that eigh and one eig. Every entry point factors each critical
     eigenspace Gram with one (smaller) eigh, shared by the balance test
@@ -474,10 +493,10 @@ class TestOneSpectralPass:
 
     @staticmethod
     def _count(monkeypatch, form):
-        counts = {"eigen": 0, "eig": 0, "eigvalsh": 0, "null_space": 0,
-                  "classify": 0, "cluster": 0, "pair": 0, "congruence": 0,
-                  "sylvester": 0, "lu_on_form": 0, "eigh_shapes": [],
-                  "svd_shapes": [], "schur_shapes": []}
+        counts = {"eigen": 0, "eig": 0, "eigvalsh": 0, "qr": 0,
+                  "null_space": 0, "classify": 0, "cluster": 0, "pair": 0,
+                  "congruence": 0, "sylvester": 0, "lu_on_form": 0,
+                  "eigh_shapes": [], "svd_shapes": [], "schur_shapes": []}
 
         def counted(key, fn, on_form=False):
             def wrapper(*args, **kwargs):
@@ -498,6 +517,7 @@ class TestOneSpectralPass:
                             shaped("eigh_shapes", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
         monkeypatch.setattr(np.linalg, "svd",
                             shaped("svd_shapes", np.linalg.svd))
         monkeypatch.setattr(scipy.linalg, "schur",
@@ -556,7 +576,7 @@ class TestOneSpectralPass:
         entry(a, form)
         shapes = counts.pop("svd_shapes")
         eigh_shapes = counts.pop("eigh_shapes")
-        assert counts == {"eigen": 1, "eig": eig, "eigvalsh": 0,
+        assert counts == {"eigen": 1, "eig": eig, "eigvalsh": 0, "qr": 0,
                           "null_space": 0, "classify": 0, "cluster": 1,
                           "pair": 1, "congruence": 0, "sylvester": 0,
                           "lu_on_form": 0, "schur_shapes": []}
@@ -568,8 +588,8 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
     def test_reconstruct_counts(self, monkeypatch, kind, formf):
         # A rank-5 factor: one 2n x 2n SVD finds the range, one 5 x 5
-        # Schur its eigenbasis, and the completion's QR and one eigh of
-        # the complement Gram replace null_space.
+        # Schur its eigenbasis, and the completion's one QR and one eigh
+        # of the complement Gram replace null_space.
         inst = random_structured_diagonalizable(kind, 8, 41)
         form = formf(8)
         diag = unitary_refine(inst.matrix, form)
@@ -580,7 +600,7 @@ class TestOneSpectralPass:
                 else Sign.MINUS)
         counts = self._count(monkeypatch, form)
         reconstruct_from_normal_factor(n_mat, sign, form)
-        assert counts == {"eigen": 0, "eig": 0, "eigvalsh": 0,
+        assert counts == {"eigen": 0, "eig": 0, "eigvalsh": 0, "qr": 1,
                           "null_space": 0, "classify": 0, "cluster": 0,
                           "pair": 0, "congruence": 0, "sylvester": 0,
                           "lu_on_form": 0, "eigh_shapes": [(6, 6)],

@@ -262,6 +262,31 @@ class TestCongruence:
         s = congruence_to(g, j, FormKind.SKEW_HERMITIAN)
         assert rel_residual(herm_transpose(s) @ g @ s, j) <= 1e-8
 
+    @pytest.mark.parametrize("kind", list(FormKind))
+    def test_congruent_pair(self, kind):
+        # C = T^H H T for a nonsingular T: S^H H S = C, the target's
+        # Sylvester factor inverted through its orthogonal columns.
+        make = (random_hermitian if kind is FormKind.HERMITIAN
+                else random_skew_hermitian)
+        h = make(6, 21)
+        t = gaussian_matrix(6, 6, 22) + 3 * np.eye(6)
+        c = herm_transpose(t) @ h @ t
+        s = congruence_to(h, c, kind)
+        assert rel_residual(herm_transpose(s) @ h @ s, c) <= 1e-10
+
+    @pytest.mark.parametrize("kind", list(FormKind))
+    def test_pair_with_zero_inertia(self, kind):
+        # Rank-4 H and C in dimension 6, inertia (2, 2, 2): the zero
+        # directions keep unit columns in the Sylvester factors.
+        alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
+        x, y = gaussian_matrix(6, 4, 23), gaussian_matrix(6, 4, 24)
+        h = alpha * (x * [1.0, 2.0, -1.0, -3.0]) @ herm_transpose(x)
+        c = alpha * (y * [0.5, 4.0, -2.0, -1.0]) @ herm_transpose(y)
+        assert inertia(c, kind).counts == (2, 2, 2)
+        s = congruence_to(h, c, kind)
+        assert numerical_rank(s) == 6
+        assert rel_residual(herm_transpose(s) @ h @ s, c) <= 1e-10
+
     def test_inertia_mismatch_rejected(self):
         with pytest.raises(InertiaMismatch):
             congruence_to(np.eye(2, dtype=complex),

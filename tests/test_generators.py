@@ -22,7 +22,8 @@ from structdiag import (
 )
 from structdiag.core import fro, herm_transpose
 from structdiag.errors import NotStructuredDiagonalizable
-from structdiag.forms import flip
+from structdiag.forms import flip, symplectic_j
+from structdiag.generators import _witness
 from structdiag.spectral import eigenvalues_match
 
 
@@ -194,6 +195,21 @@ class TestCounterexample:
         a = counterexample_unbalanced(2, 2)
         with pytest.raises(NotStructuredDiagonalizable):
             structured_diagonalize(a, symplectic_form(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_witness_is_unitary_and_splits_j(self, n):
+        # W^H J W = diag(iI, -iI) with W unitary, so W^{-1} = W^H and no
+        # inverse is formed.
+        w = _witness(n)
+        g = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
+        assert fro(herm_transpose(w) @ w - np.eye(2 * n)) <= 1e-14
+        assert fro(herm_transpose(w) @ symplectic_j(n) @ w - g) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counterexample_is_hermitian(self, seed):
+        # A = (Q W) diag (Q W)^H with Q W unitary.
+        a = counterexample_unbalanced(3, seed)
+        assert rel_residual(a, herm_transpose(a)) <= 1e-14
 
     @given(st.integers(0, 10**5))
     @settings(max_examples=10, deadline=None)

@@ -74,11 +74,9 @@ def test_structure_tol_is_read_only_by_input_checks():
             checked_callers.add((module, top))
     assert readers == _STRUCTURE_TOL_READERS
     # The Grams the package builds go straight to forms._sylvester; the
-    # checked functions see only caller-supplied matrices and the exact
-    # form constants of the counterexample.
+    # checked functions see only caller-supplied matrices.
     assert checked_callers == {("forms", "inertia"),
-                               ("forms", "congruence_to"),
-                               ("generators", "counterexample_unbalanced")}
+                               ("forms", "congruence_to")}
 
 
 # structure_tol and the pinned guarantees; a residual is compared with
@@ -105,3 +103,34 @@ def test_general_eigensolver_is_reached_only_through_eigen():
     users = {(module, top) for module, top, node in _package_nodes()
              if isinstance(node, ast.Attribute) and node.attr == "eig"}
     assert users == {("spectral", "eigen")}
+
+
+def _attribute_users(names):
+    return {(module, top) for module, top, node in _package_nodes()
+            if isinstance(node, ast.Attribute) and node.attr in names}
+
+
+def test_lu_runs_only_in_the_certificate():
+    # Every matrix the package inverts has a closed-form inverse (unitary
+    # eigenbases, Sylvester factors with orthogonal columns, exp(-N)), so
+    # LU runs in one place, the solve of the certificate S^{-1} A S, and
+    # no inverse is formed anywhere.
+    assert _attribute_users({"lu_factor", "lu_solve"}) == {
+        ("core", "solve_linear")}
+    assert not _attribute_users({"inv", "pinv", "inverse"})
+    callers = {(module, top) for module, top, node in _package_nodes()
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "solve_linear"}
+    assert callers == {("diagonalize", "factor_residuals")}
+
+
+def test_rank_cut_is_written_once():
+    # core._rank is the one comparison of singular values with RANK_TOL
+    # (numerical_rank, orthonormalize_columns,
+    # reconstruct_from_normal_factor and structured_root share it);
+    # solve_linear compares LU pivots with it.
+    comparers = {(module, top) for module, top, node in _package_nodes()
+                 if isinstance(node, ast.Compare) and any(
+                     getattr(n, "id", None) == "RANK_TOL"
+                     for n in ast.walk(node))}
+    assert comparers == {("core", "_rank"), ("core", "solve_linear")}
