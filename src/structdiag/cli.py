@@ -9,13 +9,13 @@ files. Exit codes: 0 success, 1 mathematical negative (_NEGATIVE_ERRORS),
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -218,14 +218,15 @@ def _analyze_one(path: str, form_name: str, tol: TolerancePolicy,
 
 def cmd_analyze(args) -> int:
     tol = _resolve_tol(args.tol)
-    jobs = max(1, args.jobs)
+    # The pool starts all its workers at once: no more than there are files.
+    jobs = min(max(1, args.jobs), len(args.files))
     compact = len(args.files) > 1
     worst = EXIT_OK
-    if jobs == 1 or len(args.files) == 1:
+    if jobs == 1:
         results = [_analyze_one(p, args.form, tol, args.expect)
                    for p in args.files]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_analyze_one, p, args.form, tol,
                                    args.expect)
                        for p in args.files]
@@ -384,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "'structure-diagonalizable' or 'diagonalizable') "
                         "is satisfied; an unknown NAME exits 2")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for multiple files")
+                   help="parallel workers for multiple files, at most "
+                        "one per file")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_analyze)
 

@@ -23,9 +23,13 @@ the neutral half of the complement Gram in Lagrangian completion.
 Every entry point checks only the structure it reads (selfadjoint or
 skewadjoint, and normality on the unitary routes), then eigendecomposes,
 groups, pairs and factors each critical Gram once, in one spectral plan
-that the decision and the construction share. J and R enter every
-product as signed permutations (forms._times_form, forms._form_times),
-never as dense matrices.
+that the decision and the construction share. The last plan is kept in
+one slot, keyed by A's exact bytes, the form tag and the variant, so that
+consecutive entry-point calls on the same A (a report, then a
+construction, then the decomposition built on it) build it once; every
+call still runs its own checks, construction and certificate. J and R
+enter every product as signed permutations (forms._times_form,
+forms._form_times), never as dense matrices.
 """
 
 from __future__ import annotations
@@ -175,12 +179,19 @@ class _SpectralPlan:
     """What one call learns about A once: its variant, the eigenvalue
     groups of A_hat = A or i A (clustered, with orthonormal bases), their
     conjugate pairing and, by group index, the Sylvester factor and
-    inertia of each self-conjugate (critical) group's Gram."""
+    inertia of each self-conjugate (critical) group's Gram. Its arrays
+    are read-only, since one plan may serve several calls."""
 
     variant: Variant
-    groups: list[EigenGroup]
+    groups: tuple[EigenGroup, ...]
     pairing: ConjugatePairing
     critical: dict[int, tuple[np.ndarray, Inertia]]
+
+
+# (key, plan) of the last plan _spectral_plan built, or None. One slot
+# serves the same A back to back, as in a report followed by a
+# construction, and holds no memory for inputs that do not come back.
+_PLAN_SLOT: tuple[tuple, _SpectralPlan] | None = None
 
 
 def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
@@ -195,14 +206,23 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     two flags), decompose and group A, pair the groups of A_hat and factor
     the Gram of each critical group.
 
+    The checks run on every call. The plan is then looked up in the one
+    slot _PLAN_SLOT, keyed by A's shape and exact bytes, the form tag and
+    the variant (the tolerance reaches the plan only through the
+    variant); on a miss it is built and stored. A call that raises
+    stores nothing.
+
     Raises NotStructured off the J and R forms or for a matrix that is
     neither selfadjoint nor skewadjoint, NotDiagonalizable (from
     group_eigenvalues) when an eigenvalue cluster is defective, and
     SpectrumNotConjugateSymmetric (from pair_conjugates) when A_hat's
     spectrum is not closed under conjugation.
     """
+    global _PLAN_SLOT
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("diagonalizability analysis targets J or R forms")
+    # One dtype, so that equal bytes in the key mean equal entries.
+    a = np.asarray(a, dtype=np.complex128)
     if structure is None:
         structure = _adjoint_checks(a, form, tol)
     if structure.selfadjoint.ok:
@@ -216,6 +236,10 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
             f"{structure.skewadjoint.residual:.3e})",
             min(structure.selfadjoint.residual,
                 structure.skewadjoint.residual))
+    key = (a.shape, form.tag, variant, a.tobytes())
+    slot = _PLAN_SLOT
+    if slot is not None and slot[0] == key:
+        return slot[1]
     groups = group_eigenvalues(eigen(a))
     if variant is Variant.SKEWADJOINT:
         # i A has the eigenvectors of A; clustering sees only distances,
@@ -224,7 +248,12 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     pairing = pair_conjugates(groups)
     critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
                 for i in pairing.selfconjugate}
-    return _SpectralPlan(variant, groups, pairing, critical)
+    for array in ([g.basis for g in groups]
+                  + [u for u, _ in critical.values()]):
+        array.flags.writeable = False
+    plan = _SpectralPlan(variant, tuple(groups), pairing, critical)
+    _PLAN_SLOT = (key, plan)
+    return plan
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from structdiag import (
     symplectic_form,
     write_matrix,
 )
-from structdiag import forms
+from structdiag import cli, forms
 from structdiag.cli import main
 from structdiag.structure import classify
 
@@ -148,6 +149,37 @@ def test_analyze_jobs_batch(tmp_path, capsys):
     for line in out:
         doc = json.loads(line)
         assert doc["payload"]["diagonalizability"]["decision"] is True
+
+
+def test_analyze_jobs_capped_at_file_count(tmp_path, capsys, monkeypatch):
+    # ProcessPoolExecutor forks all max_workers at once; a recorder in its
+    # place runs every job in this process and starts none.
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    files = []
+    for seed in range(2):
+        files.append(str(tmp_path / f"a{seed}.mtx"))
+        write_matrix(files[-1], random_structured("hamiltonian", 2, seed))
+    assert main(["analyze", "--form", "symplectic", "--jobs", "64",
+                 *files]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    assert workers == [2]
 
 
 def test_diagonalize_writes_factors_and_verifies(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import sys
 
 import numpy as np
@@ -48,7 +49,8 @@ from structdiag import (
     variant_for_kind,
 )
 from structdiag import cli
-from structdiag.core import fro, herm_transpose
+from structdiag.core import DEFAULT_TOL, fro, herm_transpose
+import structdiag.diagonalize as diagonalize_module
 from structdiag.diagonalize import (
     _balanced_pairs,
     _neutral_half,
@@ -481,7 +483,9 @@ class TestOneSpectralPass:
     reads), eigendecomposes once, clusters and pairs once, solves with
     neither J nor R and runs one (2n x k) SVD per multi-member eigenvalue
     group, which gives both its rank test and its orthonormal basis, and,
-    its conjugate pairs being simple here, no other SVD and no QR. The one
+    its conjugate pairs being simple here, no other SVD and no QR. Each
+    counted call starts on a cold plan slot (TestPlanMemo covers the
+    warm one). The one
     eigendecomposition is one 2n x 2n eigh of a Hermitian
     combination of A and A^H for normal A, with no eig; a non-normal A
     takes that eigh and one eig. Every entry point factors each critical
@@ -572,6 +576,7 @@ class TestOneSpectralPass:
         assert multi > 0
         critical = len(diagonalizability_report(a, form).per_eigenvalue)
         assert critical > 0
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
         counts = self._count(monkeypatch, form)
         entry(a, form)
         shapes = counts.pop("svd_shapes")
@@ -606,6 +611,131 @@ class TestOneSpectralPass:
                           "lu_on_form": 0, "eigh_shapes": [(6, 6)],
                           "svd_shapes": [(16, 16)],
                           "schur_shapes": [(5, 5)]}
+
+
+_ENTRY_POINTS = [diagonalizability_report, structured_diagonalize,
+                 unitary_refine, decompose_additive]
+
+
+class TestPlanMemo:
+    """The one plan slot: the same A back to back builds its spectral plan
+    once, while other bytes, another form or another variant build a new
+    one. Every call still runs its own checks, and a hit returns what a
+    call on a cold slot returns."""
+
+    @staticmethod
+    def _instance(kind="hamiltonian"):
+        inst = random_structured_diagonalizable(kind, 8, 41,
+                                                critical_share=0.5)
+        return inst.matrix, form_for_kind(kind, 8)
+
+    @staticmethod
+    def _builds(counts):
+        return counts["eigen"], counts["cluster"], counts["pair"]
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_second_call_builds_nothing(self, monkeypatch, entry, kind,
+                                        formf):
+        a, form = self._instance(kind)
+        diagonalizability_report(a, form)
+        counts = TestOneSpectralPass._count(monkeypatch, form)
+        entry(a, form)
+        assert self._builds(counts) == (0, 0, 0)
+
+    # Each returns the first call's arguments and a function that gives
+    # the second call's, run after the first call.
+    @staticmethod
+    def _entry_changed_in_place():
+        a, form = TestPlanMemo._instance()
+
+        def change():
+            a[0, 0] = np.nextafter(a[0, 0].real, np.inf) + 1j * a[0, 0].imag
+            return a, form, DEFAULT_TOL
+        return (a, form, DEFAULT_TOL), change
+
+    @staticmethod
+    def _other_form():
+        # Real diag(d, d) with palindromic d is selfadjoint for J and R.
+        a = np.diag([1.0, 2.0, 2.0, 1.0] * 2).astype(complex)
+        return (a, symplectic_form(4), DEFAULT_TOL), \
+            lambda: (a, perplectic_form(4), DEFAULT_TOL)
+
+    @staticmethod
+    def _other_variant():
+        # Nearly skew-Hamiltonian and nearly Hamiltonian at once: a
+        # tolerance between the two adjoint residuals reads it as
+        # skewadjoint, one above both as selfadjoint.
+        a = (1e-12 * random_structured("skew-hamiltonian", 4, 3)
+             + 1e-11 * random_structured("hamiltonian", 4, 4))
+        form = symplectic_form(4)
+        cls = classify(a, form)
+        r_self, r_skew = cls.selfadjoint.residual, cls.skewadjoint.residual
+        assert r_skew < r_self
+        return (a, form, TolerancePolicy(2 * r_self)), \
+            lambda: (a, form, TolerancePolicy(np.sqrt(r_self * r_skew)))
+
+    @pytest.mark.parametrize("pair", ["entry_changed_in_place", "other_form",
+                                      "other_variant"])
+    def test_other_input_builds_again(self, monkeypatch, pair):
+        first, change = getattr(self, f"_{pair}")()
+        report = diagonalizability_report(*first)
+        second = change()
+        counts = TestOneSpectralPass._count(monkeypatch, second[1])
+        rebuilt = diagonalizability_report(*second)
+        assert self._builds(counts) == (1, 1, 1)
+        assert report.decision and rebuilt.decision
+        if pair == "other_variant":
+            assert (report.variant, rebuilt.variant) == (
+                Variant.SELFADJOINT, Variant.SKEWADJOINT)
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        assert diagonalizability_report(*second) == rebuilt
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_tight_tolerance_raises_on_a_held_plan(self, entry):
+        # A real shift keeps A normal and moves it off the Hamiltonian
+        # class by a residual the default tolerance accepts.
+        a, form = self._instance()
+        a = a + 1e-12 * np.eye(16)
+        diagonalizability_report(a, form)
+        held = diagonalize_module._PLAN_SLOT
+        assert held is not None
+        cls = classify(a, form)
+        tight = TolerancePolicy(cls.skewadjoint.residual / 2)
+        assert cls.euclidean_normal.residual < tight.structure_tol
+        with pytest.raises(NotStructured):
+            entry(a, form, tight)
+        assert diagonalize_module._PLAN_SLOT is held
+
+    def test_a_call_that_raises_stores_nothing(self):
+        a, form = self._instance()
+        diagonalizability_report(a, form)
+        held = diagonalize_module._PLAN_SLOT
+        with pytest.raises(NotDiagonalizable):
+            diagonalizability_report(near_normal_defective(),
+                                     symplectic_form(2))
+        assert diagonalize_module._PLAN_SLOT is held
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_hit_returns_what_a_cold_call_returns(self, monkeypatch, entry,
+                                                  kind, formf):
+        a, form = self._instance(kind)
+        diagonalizability_report(a, form)
+        hit = pickle.dumps(entry(a, form))
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        assert pickle.dumps(entry(a, form)) == hit
+
+    def test_plan_is_read_only(self):
+        a, form = self._instance()
+        plan = diagonalize_module._spectral_plan(a, form, DEFAULT_TOL)
+        assert diagonalize_module._spectral_plan(a, form, DEFAULT_TOL) is plan
+        arrays = ([g.basis for g in plan.groups]
+                  + [u for u, _ in plan.critical.values()])
+        assert plan.critical
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("entry", [

@@ -134,3 +134,27 @@ def test_rank_cut_is_written_once():
                      getattr(n, "id", None) == "RANK_TOL"
                      for n in ast.walk(node))}
     assert comparers == {("core", "_rank"), ("core", "solve_linear")}
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def test_plan_slot_is_the_only_module_state():
+    # diagonalize._PLAN_SLOT, the one spectral plan kept between calls,
+    # is the only name a function rebinds at module level, and no
+    # functools cache keeps anything else between calls.
+    rebound = {(module, top, name) for module, top, node in _package_nodes()
+               if isinstance(node, ast.Global)
+               for name in node.names}
+    assert rebound == {("diagonalize", "_spectral_plan", "_PLAN_SLOT")}
+    cached = set()
+    for module, top, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            cached |= {(module, alias.name) for alias in node.names
+                       if alias.name in _CACHE_DECORATORS}
+        for decorator in getattr(node, "decorator_list", ()):
+            target = getattr(decorator, "func", decorator)
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in _CACHE_DECORATORS:
+                cached.add((module, top))
+    assert not cached
