@@ -130,17 +130,20 @@ def split_normal(a: np.ndarray,
     return e, f
 
 
+def _annihilation(n_mat: np.ndarray,
+                  n_star: np.ndarray) -> tuple[float, float]:
+    """The residuals of N N* = 0 and N* N = 0."""
+    scale = max(1.0, fro(n_mat) * fro(n_star))
+    return fro(n_mat @ n_star) / scale, fro(n_star @ n_mat) / scale
+
+
 def _decomposition_residuals(a: np.ndarray, n_mat: np.ndarray,
                              n_star: np.ndarray,
                              sign: Sign) -> DecompositionResiduals:
     """The residuals of A = N +/- N* for N and its form adjoint N*."""
-    scale = max(1.0, fro(n_mat) * fro(n_star))
     return DecompositionResiduals(
-        normality_n=_normal_check(n_mat).residual,
-        annihilation_left=fro(n_mat @ n_star) / scale,
-        annihilation_right=fro(n_star @ n_mat) / scale,
-        reconstruction=rel_residual(n_mat + sign.factor * n_star, a),
-    )
+        _normal_check(n_mat).residual, *_annihilation(n_mat, n_star),
+        reconstruction=rel_residual(n_mat + sign.factor * n_star, a))
 
 
 def decompose_additive(a: np.ndarray, form: InnerProduct,
@@ -190,15 +193,15 @@ def reconstruct_from_normal_factor(
         raise DimensionMismatch("factor dimension does not match the form")
     n = form.half
     n_star = adjoint(n_mat, form)
-    a = n_mat + sign.factor * n_star
-    res = _decomposition_residuals(a, n_mat, n_star, sign)
-    if not _check(res.normality_n, tol).ok:
-        raise NotNormal(f"factor is not normal (residual {res.normality_n:.3e})")
-    if not (_check(res.annihilation_left, tol).ok
-            and _check(res.annihilation_right, tol).ok):
+    normal = _normal_check(n_mat, tol)
+    if not normal.ok:
+        raise NotNormal(f"factor is not normal (residual {normal.residual:.3e})")
+    left, right = _annihilation(n_mat, n_star)
+    if not (_check(left, tol).ok and _check(right, tol).ok):
         raise NotAnnihilating(
-            f"N N* or N* N does not vanish ({res.annihilation_left:.3e} / "
-            f"{res.annihilation_right:.3e})")
+            f"N N* or N* N does not vanish ({left:.3e} / {right:.3e})")
+    # A is built from N, so it reconstructs exactly: no residual to judge.
+    a = n_mat + sign.factor * n_star
 
     u, s, _ = np.linalg.svd(n_mat)
     rank = _rank(s)

@@ -23,18 +23,25 @@ the neutral half of the complement Gram in Lagrangian completion.
 Every entry point checks only the structure it reads (selfadjoint or
 skewadjoint, and normality on the unitary routes), then eigendecomposes,
 groups, pairs and factors each critical Gram once, in one spectral plan
-that the decision and the construction share. The last plan is kept in
-one slot, keyed by A's exact bytes, the form tag and the variant, so that
-consecutive entry-point calls on the same A (a report, then a
-construction, then the decomposition built on it) build it once; every
-call still runs its own checks, construction and certificate. J and R
-enter every product as signed permutations (forms._times_form,
-forms._form_times), never as dense matrices.
+that the decision and the construction share. The first construction
+on a plan routes its automorphism S0 (_route) and keeps it, with its
+core, in the plan. The last plan is kept in one slot, keyed by A's exact
+bytes, the form tag and the variant, so that consecutive entry-point
+calls on the same A (a report, then a construction, then the
+decomposition built on it) build the plan and S0 once; every call still
+runs its own checks, polar step (on the unitary routes) and certificate,
+and returns its own copy of S. The certificate (factor_residuals) reads
+S^{-1} off the form, as the form adjoint of S corrected to second order
+in the automorphism error with a bound on the rest, so it solves no
+linear system. J and R enter every product as signed permutations
+(forms._times_form, forms._form_times, forms._inverse_times), never as
+dense matrices.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,9 +52,9 @@ from .core import (
     FRAME_GUARANTEE,
     TolerancePolicy,
     _within,
+    fro,
     herm_transpose,
     rel_residual,
-    solve_linear,
 )
 from .errors import (
     FrameTooLarge,
@@ -63,8 +70,10 @@ from .forms import (
     Inertia,
     InnerProduct,
     _form_times,
+    _inverse_times,
     _sylvester,
     _times_form,
+    adjoint,
     gram,
 )
 from .spectral import (
@@ -179,17 +188,27 @@ class _SpectralPlan:
     """What one call learns about A once: its variant, the eigenvalue
     groups of A_hat = A or i A (clustered, with orthonormal bases), their
     conjugate pairing and, by group index, the Sylvester factor and
-    inertia of each self-conjugate (critical) group's Gram. Its arrays
-    are read-only, since one plan may serve several calls."""
+    inertia of each self-conjugate (critical) group's Gram. The first
+    construction on a balanced plan adds the routed automorphism S0
+    (_route, before any polar step) and its core; a report alone leaves
+    them None. Its arrays are read-only, since one plan may serve several
+    calls."""
 
     variant: Variant
     groups: tuple[EigenGroup, ...]
     pairing: ConjugatePairing
     critical: dict[int, tuple[np.ndarray, Inertia]]
+    transform: np.ndarray | None = None
+    core: np.ndarray | None = None
+
+    @property
+    def balanced(self) -> bool:
+        """Whether every critical Gram is balanced: the report's decision."""
+        return all(g.balanced for _, g in self.critical.values())
 
 
-# (key, plan) of the last plan _spectral_plan built, or None. One slot
-# serves the same A back to back, as in a report followed by a
+# (key, plan) of the last plan _spectral_plan built or routed, or None.
+# One slot serves the same A back to back, as in a report followed by a
 # construction, and holds no memory for inputs that do not come back.
 _PLAN_SLOT: tuple[tuple, _SpectralPlan] | None = None
 
@@ -200,17 +219,18 @@ def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
 
 
 def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
-                   structure: StructureReport | _AdjointChecks | None = None
-                   ) -> _SpectralPlan:
+                   structure: StructureReport | _AdjointChecks | None = None,
+                   route: bool = False) -> _SpectralPlan:
     """Check A selfadjoint or skewadjoint (unless ``structure`` gives the
     two flags), decompose and group A, pair the groups of A_hat and factor
-    the Gram of each critical group.
+    the Gram of each critical group; with ``route``, also route the
+    automorphism S0 of a balanced plan that lacks it.
 
     The checks run on every call. The plan is then looked up in the one
     slot _PLAN_SLOT, keyed by A's shape and exact bytes, the form tag and
     the variant (the tolerance reaches the plan only through the
-    variant); on a miss it is built and stored. A call that raises
-    stores nothing.
+    variant); on a miss it is built, and a plan that is built or gains S0
+    is stored. A call that raises stores nothing.
 
     Raises NotStructured off the J and R forms or for a matrix that is
     neither selfadjoint nor skewadjoint, NotDiagonalizable (from
@@ -239,20 +259,27 @@ def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     key = (a.shape, form.tag, variant, a.tobytes())
     slot = _PLAN_SLOT
     if slot is not None and slot[0] == key:
-        return slot[1]
-    groups = group_eigenvalues(eigen(a))
-    if variant is Variant.SKEWADJOINT:
-        # i A has the eigenvectors of A; clustering sees only distances,
-        # so the groups of i A are those of A with every value times i.
-        groups = [replace(g, value=1j * g.value) for g in groups]
-    pairing = pair_conjugates(groups)
-    critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
-                for i in pairing.selfconjugate}
-    for array in ([g.basis for g in groups]
-                  + [u for u, _ in critical.values()]):
-        array.flags.writeable = False
-    plan = _SpectralPlan(variant, tuple(groups), pairing, critical)
-    _PLAN_SLOT = (key, plan)
+        plan = slot[1]
+    else:
+        groups = group_eigenvalues(eigen(a))
+        if variant is Variant.SKEWADJOINT:
+            # i A has the eigenvectors of A; clustering sees only
+            # distances, so the groups of i A are those of A with every
+            # value times i.
+            groups = [replace(g, value=1j * g.value) for g in groups]
+        pairing = pair_conjugates(groups)
+        critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
+                    for i in pairing.selfconjugate}
+        for array in ([g.basis for g in groups]
+                      + [u for u, _ in critical.values()]):
+            array.flags.writeable = False
+        plan = _SpectralPlan(variant, tuple(groups), pairing, critical)
+    if route and plan.transform is None and plan.balanced:
+        s0, core = _route(plan, form)
+        s0.flags.writeable = core.flags.writeable = False
+        plan = replace(plan, transform=s0, core=core)
+    if slot is None or slot[1] is not plan:
+        _PLAN_SLOT = (key, plan)
     return plan
 
 
@@ -287,7 +314,7 @@ def _report(plan: _SpectralPlan) -> DiagonalizabilityReport:
             gram_inertia=g_inertia,
             balanced=g_inertia.balanced,
         ))
-    decision = all(e.balanced for e in entries)
+    decision = plan.balanced
     if decision:
         reason = ("no critical-axis eigenvalues" if not entries
                   else "all critical-axis eigenspace Grams are balanced")
@@ -303,12 +330,38 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
                      diagonal: np.ndarray | None = None
                      ) -> tuple[float, float, float]:
     """Relative residuals of S^H B S vs B, S^{-1} A S vs diag(diagonal)
-    (its own diagonal when none is given) and S^H S vs I."""
+    (its own diagonal when none is given) and S^H S vs I.
+
+    S^{-1} is read off the form, with no solve. The form adjoint
+    S* = B^{-1} S^H B is a signed permutation of S^H, and
+    E = S* S - I = B^{-1} (S^H B S - B) a signed row permutation of the
+    automorphism residual's difference, so e = ||E||_F = ||S^H B S - B||_F.
+    For e < 1, I + E is nonsingular, hence so is S, and
+    S^{-1} = (I + E)^{-1} S* = sum_k (-E)^k S*. With Y = S* (A S),
+    X = Y - E (Y - E Y) keeps the terms k <= 2, and submultiplicativity
+    of the Frobenius norm bounds the rest:
+    ||X - S^{-1} A S||_F <= sum_{k >= 3} e^k ||Y||_F = delta,
+    delta = e^3 / (1 - e) ||Y||_F. So ||S^{-1} A S - D||_F is at most
+    ||X - D||_F + delta and ||S^{-1} A S||_F at least ||X||_F - delta,
+    and the similarity residual reported is
+    (||X - D||_F + delta) / max(1, ||X||_F - delta), a bound on the
+    residual of S^{-1} A S in exact arithmetic up to the roundoff of
+    forming X. For e >= 1 nothing shows S nonsingular, and it is inf.
+    """
     sh = herm_transpose(s)
-    x = solve_linear(s, a @ s)
-    target = np.diag(np.diag(x) if diagonal is None else diagonal)
-    return (rel_residual(_form_times(form, sh) @ s, form.matrix),
-            rel_residual(x, target),
+    sbs = _form_times(form, sh) @ s
+    diff = sbs - form.matrix
+    e = fro(diff)
+    if e >= 1.0:
+        res_sim = math.inf
+    else:
+        e_mat = _inverse_times(form, diff)
+        y = adjoint(s, form) @ (a @ s)
+        x = y - e_mat @ (y - e_mat @ y)
+        target = np.diag(np.diag(x) if diagonal is None else diagonal)
+        delta = e ** 3 / (1.0 - e) * fro(y)
+        res_sim = (fro(x - target) + delta) / max(1.0, fro(x) - delta)
+    return (e / max(1.0, fro(sbs)), res_sim,
             rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
 
 
@@ -336,17 +389,14 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
 def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
                structure: _AdjointChecks | None = None,
                unitary: bool = False) -> StructuredDiagonalization:
-    """Decide, then build and certify the automorphism every constructor uses.
+    """Decide, then certify the automorphism every constructor uses: the
+    plan's routed S0 (see _route), copied, or with ``unitary`` taken one
+    _polar_step.
 
-    The spectrum of the selfadjoint A_hat = A or i A splits into conjugate
-    pairs (lower group, partner) and critical groups, ascending by their
-    core value (the lower eigenvalue, divided by i for skewadjoint A),
-    its real part rounded to the cluster radius.
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
     multiplicity. With ``unitary``: NotNormal unless A is normal (a
-    matrix of the wrong shape raises DimensionMismatch first), and the
-    automorphism takes _polar_step before it is certified.
+    matrix of the wrong shape raises DimensionMismatch first).
     """
     a = np.asarray(a, dtype=np.complex128)
     if unitary:
@@ -355,10 +405,23 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
         if not normal.ok:
             raise NotNormal(
                 f"matrix is not normal (residual {normal.residual:.3e})")
-    plan = _spectral_plan(a, form, tol, structure)
-    report = _report(plan)
-    if not report.decision:
+    plan = _spectral_plan(a, form, tol, structure, route=True)
+    if not plan.balanced:
+        report = _report(plan)
         raise NotStructuredDiagonalizable(report.reason, report)
+    s = _polar_step(plan.transform) if unitary else plan.transform.copy()
+    return certify(a, s, plan.core.copy(), form, plan.variant, unitary)
+
+
+def _route(plan: _SpectralPlan, form: InnerProduct
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The automorphism S0 of a balanced plan and its core.
+
+    The spectrum of the selfadjoint A_hat = A or i A splits into conjugate
+    pairs (lower group, partner) and critical groups, ascending by their
+    core value (the lower eigenvalue, divided by i for skewadjoint A),
+    its real part rounded to the cluster radius.
+    """
     groups = plan.groups
     # (primary group, partner group, critical Sylvester factor or None); a
     # critical group is its own partner.
@@ -407,11 +470,7 @@ def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
     sign = 1.0 if form.kind is FormKind.SKEW_HERMITIAN else -1.0
     x, y = (x - y @ (herm_transpose(x) @ _times_form(form, x)) / 2,
             y + sign * x @ (herm_transpose(y) @ _times_form(form, y)) / 2)
-    s = _route_partners(x, y, form.tag)
-    if unitary:
-        s = _polar_step(s)
-    core = np.repeat(values[order], width)
-    return certify(a, s, core, form, plan.variant, unitary)
+    return _route_partners(x, y, form.tag), np.repeat(values[order], width)
 
 
 def _polar_step(s: np.ndarray) -> np.ndarray:

@@ -150,6 +150,15 @@ def _times_form(form: InnerProduct, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _inverse_times(form: InnerProduct, x: np.ndarray) -> np.ndarray:
+    """B^{-1} x for a 2-D x: B^{-1} is -J for J and B itself for R and I,
+    so it too acts as a signed row permutation, entry for entry exact."""
+    if form.tag is FormTag.SYMPLECTIC_J:
+        n = form.half
+        return np.concatenate([-x[n:], x[:n]])
+    return _times_form(form, x)
+
+
 def _form_times(form: InnerProduct, x: np.ndarray) -> np.ndarray:
     """x B for a 2-D x, entry for entry equal to x @ form.matrix: J and R
     act as signed column permutations, I returns x itself."""

@@ -357,6 +357,21 @@ def test_verify_fails_an_overflowing_residual(tmp_path, capsys):
     assert (code, doc["payload"]["passed"]) == (1, False)
 
 
+def test_verify_fails_a_singular_transform(tmp_path, capsys):
+    # The certificate solves no system: a singular S leaves the similarity
+    # unbounded, an infinite residual written as null, and exits 1.
+    a = random_structured_diagonalizable("hamiltonian", 2, 3).matrix
+    s = np.eye(4, dtype=complex)
+    s[:, 3] = s[:, 0]
+    write_matrix(tmp_path / "a.mtx", a)
+    write_matrix(tmp_path / "s.mtx", s)
+    code = main(["verify", "--mode", "diag", "--form", "symplectic",
+                 str(tmp_path / "a.mtx"), str(tmp_path / "s.mtx")])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residuals"]["similarity_diagonal"] is None
+    assert (code, doc["payload"]["passed"]) == (1, False)
+
+
 def test_verify_decomp_forms_the_adjoint_of_a_once(tmp_path, monkeypatch,
                                                    capsys):
     # The CLI picks the sign from the adjoint checks of A and hands them

@@ -26,6 +26,7 @@ from structdiag import (
     assemble_core_diagonal,
     complete_to_lagrangian,
     congruence_to,
+    counterexample_unbalanced,
     decompose_additive,
     diagonalizability_report,
     eigen,
@@ -49,13 +50,14 @@ from structdiag import (
     variant_for_kind,
 )
 from structdiag import cli
-from structdiag.core import DEFAULT_TOL, fro, herm_transpose
+from structdiag.core import DEFAULT_TOL, fro, herm_transpose, solve_linear
 import structdiag.diagonalize as diagonalize_module
 from structdiag.diagonalize import (
     _balanced_pairs,
     _neutral_half,
     _polar_step,
     certify,
+    factor_residuals,
 )
 from structdiag.forms import _sylvester
 from structdiag.spectral import (
@@ -736,6 +738,168 @@ class TestPlanMemo:
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
+
+
+class TestPlanTransform:
+    """The plan carries the routed automorphism S0: the first construction
+    on a plan routes it, later constructions on the same plan copy it (or
+    take their polar step from it), and no caller's array aliases it."""
+
+    @staticmethod
+    def _count_routes(monkeypatch):
+        routes = []
+        route = diagonalize_module._route
+
+        def counted(plan, form):
+            routes.append(plan)
+            return route(plan, form)
+        monkeypatch.setattr(diagonalize_module, "_route", counted)
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        return routes
+
+    @staticmethod
+    def _slot_plan():
+        return diagonalize_module._PLAN_SLOT[1]
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    def test_chain_routes_once(self, monkeypatch, kind, formf):
+        a, form = TestPlanMemo._instance(kind)
+        routes = self._count_routes(monkeypatch)
+        diagonalizability_report(a, form)
+        structured_diagonalize(a, form)
+        unitary_refine(a, form)
+        decompose_additive(a, form)
+        assert len(routes) == 1
+        plan = self._slot_plan()
+        for array in (plan.transform, plan.core):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_report_alone_routes_nothing(self, monkeypatch):
+        a, form = TestPlanMemo._instance()
+        routes = self._count_routes(monkeypatch)
+        diagonalizability_report(a, form)
+        diagonalizability_report(a, form)
+        assert not routes
+        assert self._slot_plan().transform is None
+        assert self._slot_plan().core is None
+
+    def test_unbalanced_input_stores_no_transform(self, monkeypatch):
+        a, form = counterexample_unbalanced(3, 5), symplectic_form(3)
+        routes = self._count_routes(monkeypatch)
+        for entry in (structured_diagonalize, unitary_refine):
+            with pytest.raises(NotStructuredDiagonalizable):
+                entry(a, form)
+        assert not routes
+        assert self._slot_plan().transform is None
+
+    def test_returned_factors_are_the_callers(self, monkeypatch):
+        a, form = TestPlanMemo._instance()
+        first = structured_diagonalize(a, form)
+        first.transform[:] = 0.0
+        first.core[:] = 0.0
+        warm = [pickle.dumps(entry(a, form)) for entry in
+                (structured_diagonalize, unitary_refine, decompose_additive)]
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        cold = [pickle.dumps(entry(a, form)) for entry in
+                (structured_diagonalize, unitary_refine, decompose_additive)]
+        assert warm == cold
+
+    def test_variant_flip_routes_again(self, monkeypatch):
+        first, change = TestPlanMemo._other_variant()
+        routes = self._count_routes(monkeypatch)
+        selfadjoint = structured_diagonalize(*first)
+        second = change()
+        skewadjoint = structured_diagonalize(*second)
+        assert [plan.variant for plan in routes] == [Variant.SELFADJOINT,
+                                                     Variant.SKEWADJOINT]
+        assert (selfadjoint.variant, skewadjoint.variant) == (
+            Variant.SELFADJOINT, Variant.SKEWADJOINT)
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        assert pickle.dumps(structured_diagonalize(*second)) == \
+            pickle.dumps(skewadjoint)
+
+
+class TestCertificate:
+    """factor_residuals reads S^{-1} off the form adjoint with a bound on
+    the truncation, and agrees with an LU solve of S^{-1} A S where S is
+    certifiable."""
+
+    @staticmethod
+    def _assert_matches_lu(a, s, form, diagonal):
+        new = factor_residuals(a, s, form, diagonal)[1]
+        reference = rel_residual(solve_linear(s, a @ s), np.diag(diagonal))
+        assert abs(new - reference) <= 1e-12, (new, reference)
+
+    @pytest.mark.parametrize("t", [10.0, 1e2, 1e3])
+    def test_conditioning_draw_matches_lu(self, t):
+        # The planted S and, where it certifies, the built one.
+        for seed in range(12):
+            kind = _KIND_FORMS[seed % 4][0]
+            inst = random_structured_diagonalizable(kind, 8, seed,
+                                                    critical_share=0.5)
+            form = form_for_kind(kind, 8)
+            s = TestConditioning._shear(form, t, seed) @ inst.transform
+            full = assemble_core_diagonal(inst.core, form.tag,
+                                          variant_for_kind(kind))
+            a = s @ np.diag(full) @ np.linalg.inv(s)
+            self._assert_matches_lu(a, s, form, full)
+            try:
+                d = structured_diagonalize(a, form)
+            except StructDiagError:
+                continue
+            self._assert_matches_lu(a, d.transform, form, d.full_diagonal)
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-6, 1e-7])
+    def test_near_normal_family_matches_lu(self, kind, gap):
+        for size in np.logspace(-15, -7, 9):
+            a, form = TestStructuredDiagonalize._near_normal(kind, gap, size)
+            for entry in (structured_diagonalize, unitary_refine):
+                try:
+                    d = entry(a, form)
+                except StructDiagError:
+                    continue
+                self._assert_matches_lu(a, d.transform, form,
+                                        d.full_diagonal)
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    def test_residual_bounds_that_of_an_lu_solve(self, kind):
+        # S off the automorphism group by up to 0.3 in norm: the truncated
+        # series alone misses S^{-1} A S by ~e^3 ||Y||, and the bound
+        # delta on it keeps the residual above the LU one; tight when S
+        # is close to an automorphism.
+        form = form_for_kind(kind, 4)
+        for seed in range(10):
+            inst = random_structured_diagonalizable(kind, 4, seed)
+            full = inst.full_diagonal
+            rng = np.random.default_rng(seed)
+            for eps in (1e-3, 1e-2, 0.1, 0.3):
+                p = gaussian_matrix(8, 8, seed=int(rng.integers(10**6)))
+                s = inst.transform @ (np.eye(8) + eps * p / fro(p))
+                res = factor_residuals(inst.matrix, s, form, full)[1]
+                reference = rel_residual(solve_linear(s, inst.matrix @ s),
+                                         np.diag(full))
+                assert reference <= res < np.inf
+                if eps <= 1e-2:
+                    assert res <= 1.01 * reference
+
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    def test_singular_transform_is_rejected(self, formf):
+        # S^* S = I + E is singular with S, so ||E||_F >= 1 and nothing
+        # bounds the similarity: its residual is inf.
+        form = formf(2)
+        s = np.eye(4, dtype=complex)
+        s[:, 3] = s[:, 0]
+        res_auto, res_sim, _ = factor_residuals(np.eye(4, dtype=complex), s,
+                                                form)
+        assert res_auto >= 1e-8
+        assert res_sim == np.inf
+        with pytest.raises(NumericalBreakdown):
+            certify(np.eye(4, dtype=complex), s, np.ones(2), form,
+                    Variant.SELFADJOINT)
 
 
 @pytest.mark.parametrize("entry", [
