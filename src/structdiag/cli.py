@@ -20,16 +20,18 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy, _within
+from .core import (DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy, _check,
+                   _within)
 from .decompose import (
     AdditiveDecomposition,
     Sign,
-    _verify,
     decompose_additive,
+    verify_decomposition,
 )
 from .diagonalize import (
-    _report,
-    _spectral_plan,
+    _record,
+    _store,
+    diagonalizability_report,
     factor_residuals,
     structured_diagonalize,
     unitary_refine,
@@ -65,8 +67,7 @@ from .generators import (
     random_structured_diagonalizable,
 )
 from .mmio import read_matrix, write_matrix
-from .structure import (FLAG_NAMES, STRUCTURE_NAMES, _adjoint_checks,
-                        classify)
+from .structure import FLAG_NAMES, STRUCTURE_NAMES, classify
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -174,8 +175,8 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
         }
         return payload, residuals
     try:
-        # diagonalizability_report, reusing the classification above.
-        diag_report = _report(_spectral_plan(a, form, tol, report))
+        # A hit on the record classify has just stored.
+        diag_report = diagonalizability_report(a, form, tol)
     except (NotDiagonalizable, SpectrumNotConjugateSymmetric) as exc:
         # A spectrum that fails the pairing was grouped without a defect.
         payload["diagonalizability"] = {
@@ -314,20 +315,21 @@ def _verify_diag(a: np.ndarray, s: np.ndarray,
 
 def _verify_decomp(a: np.ndarray, n_mat: np.ndarray, form: InnerProduct,
                    tol: TolerancePolicy) -> tuple[bool, dict, str]:
-    checks = _adjoint_checks(a, form, tol)
-    if checks.selfadjoint.ok:
+    # A's record, stored so that the verification reads A* from it.
+    record = _record(a, form)
+    _store(record)
+    if _check(record.selfadjoint, tol).ok:
         sign = Sign.PLUS
-    elif checks.skewadjoint.ok:
+    elif _check(record.skewadjoint, tol).ok:
         sign = Sign.MINUS
     else:
         return False, {
-            "selfadjoint": checks.selfadjoint.residual,
-            "skewadjoint": checks.skewadjoint.residual,
+            "selfadjoint": record.selfadjoint,
+            "skewadjoint": record.skewadjoint,
         }, "unstructured"
     dec = AdditiveDecomposition(normal_factor=n_mat, sign=sign,
                                 form_tag=form.tag)
-    # verify_decomposition, reusing the checks above.
-    verdict = _verify(a, dec, form, checks)
+    verdict = verify_decomposition(a, dec, form)
     return verdict.passed, verdict.to_dict(), sign.value
 
 

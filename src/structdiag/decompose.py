@@ -29,8 +29,11 @@ from .core import (
 from .diagonalize import (
     StructuredDiagonalization,
     Variant,
+    _certified,
     _complete,
-    _construct,
+    _record,
+    _store,
+    _with_normality,
     certify,
     unitary_refine,
 )
@@ -44,8 +47,7 @@ from .errors import (
     SingularInput,
 )
 from .forms import FormTag, InnerProduct, _form_times, adjoint, gram
-from .structure import (_AdjointChecks, _adjoint_checks, _normal_check,
-                        _route_partners)
+from .structure import _normal_check, _route_partners
 
 
 class Sign(enum.Enum):
@@ -253,29 +255,25 @@ class VerificationReport:
 def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
                          form: InnerProduct) -> VerificationReport:
     """Recompute every residual; pass iff N's rank is at most n and every
-    residual is within FACTOR_GUARANTEE (a NaN one never is)."""
+    residual is within FACTOR_GUARANTEE (a NaN one never is). A's
+    structure and normality residuals come from its record, which is
+    stored."""
     _check_form_tag(dec, form)
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
         raise DimensionMismatch("matrix and factor dimensions differ")
-    return _verify(a, dec, form, _adjoint_checks(a, form))
-
-
-def _verify(a: np.ndarray, dec: AdditiveDecomposition, form: InnerProduct,
-            checks: _AdjointChecks) -> VerificationReport:
-    """verify_decomposition from the adjoint checks of A its caller has
-    made (the CLI picks the sign from them), so A* is formed once."""
+    record = _with_normality(_record(a, form), a)
+    _store(record)
     n_mat = dec.normal_factor
     residuals = _decomposition_residuals(a, n_mat, adjoint(n_mat, form),
                                          dec.sign)
-    structure_res = (checks.selfadjoint if dec.sign is Sign.PLUS
-                     else checks.skewadjoint).residual
-    normal_res = _normal_check(a).residual
+    structure_res = (record.selfadjoint if dec.sign is Sign.PLUS
+                     else record.skewadjoint)
     rank_ok = numerical_rank(n_mat) <= form.half
     passed = rank_ok and _within(FACTOR_GUARANTEE, *astuple(residuals),
-                                 structure_res, normal_res)
-    return VerificationReport(passed, residuals, structure_res, normal_res,
-                              rank_ok)
+                                 structure_res, record.normal)
+    return VerificationReport(passed, residuals, structure_res,
+                              record.normal, rank_ok)
 
 
 def structured_exp(dec: AdditiveDecomposition, form: InnerProduct
@@ -313,12 +311,14 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
         raise ValueError("root order p must be an integer") from None
     if p < 2:
         raise ValueError("root order p must be >= 2")
-    checks = _adjoint_checks(a, form, tol)
-    if not checks.selfadjoint.ok:
+    a = np.asarray(a, dtype=np.complex128)
+    record = _record(a, form)
+    selfadjoint = _check(record.selfadjoint, tol)
+    if not selfadjoint.ok:
         raise NotStructured(
             "structured roots require a selfadjoint matrix "
-            f"(residual {checks.selfadjoint.residual:.3e})")
-    diag = _construct(a, form, tol, checks, unitary=True)
+            f"(residual {selfadjoint.residual:.3e})")
+    diag = _certified(record, a, form, tol, unitary=True)
     # The singular values of normal A are |core| and their mirror images.
     mags = np.abs(diag.core)
     if _rank(mags) < mags.size:

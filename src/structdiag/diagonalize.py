@@ -23,26 +23,30 @@ the neutral half of the complement Gram in Lagrangian completion.
 Every entry point checks only the structure it reads (selfadjoint or
 skewadjoint, and normality on the unitary routes), then eigendecomposes,
 groups, pairs and factors each critical Gram once, in one spectral plan
-that the decision and the construction share. The first construction
-on a plan routes its automorphism S0 (_route) and keeps it, with its
-core, in the plan. The last plan is kept in one slot, keyed by A's exact
-bytes, the form tag and the variant, so that consecutive entry-point
-calls on the same A (a report, then a construction, then the
-decomposition built on it) build the plan and S0 once; every call still
-runs its own checks, polar step (on the unitary routes) and certificate,
-and returns its own copy of S. The certificate (factor_residuals) reads
-S^{-1} off the form, as the form adjoint of S corrected to second order
-in the automorphism error with a bound on the rest, so it solves no
-linear system. J and R enter every product as signed permutations
-(forms._times_form, forms._form_times, forms._inverse_times), never as
-dense matrices.
+that the decision and the construction share. What the calls measure of
+A is kept in one per-input record (_Record) in one slot, keyed by A's
+exact bytes and the form tag: A* with its selfadjoint and skewadjoint
+residuals, the normality residual, the plan of the last variant decided
+with its routed automorphism S0 and core, and each factor a route
+certifies (S0, and its polar step on the unitary routes) with its
+factor_residuals. So consecutive calls on the same A (classify, a report,
+both constructions and the decomposition built on them) form each of
+these once. Every call still judges the stored residuals against its own
+tolerance and FACTOR_GUARANTEE, in a cold call's order, so it raises
+what a cold call raises, and returns its own copies of S and the core.
+The certificate (factor_residuals) reads S^{-1} off the form, as the
+form adjoint of S corrected to second order in the automorphism error
+with a bound on the rest, so it solves no linear system. J and R enter
+every product as signed permutations (forms._times_form,
+forms._form_times, forms._inverse_times), never as dense matrices.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,7 @@ from .core import (
     FACTOR_GUARANTEE,
     FRAME_GUARANTEE,
     TolerancePolicy,
+    _check,
     _within,
     fro,
     herm_transpose,
@@ -84,9 +89,6 @@ from .spectral import (
     pair_conjugates,
 )
 from .structure import (
-    StructureReport,
-    _AdjointChecks,
-    _adjoint_checks,
     _check_square,
     _normal_check,
     _route_partners,
@@ -183,16 +185,25 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
     return np.concatenate([core, mirror])
 
 
+class _Factor(NamedTuple):
+    """A route's automorphism (read-only) and its factor_residuals."""
+
+    transform: np.ndarray
+    residuals: tuple[float, float, float]
+
+
 @dataclass(frozen=True)
 class _SpectralPlan:
-    """What one call learns about A once: its variant, the eigenvalue
-    groups of A_hat = A or i A (clustered, with orthonormal bases), their
-    conjugate pairing and, by group index, the Sylvester factor and
-    inertia of each self-conjugate (critical) group's Gram. The first
-    construction on a balanced plan adds the routed automorphism S0
-    (_route, before any polar step) and its core; a report alone leaves
-    them None. Its arrays are read-only, since one plan may serve several
-    calls."""
+    """What the calls learn about A's spectrum once: its variant, the
+    eigenvalue groups of A_hat = A or i A (clustered, with orthonormal
+    bases), their conjugate pairing and, by group index, the Sylvester
+    factor and inertia of each self-conjugate (critical) group's Gram.
+    The first construction on a balanced plan adds the routed
+    automorphism S0 (_route, before any polar step) and its core, and
+    each construction the certified factor of its route, keyed by
+    ``unitary``: S0 itself, or its _polar_step; a report alone leaves
+    them empty. Its arrays are read-only, since one plan may serve
+    several calls."""
 
     variant: Variant
     groups: tuple[EigenGroup, ...]
@@ -200,6 +211,7 @@ class _SpectralPlan:
     critical: dict[int, tuple[np.ndarray, Inertia]]
     transform: np.ndarray | None = None
     core: np.ndarray | None = None
+    factors: dict[bool, _Factor] = field(default_factory=dict)
 
     @property
     def balanced(self) -> bool:
@@ -207,10 +219,65 @@ class _SpectralPlan:
         return all(g.balanced for _, g in self.critical.values())
 
 
-# (key, plan) of the last plan _spectral_plan built or routed, or None.
-# One slot serves the same A back to back, as in a report followed by a
-# construction, and holds no memory for inputs that do not come back.
-_PLAN_SLOT: tuple[tuple, _SpectralPlan] | None = None
+@dataclass(frozen=True)
+class _Record:
+    """What the calls measure of one input A under one form: A*
+    (read-only) with the residuals of A* against A and -A, the residual
+    of A^H A against A A^H once classify or a unitary route forms them,
+    and the spectral plan of the last variant decided. It keeps
+    residuals, not decisions: each call judges them at its own
+    tolerance."""
+
+    key: tuple
+    a_star: np.ndarray
+    selfadjoint: float
+    skewadjoint: float
+    normal: float | None = None
+    plan: _SpectralPlan | None = None
+
+
+# The record of the last input, or None. One slot serves the same A back
+# to back, as in a chain of entry points on one matrix, and holds no
+# memory for inputs that do not come back.
+_PLAN_SLOT: _Record | None = None
+
+
+def _record(a: np.ndarray, form: InnerProduct) -> _Record:
+    """The slot's record of the complex128 A under form if it holds one,
+    keyed by A's shape and exact bytes and the form tag, or else a new
+    record with A* and its two residuals; DimensionMismatch unless A is
+    square of the form's dimension. It stores nothing (_store does)."""
+    _check_square(a, form)
+    key = (a.shape, form.tag, a.tobytes())
+    held = _PLAN_SLOT
+    if held is not None and held.key == key:
+        return held
+    a_star = adjoint(a, form)
+    a_star.flags.writeable = False
+    return _Record(key, a_star, rel_residual(a_star, a),
+                   rel_residual(a_star, -a))
+
+
+def _store(record: _Record) -> None:
+    """Keep record in the slot. A call stores once its checks have passed
+    and its plan is built, so a call that raises before then stores
+    nothing."""
+    global _PLAN_SLOT
+    _PLAN_SLOT = record
+
+
+def _with_normality(record: _Record, a: np.ndarray,
+                    aha: np.ndarray | None = None) -> _Record:
+    """record with A's normality residual, formed (from ``aha`` = A^H A
+    when the caller has it) unless the record holds it."""
+    if record.normal is not None:
+        return record
+    return replace(record, normal=_normal_check(a, aha=aha).residual)
+
+
+def _check_form(form: InnerProduct) -> None:
+    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
+        raise NotStructured("diagonalizability analysis targets J or R forms")
 
 
 def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
@@ -218,69 +285,58 @@ def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
     return values / 1j if variant is Variant.SKEWADJOINT else values
 
 
-def _spectral_plan(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
-                   structure: StructureReport | _AdjointChecks | None = None,
-                   route: bool = False) -> _SpectralPlan:
-    """Check A selfadjoint or skewadjoint (unless ``structure`` gives the
-    two flags), decompose and group A, pair the groups of A_hat and factor
-    the Gram of each critical group; with ``route``, also route the
-    automorphism S0 of a balanced plan that lacks it.
-
-    The checks run on every call. The plan is then looked up in the one
-    slot _PLAN_SLOT, keyed by A's shape and exact bytes, the form tag and
-    the variant (the tolerance reaches the plan only through the
-    variant); on a miss it is built, and a plan that is built or gains S0
-    is stored. A call that raises stores nothing.
-
-    Raises NotStructured off the J and R forms or for a matrix that is
-    neither selfadjoint nor skewadjoint, NotDiagonalizable (from
-    group_eigenvalues) when an eigenvalue cluster is defective, and
-    SpectrumNotConjugateSymmetric (from pair_conjugates) when A_hat's
-    spectrum is not closed under conjugation.
-    """
-    global _PLAN_SLOT
-    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
-        raise NotStructured("diagonalizability analysis targets J or R forms")
+def _spectral_plan(a: np.ndarray, form: InnerProduct,
+                   tol: TolerancePolicy) -> _SpectralPlan:
+    """The plan of A for the variant tol decides (_planned), kept in A's
+    record. NotStructured off the J and R forms."""
+    _check_form(form)
     # One dtype, so that equal bytes in the key mean equal entries.
     a = np.asarray(a, dtype=np.complex128)
-    if structure is None:
-        structure = _adjoint_checks(a, form, tol)
-    if structure.selfadjoint.ok:
+    record = _planned(_record(a, form), a, form, tol)
+    _store(record)
+    return record.plan
+
+
+def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
+             tol: TolerancePolicy) -> _Record:
+    """record with the plan of the variant its residuals give at tol:
+    decompose and group A, pair the groups of A_hat and factor the Gram
+    of each critical group, unless the record holds the plan of that
+    variant already. The tolerance reaches the plan only through the
+    variant, so a tolerance that flips it rebuilds the plan alone.
+
+    Raises NotStructured for a matrix that is neither selfadjoint nor
+    skewadjoint, NotDiagonalizable (from group_eigenvalues) when an
+    eigenvalue cluster is defective, and SpectrumNotConjugateSymmetric
+    (from pair_conjugates) when A_hat's spectrum is not closed under
+    conjugation.
+    """
+    if _check(record.selfadjoint, tol).ok:
         variant = Variant.SELFADJOINT
-    elif structure.skewadjoint.ok:
+    elif _check(record.skewadjoint, tol).ok:
         variant = Variant.SKEWADJOINT
     else:
         raise NotStructured(
             "matrix is neither selfadjoint nor skewadjoint for this form "
-            f"(residuals {structure.selfadjoint.residual:.3e} / "
-            f"{structure.skewadjoint.residual:.3e})",
-            min(structure.selfadjoint.residual,
-                structure.skewadjoint.residual))
-    key = (a.shape, form.tag, variant, a.tobytes())
-    slot = _PLAN_SLOT
-    if slot is not None and slot[0] == key:
-        plan = slot[1]
-    else:
-        groups = group_eigenvalues(eigen(a))
-        if variant is Variant.SKEWADJOINT:
-            # i A has the eigenvectors of A; clustering sees only
-            # distances, so the groups of i A are those of A with every
-            # value times i.
-            groups = [replace(g, value=1j * g.value) for g in groups]
-        pairing = pair_conjugates(groups)
-        critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
-                    for i in pairing.selfconjugate}
-        for array in ([g.basis for g in groups]
-                      + [u for u, _ in critical.values()]):
-            array.flags.writeable = False
-        plan = _SpectralPlan(variant, tuple(groups), pairing, critical)
-    if route and plan.transform is None and plan.balanced:
-        s0, core = _route(plan, form)
-        s0.flags.writeable = core.flags.writeable = False
-        plan = replace(plan, transform=s0, core=core)
-    if slot is None or slot[1] is not plan:
-        _PLAN_SLOT = (key, plan)
-    return plan
+            f"(residuals {record.selfadjoint:.3e} / "
+            f"{record.skewadjoint:.3e})",
+            min(record.selfadjoint, record.skewadjoint))
+    if record.plan is not None and record.plan.variant is variant:
+        return record
+    groups = group_eigenvalues(eigen(a))
+    if variant is Variant.SKEWADJOINT:
+        # i A has the eigenvectors of A; clustering sees only
+        # distances, so the groups of i A are those of A with every
+        # value times i.
+        groups = [replace(g, value=1j * g.value) for g in groups]
+    pairing = pair_conjugates(groups)
+    critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
+                for i in pairing.selfconjugate}
+    for array in ([g.basis for g in groups]
+                  + [u for u, _ in critical.values()]):
+        array.flags.writeable = False
+    return replace(record, plan=_SpectralPlan(variant, tuple(groups),
+                                              pairing, critical))
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
@@ -371,8 +427,24 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
     """S as a diagonalization of A; NumericalBreakdown unless its residuals
     (unitarity too, with ``unitary``) meet FACTOR_GUARANTEE, which a
     non-finite S never does."""
-    res_auto, res_sim, res_unit = factor_residuals(
-        a, s, form, assemble_core_diagonal(core, form.tag, variant))
+    return _judged(s, core, form.tag, variant,
+                   _certificate(a, s, core, form, variant), unitary)
+
+
+def _certificate(a: np.ndarray, s: np.ndarray, core: np.ndarray,
+                 form: InnerProduct,
+                 variant: Variant) -> tuple[float, float, float]:
+    """The factor_residuals of S against the structured diagonal of core:
+    the one place the package certifies a factor it built."""
+    return factor_residuals(a, s, form,
+                            assemble_core_diagonal(core, form.tag, variant))
+
+
+def _judged(s: np.ndarray, core: np.ndarray, form_tag: FormTag,
+            variant: Variant, residuals: tuple[float, float, float],
+            unitary: bool) -> StructuredDiagonalization:
+    """certify's verdict on residuals S has been certified with."""
+    res_auto, res_sim, res_unit = residuals
     is_unitary = _within(FACTOR_GUARANTEE, res_unit)
     if (not _within(FACTOR_GUARANTEE, res_auto, res_sim)
             or (unitary and not is_unitary)):
@@ -381,36 +453,59 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
             f"{res_auto:.3e}, similarity {res_sim:.3e}, unitary "
             f"{res_unit:.3e})")
     return StructuredDiagonalization(
-        transform=s, core=core, form_tag=form.tag, variant=variant,
+        transform=s, core=core, form_tag=form_tag, variant=variant,
         residual_automorphism=res_auto, residual_similarity=res_sim,
         unitary=is_unitary)
 
 
-def _construct(a: np.ndarray, form: InnerProduct, tol: TolerancePolicy,
-               structure: _AdjointChecks | None = None,
-               unitary: bool = False) -> StructuredDiagonalization:
-    """Decide, then certify the automorphism every constructor uses: the
-    plan's routed S0 (see _route), copied, or with ``unitary`` taken one
-    _polar_step.
+def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
+               tol: TolerancePolicy,
+               unitary: bool) -> StructuredDiagonalization:
+    """Decide, then judge the automorphism every constructor uses: the
+    plan's routed S0 (see _route), or with ``unitary`` S0 taken one
+    _polar_step, each routed and certified once per plan (_factored) and
+    returned as a copy, with a copy of the core.
 
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
-    multiplicity. With ``unitary``: NotNormal unless A is normal (a
-    matrix of the wrong shape raises DimensionMismatch first).
+    multiplicity. With ``unitary``: NotNormal unless A is normal, before
+    NotStructured off the J and R forms.
     """
-    a = np.asarray(a, dtype=np.complex128)
     if unitary:
-        _check_square(a, form)
-        normal = _normal_check(a, tol)
+        record = _with_normality(record, a)
+        normal = _check(record.normal, tol)
         if not normal.ok:
             raise NotNormal(
                 f"matrix is not normal (residual {normal.residual:.3e})")
-    plan = _spectral_plan(a, form, tol, structure, route=True)
+        _check_form(form)
+    record = _planned(record, a, form, tol)
+    plan = record.plan
+    if plan.balanced and unitary not in plan.factors:
+        plan = _factored(plan, a, form, unitary)
+        record = replace(record, plan=plan)
+    _store(record)
     if not plan.balanced:
         report = _report(plan)
         raise NotStructuredDiagonalizable(report.reason, report)
-    s = _polar_step(plan.transform) if unitary else plan.transform.copy()
-    return certify(a, s, plan.core.copy(), form, plan.variant, unitary)
+    factor = plan.factors[unitary]
+    return _judged(factor.transform.copy(), plan.core.copy(), form.tag,
+                   plan.variant, factor.residuals, unitary)
+
+
+def _factored(plan: _SpectralPlan, a: np.ndarray, form: InnerProduct,
+              unitary: bool) -> _SpectralPlan:
+    """The balanced plan with its route's factor certified: S0, routed
+    first if the plan lacks it, or with ``unitary`` its _polar_step. The
+    certificate is kept whether or not it meets the guarantee, so that
+    every call on the plan judges it alike."""
+    if plan.transform is None:
+        s0, core = _route(plan, form)
+        s0.flags.writeable = core.flags.writeable = False
+        plan = replace(plan, transform=s0, core=core)
+    s = _polar_step(plan.transform) if unitary else plan.transform
+    s.flags.writeable = False
+    factor = _Factor(s, _certificate(a, s, plan.core, form, plan.variant))
+    return replace(plan, factors={**plan.factors, unitary: factor})
 
 
 def _route(plan: _SpectralPlan, form: InnerProduct
@@ -508,7 +603,9 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
     (d) route partner columns into form positions, ascending by the
         final core eigenvalue, its real part rounded to the cluster radius.
     """
-    return _construct(a, form, tol)
+    a = np.asarray(a, dtype=np.complex128)
+    _check_form(form)
+    return _certified(_record(a, form), a, form, tol, unitary=False)
 
 
 def unitary_refine(a: np.ndarray, form: InnerProduct,
@@ -527,7 +624,8 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
     removes that error to first order and keeps S an automorphism up to
     second order in it.
     """
-    return _construct(a, form, tol, unitary=True)
+    a = np.asarray(a, dtype=np.complex128)
+    return _certified(_record(a, form), a, form, tol, unitary=True)
 
 
 def _balanced_pairs(u: np.ndarray, form: InnerProduct

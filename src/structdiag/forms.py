@@ -121,8 +121,9 @@ def _check_dim(a: np.ndarray, form: InnerProduct):
 def adjoint(a: np.ndarray, form: InnerProduct) -> np.ndarray:
     """Form adjoint B^{-1} A^H B.
 
-    J^{-1} = -J and R^{-1} = R, so for them it is a signed block swap and
-    a double flip of A^H, equal to the LU solve entry for entry.
+    J^{-1} = -J and R^{-1} = R, so for them it is a signed block swap
+    (two signed permutations of A^H) and a double flip of A^H, equal to
+    the LU solve entry for entry.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -133,9 +134,7 @@ def adjoint(a: np.ndarray, form: InnerProduct) -> np.ndarray:
         return ah
     if form.tag is FormTag.PERPLECTIC_R:
         return ah[::-1, ::-1]
-    n = form.half
-    return np.block([[ah[n:, n:], -ah[n:, :n]],
-                     [-ah[:n, n:], ah[:n, :n]]])
+    return _inverse_times(form, _form_times(form, ah))
 
 
 def _times_form(form: InnerProduct, x: np.ndarray) -> np.ndarray:

@@ -1,25 +1,26 @@
 """Structure classification and unitary automorphism construction.
 
 classify() measures every structure flag as a Frobenius-scaled residual
-and judges it with core._check, whose Check it re-exports; the entry
-points, which read at most two flags, call its _adjoint_checks and
-_normal_check alone, and the decomposition routines take their
-structure and normality residuals from them. build_unitary_automorphism
-assembles a unitary automorphism from an orthonormal Lagrangian frame,
-with the partner layout the constructive diagonalization uses.
+and judges it with core._check, whose Check it re-exports. A* with its
+selfadjoint and skewadjoint residuals, and the normality residual, go
+into the per-input record the entry points share (diagonalize._record),
+so classify and the entry points after it on the same A form them once;
+_normal_check also judges the matrices the decomposition routines build.
+build_unitary_automorphism assembles a unitary automorphism from an
+orthonormal Lagrangian frame, with the partner layout the constructive
+diagonalization uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, Check, TolerancePolicy,
                    _check, _within, fro, herm_transpose, rel_residual)
 from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
-from .forms import FormTag, InnerProduct, _form_times, adjoint
+from .forms import FormTag, InnerProduct, _form_times
 
 # Form-specific display names for the three adjoint-relative structures.
 _NAMES = {
@@ -81,23 +82,6 @@ def _check_square(a: np.ndarray, form: InnerProduct) -> None:
         raise DimensionMismatch("matrix dimension does not match the form")
 
 
-class _AdjointChecks(NamedTuple):
-    selfadjoint: Check
-    skewadjoint: Check
-    a_star: np.ndarray
-
-
-def _adjoint_checks(a: np.ndarray, form: InnerProduct,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> _AdjointChecks:
-    """classify's selfadjoint and skewadjoint flags, and the A* they
-    compare with A, for the callers that read only these two."""
-    a = np.asarray(a, dtype=np.complex128)
-    _check_square(a, form)
-    a_star = adjoint(a, form)
-    return _AdjointChecks(_check(rel_residual(a_star, a), tol),
-                          _check(rel_residual(a_star, -a), tol), a_star)
-
-
 def _normal_check(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
                   aha: np.ndarray | None = None) -> Check:
     """classify's euclidean_normal flag of a square matrix, the residual
@@ -108,20 +92,30 @@ def _normal_check(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
 
 def classify(a: np.ndarray, form: InnerProduct,
              tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
-    """Residual-based structure report of a square matrix against a form."""
+    """Residual-based structure report of a square matrix against a form.
+
+    A*, its residuals against A and -A and the normality residual come
+    from A's record, which classify fills and stores for the entry points
+    that follow it on the same A.
+    """
+    # diagonalize builds on this module, so it is imported when called.
+    from .diagonalize import _record, _store, _with_normality
     a = np.asarray(a, dtype=np.complex128)
-    selfadjoint, skewadjoint, a_star = _adjoint_checks(a, form, tol)
+    record = _record(a, form)
     ah = herm_transpose(a)
     eye = np.eye(a.shape[0], dtype=np.complex128)
     aha = ah @ a
+    record = _with_normality(record, a, aha)
+    _store(record)
+    a_star = record.a_star
     star_a = a_star @ a
     return StructureReport(
         hermitian=_check(rel_residual(a, ah), tol),
         skew_hermitian=_check(rel_residual(a, -ah), tol),
         unitary=_check(rel_residual(aha, eye), tol),
-        euclidean_normal=_normal_check(a, tol, aha),
-        selfadjoint=selfadjoint,
-        skewadjoint=skewadjoint,
+        euclidean_normal=_check(record.normal, tol),
+        selfadjoint=_check(record.selfadjoint, tol),
+        skewadjoint=_check(record.skewadjoint, tol),
         automorphism=_check(rel_residual(star_a, eye), tol),
         b_normal=_check(rel_residual(a @ a_star, star_a), tol),
         form_tag=form.tag,

@@ -17,7 +17,7 @@ from structdiag import (
     symplectic_form,
     write_matrix,
 )
-from structdiag import cli, forms
+from structdiag import cli, diagonalize, forms
 from structdiag.cli import main
 from structdiag.structure import classify
 
@@ -374,8 +374,9 @@ def test_verify_fails_a_singular_transform(tmp_path, capsys):
 
 def test_verify_decomp_forms_the_adjoint_of_a_once(tmp_path, monkeypatch,
                                                    capsys):
-    # The CLI picks the sign from the adjoint checks of A and hands them
-    # to the verification, which forms only N* itself.
+    # The CLI picks the sign from A's record and the verification reads
+    # A* from it, forming only N* itself. A verify process starts with an
+    # empty slot; the warm-up above left A's record in this one.
     inst = random_structured_diagonalizable("hamiltonian", 3, 4)
     form = symplectic_form(3)
     dec = decompose_additive(inst.matrix, form)
@@ -394,6 +395,7 @@ def test_verify_decomp_forms_the_adjoint_of_a_once(tmp_path, monkeypatch,
             for attr, value in list(vars(module).items()):
                 if value is adjoint:
                     monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(diagonalize, "_PLAN_SLOT", None)
     code = main(["verify", "--mode", "decomp", "--form", "symplectic",
                  str(tmp_path / "a.mtx"), str(tmp_path / "n.mtx")])
     doc = json.loads(capsys.readouterr().out)

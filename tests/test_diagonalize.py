@@ -620,10 +620,12 @@ _ENTRY_POINTS = [diagonalizability_report, structured_diagonalize,
 
 
 class TestPlanMemo:
-    """The one plan slot: the same A back to back builds its spectral plan
-    once, while other bytes, another form or another variant build a new
-    one. Every call still runs its own checks, and a hit returns what a
-    call on a cold slot returns."""
+    """The one record slot: calls on the same A back to back form A*, the
+    normality products, the spectral plan, S0, the polar step and each
+    certificate once, while other bytes or another form start a new
+    record and another variant builds a new plan. Every call judges the
+    stored residuals at its own tolerance, so a hit raises and returns
+    what a call on a cold slot does, and it returns its own copies."""
 
     @staticmethod
     def _instance(kind="hamiltonian"):
@@ -694,20 +696,99 @@ class TestPlanMemo:
         assert diagonalizability_report(*second) == rebuilt
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
-    def test_tight_tolerance_raises_on_a_held_plan(self, entry):
+    def test_tight_tolerance_raises_on_a_held_plan(self, monkeypatch, entry):
         # A real shift keeps A normal and moves it off the Hamiltonian
         # class by a residual the default tolerance accepts.
         a, form = self._instance()
         a = a + 1e-12 * np.eye(16)
         diagonalizability_report(a, form)
-        held = diagonalize_module._PLAN_SLOT
-        assert held is not None
         cls = classify(a, form)
+        held = diagonalize_module._PLAN_SLOT
+        assert held is not None and held.plan is not None
         tight = TolerancePolicy(cls.skewadjoint.residual / 2)
         assert cls.euclidean_normal.residual < tight.structure_tol
-        with pytest.raises(NotStructured):
+        with pytest.raises(NotStructured) as hit:
             entry(a, form, tight)
         assert diagonalize_module._PLAN_SLOT is held
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        with pytest.raises(NotStructured) as cold:
+            entry(a, form, tight)
+        assert str(hit.value) == str(cold.value)
+
+    @pytest.mark.parametrize("entry", [unitary_refine, decompose_additive])
+    def test_tight_tolerance_raises_not_normal_on_a_held_record(
+            self, monkeypatch, entry):
+        a, form = self._instance()
+        unitary_refine(a, form)
+        held = diagonalize_module._PLAN_SLOT
+        assert held.normal > 0.0 and held.plan.factors
+        tight = TolerancePolicy(held.normal / 2)
+        with pytest.raises(NotNormal) as hit:
+            entry(a, form, tight)
+        assert diagonalize_module._PLAN_SLOT is held
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        with pytest.raises(NotNormal) as cold:
+            entry(a, form, tight)
+        assert str(hit.value) == str(cold.value)
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    def test_chain_measures_the_input_once(self, monkeypatch, kind, formf):
+        # classify, a report, both constructions and the decomposition
+        # form A* and A^H A, A A^H once, take one polar step and certify
+        # S0 and its polar step once each.
+        a, form = self._instance(kind)
+        calls = {"adjoint of A": 0, "normality of A": 0, "polar step": 0,
+                 "certificate": 0}
+
+        def counted(key, fn, of_a):
+            def wrapper(x, *args, **kwargs):
+                calls[key] += np.array_equal(x, a) if of_a else 1
+                return fn(*(x,) + args, **kwargs)
+            return wrapper
+
+        for key, fn, of_a in (
+                ("adjoint of A", diagonalize_module.adjoint, True),
+                ("normality of A", diagonalize_module._normal_check, True),
+                ("polar step", diagonalize_module._polar_step, False),
+                ("certificate", diagonalize_module.factor_residuals, False)):
+            wrapper = counted(key, fn, of_a)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "structdiag":
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, wrapper)
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        for entry in [classify] + _ENTRY_POINTS:
+            entry(a, form)
+        assert calls == {"adjoint of A": 1, "normality of A": 1,
+                         "polar step": 1, "certificate": 2}
+
+    @pytest.mark.parametrize("entry", [structured_diagonalize,
+                                       unitary_refine])
+    def test_writes_into_returned_arrays_stay_the_callers(self, monkeypatch,
+                                                          entry):
+        a, form = self._instance()
+        first = entry(a, form)
+        first.transform[:] = 0.0
+        first.core[:] = 0.0
+        hit = pickle.dumps(entry(a, form))
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        assert pickle.dumps(entry(a, form)) == hit
+
+    def test_variant_flip_keeps_the_residuals(self, monkeypatch):
+        first, change = self._other_variant()
+        diagonalizability_report(*first)
+        held = diagonalize_module._PLAN_SLOT
+        second = change()
+        counts = TestOneSpectralPass._count(monkeypatch, second[1])
+        diagonalizability_report(*second)
+        record = diagonalize_module._PLAN_SLOT
+        assert self._builds(counts) == (1, 1, 1)
+        assert record.a_star is held.a_star
+        assert (record.selfadjoint, record.skewadjoint, record.normal) == (
+            held.selfadjoint, held.skewadjoint, held.normal)
+        assert (held.plan.variant, record.plan.variant) == (
+            Variant.SELFADJOINT, Variant.SKEWADJOINT)
 
     def test_a_call_that_raises_stores_nothing(self):
         a, form = self._instance()
@@ -743,7 +824,8 @@ class TestPlanMemo:
 class TestPlanTransform:
     """The plan carries the routed automorphism S0: the first construction
     on a plan routes it, later constructions on the same plan copy it (or
-    take their polar step from it), and no caller's array aliases it."""
+    the polar step taken from it once), and no caller's array aliases
+    it."""
 
     @staticmethod
     def _count_routes(monkeypatch):
@@ -759,7 +841,7 @@ class TestPlanTransform:
 
     @staticmethod
     def _slot_plan():
-        return diagonalize_module._PLAN_SLOT[1]
+        return diagonalize_module._PLAN_SLOT.plan
 
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
     def test_chain_routes_once(self, monkeypatch, kind, formf):

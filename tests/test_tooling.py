@@ -140,13 +140,13 @@ _CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 
 
 def test_plan_slot_is_the_only_module_state():
-    # diagonalize._PLAN_SLOT, the one spectral plan kept between calls,
-    # is the only name a function rebinds at module level, and no
+    # diagonalize._PLAN_SLOT, the one per-input record kept between
+    # calls, is the only name a function rebinds at module level, and no
     # functools cache keeps anything else between calls.
     rebound = {(module, top, name) for module, top, node in _package_nodes()
                if isinstance(node, ast.Global)
                for name in node.names}
-    assert rebound == {("diagonalize", "_spectral_plan", "_PLAN_SLOT")}
+    assert rebound == {("diagonalize", "_store", "_PLAN_SLOT")}
     cached = set()
     for module, top, node in _package_nodes():
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
@@ -158,3 +158,22 @@ def test_plan_slot_is_the_only_module_state():
             if name in _CACHE_DECORATORS:
                 cached.add((module, top))
     assert not cached
+
+
+def _callers(name):
+    """(module, top-level definition) of every call of ``name`` by name."""
+    return [(module, top) for module, top, node in _package_nodes()
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == name]
+
+
+def test_each_factor_is_built_and_certified_in_one_place():
+    # The polar step is taken only where the record certifies a unitary
+    # route's factor, and factor_residuals runs only where a factor the
+    # package built is certified (the record's fill and certify share
+    # _certificate) and where verify --mode diag checks a given one.
+    assert _callers("_polar_step") == [("diagonalize", "_factored")]
+    assert sorted(_callers("factor_residuals")) == [
+        ("cli", "_verify_diag"), ("diagonalize", "_certificate")]
+    assert sorted(_callers("_certificate")) == [
+        ("diagonalize", "_factored"), ("diagonalize", "certify")]
