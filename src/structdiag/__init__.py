@@ -21,7 +21,6 @@ from .decompose import (
     VerificationReport,
     decompose_additive,
     reconstruct_from_normal_factor,
-    split_normal,
     structured_exp,
     structured_root,
     verify_decomposition,

@@ -43,7 +43,7 @@ DEFAULT_TOL = TolerancePolicy()
 # TolerancePolicy knobs: a factor that misses its guarantee raises
 # instead of returning.
 FACTOR_GUARANTEE = 1e-8   # diagonalization and decomposition residuals
-FRAME_GUARANTEE = 1e-9    # Lagrangian frames (completion), split_normal
+FRAME_GUARANTEE = 1e-9    # Lagrangian frames (completion)
 ROOT_GUARANTEE = 1e-7     # X^p = A for structured_root
 FRAME_INPUT_TOL = 1e-10   # frames accepted by build_unitary_automorphism
 CLUSTER_TOL = 1e-8        # radius r of every spectral decision, relative

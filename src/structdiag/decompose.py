@@ -15,7 +15,6 @@ import scipy.linalg
 from .core import (
     DEFAULT_TOL,
     FACTOR_GUARANTEE,
-    FRAME_GUARANTEE,
     ROOT_GUARANTEE,
     TolerancePolicy,
     _check,
@@ -90,9 +89,9 @@ class AdditiveDecomposition:
 
 
 def _unitary_eigh_normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary diagonalization of a (numerically) normal matrix: a 2n x 2n
-    one in split_normal and structured_exp, the k x k compression of N to its
-    range in reconstruct_from_normal_factor.
+    """Unitary diagonalization of a (numerically) normal matrix: the 2n x 2n
+    N in structured_exp, the k x k compression of N to its range in
+    reconstruct_from_normal_factor.
 
     The complex Schur form of a normal matrix is diagonal, so the Schur
     vectors are an orthonormal eigenbasis.
@@ -100,36 +99,6 @@ def _unitary_eigh_normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t, z = scipy.linalg.schur(np.asarray(a, dtype=np.complex128),
                               output="complex")
     return np.diag(t).copy(), z
-
-
-def split_normal(a: np.ndarray,
-                 tol: TolerancePolicy = DEFAULT_TOL
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split a normal 2n x 2n matrix as A = E + F with EF = FE = 0.
-
-    E and F are built from complementary halves of a unitary
-    eigendecomposition and are normal themselves.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] % 2 != 0:
-        raise NotStructured("split requires an even dimension")
-    normal = _normal_check(a, tol)
-    if not normal.ok:
-        raise NotNormal(f"matrix is not normal (residual {normal.residual:.3e})")
-    n = a.shape[0] // 2
-    values, z = _unitary_eigh_normal(a)
-    e = (z[:, :n] * values[:n]) @ herm_transpose(z[:, :n])
-    f = (z[:, n:] * values[n:]) @ herm_transpose(z[:, n:])
-    checks = (
-        rel_residual(e + f, a),
-        fro(e @ f) / max(1.0, fro(e) * fro(f)),
-        fro(f @ e) / max(1.0, fro(e) * fro(f)),
-        _normal_check(e).residual,
-        _normal_check(f).residual,
-    )
-    if not _within(FRAME_GUARANTEE, *checks):
-        raise NumericalBreakdown(f"split residuals exceed {FRAME_GUARANTEE:g}")
-    return e, f
 
 
 def _annihilation(n_mat: np.ndarray,
@@ -180,15 +149,20 @@ def reconstruct_from_normal_factor(
 ) -> tuple[np.ndarray, StructuredDiagonalization]:
     """A = N +/- N* together with a certified unitary diagonalization.
 
-    Only N's range is factored. One SVD of N gives an orthonormal basis Q
-    of it, the left singular vectors above RANK_TOL times the largest
-    singular value (for normal N these are its |eigenvalues|). N maps its
-    range to itself, so N = Q M Q^H with M = Q^H N Q normal and k x k; the
-    Schur vectors Z of M give N's rank-k eigenbasis Q Z (Rayleigh-Ritz on
-    an invariant subspace; Golub & Van Loan, Matrix Computations, 7.6 and
-    8.1). It spans a neutral subspace, extended to a Lagrangian frame when
-    k < n (zero-padding the core). N is judged on input; what is built
-    from it, once, by certify.
+    N is factored once, by one SVD N = U Sigma W^H. Its range has the
+    orthonormal basis Q = U_k, the left singular vectors above RANK_TOL
+    times the largest singular value (for normal N these are its
+    |eigenvalues|). N maps its range to itself, so N = Q M Q^H with
+    M = Q^H N Q = Sigma_k W_k^H U_k normal and k x k, read off the SVD's
+    own factors with no product with N; the Schur vectors Z of M give
+    N's rank-k eigenbasis V0 = Q Z (Rayleigh-Ritz on an invariant
+    subspace; Golub & Van Loan, Matrix Computations, 2.4, 7.6 and 8.1).
+    It spans a neutral subspace, extended to a Lagrangian frame when
+    k < n (zero-padding the core). The SVD's trailing columns U[:, k:]
+    span N's null space, the orthogonal complement of V0, which holds
+    BV0, so the completion works inside them: one complete QR of the
+    (2n - k) x k matrix U[:, k:]^H B V0 (see diagonalize._complete). N
+    is judged on input; what is built from it, once, by certify.
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
@@ -205,18 +179,18 @@ def reconstruct_from_normal_factor(
     # A is built from N, so it reconstructs exactly: no residual to judge.
     a = n_mat + sign.factor * n_star
 
-    u, s, _ = np.linalg.svd(n_mat)
+    u, s, wh = np.linalg.svd(n_mat)
     rank = _rank(s)
     if rank > n:
         raise NotNeutralRange(
             f"rank {rank} exceeds the maximal neutral dimension {n}")
     q = u[:, :rank]
-    values, z = _unitary_eigh_normal(herm_transpose(q) @ n_mat @ q)
+    values, z = _unitary_eigh_normal(s[:rank, None] * (wh[:rank] @ q))
     v0 = q @ z
     if rank and not _within(FACTOR_GUARANTEE * max(1.0, fro(form.matrix)),
                             fro(gram(v0, form))):
         raise NotNeutralRange("column space of N is not neutral")
-    frame = _complete(v0, form)
+    frame = _complete(v0, u[:, rank:], form)
     core = np.concatenate([values, np.zeros(n - rank, complex)])
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS

@@ -34,17 +34,23 @@ both constructions and the decomposition built on them) form each of
 these once. Every call still judges the stored residuals against its own
 tolerance and FACTOR_GUARANTEE, in a cold call's order, so it raises
 what a cold call raises, and returns its own copies of S and the core.
-The certificate (factor_residuals) reads S^{-1} off the form, as the
-form adjoint of S corrected to second order in the automorphism error
-with a bound on the rest, so it solves no linear system. J and R enter
-every product as signed permutations (forms._times_form,
-forms._form_times, forms._inverse_times), never as dense matrices.
+The certificate (factor_residuals) reads S^{-1} off the form: the form
+adjoint S* of S is (I + E) S^{-1} with E the automorphism error, so
+S* A S - D - E D is (I + E) times the similarity residual exactly. It
+bounds that residual from four dense products and solves no linear
+system. Lagrangian completion (_complete) works inside a given
+orthonormal basis of the frame's orthogonal complement: one complete QR
+of V for complete_to_lagrangian, the SVD's null columns of N for
+decompose.reconstruct_from_normal_factor. J and R enter every product
+as signed permutations (forms._times_form, forms._form_times,
+forms._inverse_times), never as dense matrices.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -385,24 +391,32 @@ def _report(plan: _SpectralPlan) -> DiagonalizabilityReport:
 def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
                      diagonal: np.ndarray | None = None
                      ) -> tuple[float, float, float]:
-    """Relative residuals of S^H B S vs B, S^{-1} A S vs diag(diagonal)
-    (its own diagonal when none is given) and S^H S vs I.
+    """Relative residuals of S^H B S vs B, S^{-1} A S vs D = diag(diagonal)
+    and S^H S vs I, from four dense products: S^H B S, A S, S* (A S) and
+    S^H S.
 
     S^{-1} is read off the form, with no solve. The form adjoint
     S* = B^{-1} S^H B is a signed permutation of S^H, and
     E = S* S - I = B^{-1} (S^H B S - B) a signed row permutation of the
     automorphism residual's difference, so e = ||E||_F = ||S^H B S - B||_F.
-    For e < 1, I + E is nonsingular, hence so is S, and
-    S^{-1} = (I + E)^{-1} S* = sum_k (-E)^k S*. With Y = S* (A S),
-    X = Y - E (Y - E Y) keeps the terms k <= 2, and submultiplicativity
-    of the Frobenius norm bounds the rest:
-    ||X - S^{-1} A S||_F <= sum_{k >= 3} e^k ||Y||_F = delta,
-    delta = e^3 / (1 - e) ||Y||_F. So ||S^{-1} A S - D||_F is at most
-    ||X - D||_F + delta and ||S^{-1} A S||_F at least ||X||_F - delta,
-    and the similarity residual reported is
-    (||X - D||_F + delta) / max(1, ||X||_F - delta), a bound on the
-    residual of S^{-1} A S in exact arithmetic up to the roundoff of
-    forming X. For e >= 1 nothing shows S nonsingular, and it is inf.
+    For e < 1, I + E is nonsingular, hence so is S, and S* = (I + E) S^{-1}.
+    With X = S^{-1} A S and Y = S* (A S) = (I + E) X this gives exactly
+    Z = Y - D - E D = (I + E)(X - D), where E D scales E's columns by the
+    diagonal and costs no product. So ||X - D||_F <= ||Z||_F / (1 - e) and
+    ||X||_F >= ||Y||_F / (1 + e), and the similarity residual reported is
+    (||Z||_F / (1 - e)) / max(1, ||Y||_F / (1 + e)), a bound on the
+    residual of X in exact arithmetic up to the roundoff of forming Y. It
+    is larger than X's own by a factor of at most about 1 + 4e, which for
+    e <= sqrt(eps), eps the machine epsilon, is below the digits a
+    guarantee reads; a well-conditioned factor the package builds has e
+    near 1e-13. So only a larger e takes one more product:
+    (I + E)^{-1} Z = Z - E Z + R with ||R||_F <= e^2/(1 - e) ||Z||_F, so
+    ||X - D||_F <= ||Z - E Z||_F + ||R||_F and
+    ||X||_F >= ||D + Z - E Z||_F - ||R||_F. For e >= 1 nothing shows S
+    nonsingular, and the residual is inf.
+
+    With no diagonal given, D is X's own diagonal up to second order in
+    E: diag(Y) - diag(E Y), one row-by-column dot.
     """
     sh = herm_transpose(s)
     sbs = _form_times(form, sh) @ s
@@ -413,10 +427,19 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     else:
         e_mat = _inverse_times(form, diff)
         y = adjoint(s, form) @ (a @ s)
-        x = y - e_mat @ (y - e_mat @ y)
-        target = np.diag(np.diag(x) if diagonal is None else diagonal)
-        delta = e ** 3 / (1.0 - e) * fro(y)
-        res_sim = (fro(x - target) + delta) / max(1.0, fro(x) - delta)
+        if diagonal is None:
+            diagonal = np.diagonal(y) - np.einsum("ij,ji->i", e_mat, y)
+        step = y.shape[0] + 1
+        z = y - e_mat * diagonal
+        z.flat[::step] -= diagonal
+        if e * e <= sys.float_info.epsilon:
+            res_sim = (fro(z) / (1.0 - e)) / max(1.0, fro(y) / (1.0 + e))
+        else:
+            w = z - e_mat @ z
+            rest = e * e / (1.0 - e) * fro(z)
+            bound = fro(w) + rest
+            w.flat[::step] += diagonal
+            res_sim = bound / max(1.0, fro(w) - rest)
     return (e / max(1.0, fro(sbs)), res_sim,
             rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
 
@@ -656,22 +679,26 @@ def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
     return x / np.linalg.norm(x, axis=0)
 
 
-def _complete(v: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """complete_to_lagrangian's construction, without its checks.
+def _complete(v: np.ndarray, z: np.ndarray,
+              form: InnerProduct) -> np.ndarray:
+    """complete_to_lagrangian's construction, without its checks, given an
+    orthonormal basis Z (2n x (2n - k)) of the orthogonal complement of
+    the k columns of V.
 
-    V is orthonormal and neutral (both callers check it), so V and BV are
-    orthogonal and [V, BV] is orthonormal: the trailing 2(n - k) columns
-    of its complete QR are an orthonormal basis of the complement.
+    V is orthonormal and neutral (both callers check it), so BV lies in
+    span(Z) up to V's neutrality error. The trailing 2(n - k) columns of
+    the complete QR of C = Z^H B V ((2n - k) x k) span the complement of
+    C, so Z times them is an orthonormal basis W orthogonal to V and to
+    the projection Z Z^H B V, hence W^H B V = 0 exactly in exact
+    arithmetic whether or not BV lies in span(Z).
     """
     n, k = form.half, v.shape[1]
     if k == n:
         return v.copy()
     if k:
-        w = np.linalg.qr(np.hstack([v, _times_form(form, v)]),
-                         mode="complete")[0][:, 2 * k:]
-    else:
-        w = np.eye(2 * n, dtype=np.complex128)
-    return np.hstack([v, _neutral_half(w, form)])
+        c = herm_transpose(z) @ _times_form(form, v)
+        z = z @ np.linalg.qr(c, mode="complete")[0][:, k:]
+    return np.hstack([v, _neutral_half(z, form)])
 
 
 def complete_to_lagrangian(v: np.ndarray | None,
@@ -680,8 +707,10 @@ def complete_to_lagrangian(v: np.ndarray | None,
 
     The completion lives in the Euclidean orthogonal complement of
     span(V) and span(BV), whose Gram is balanced; its neutral half (see
-    _neutral_half) supplies the new columns. The input columns are
-    returned unchanged in the leading positions.
+    _neutral_half) supplies the new columns. The trailing columns of one
+    complete QR of V span V's complement, inside which _complete takes
+    that of BV. The input columns are returned unchanged in the leading
+    positions.
     """
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("Lagrangian completion targets the J or R forms")
@@ -703,7 +732,9 @@ def complete_to_lagrangian(v: np.ndarray | None,
         if not _within(FRAME_GUARANTEE, res_neut):
             raise NotNeutral(
                 f"frame span is not neutral (residual {res_neut:.3e})")
-    out = _complete(v, form)
+    z = (np.linalg.qr(v, mode="complete")[0][:, k:] if 0 < k < n
+         else np.eye(2 * n, dtype=np.complex128))
+    out = _complete(v, z, form)
     res_orth, res_neut = frame_residuals(out, form)
     if not _within(FRAME_GUARANTEE, res_orth, res_neut):
         raise NumericalBreakdown(

@@ -18,6 +18,7 @@ from structdiag import (
     Sign,
     SingularInput,
     TolerancePolicy,
+    Variant,
     adjoint,
     classify,
     decompose_additive,
@@ -30,18 +31,19 @@ from structdiag import (
     random_structured_diagonalizable,
     reconstruct_from_normal_factor,
     rel_residual,
-    split_normal,
     spectrum,
     structured_exp,
     structured_root,
     symplectic_form,
+    variant_for_kind,
     verify_decomposition,
 )
 from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
                              FRAME_INPUT_TOL, RANK_TOL, fro, herm_transpose)
-from structdiag.decompose import _decomposition_residuals
+from structdiag.decompose import _annihilation, _decomposition_residuals
+from structdiag.structure import frame_residuals
 
-from conftest import gaussian_matrix, random_unitary
+from conftest import random_unitary
 
 
 def make_factor(form, seed, rank=None):
@@ -73,37 +75,6 @@ def near_neutral_factor(form, seed, neutrality):
     k = v.shape[1]
     d = np.linspace(0.6, 1.9, k) * np.exp(2j * np.pi * 0.37 * np.arange(k))
     return v @ np.diag(d) @ herm_transpose(v), v
-
-
-class TestSplitNormal:
-    def test_identity(self):
-        e, f = split_normal(np.eye(2, dtype=complex))
-        assert rel_residual(e + f, np.eye(2)) <= 1e-9
-        assert fro(e @ f) <= 1e-9
-
-    def test_diagonal_disjoint_support(self):
-        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        e, f = split_normal(a)
-        assert fro(e @ f) <= 1e-12
-        assert fro(f @ e) <= 1e-12
-        assert rel_residual(e + f, a) <= 1e-12
-        assert np.allclose(e, np.diag(np.diag(e)))
-        assert np.allclose(f, np.diag(np.diag(f)))
-
-    def test_random_normal(self):
-        q = random_unitary(6, 61)
-        d = np.diag(gaussian_matrix(1, 6, 62)[0])
-        a = q @ d @ herm_transpose(q)
-        e, f = split_normal(a)
-        for lhs, rhs in ((e + f, a),):
-            assert rel_residual(lhs, rhs) <= 1e-9
-        assert fro(e @ f) <= 1e-9
-        assert fro(f @ e) <= 1e-9
-        assert rel_residual(herm_transpose(e) @ e, e @ herm_transpose(e)) <= 1e-9
-
-    def test_non_normal_rejected(self):
-        with pytest.raises(NotNormal):
-            split_normal(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestDecompose:
@@ -253,6 +224,40 @@ class TestReconstruct:
                                        Sign.PLUS)
         assert max(res.annihilation_left, res.annihilation_right) \
             <= DEFAULT_TOL.structure_tol
+        _, diag = reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
+        assert diag.unitary
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    @pytest.mark.parametrize("rank", [0, 1, 3, 4])
+    def test_completion_inside_the_null_columns(self, kind, rank):
+        # n = 4, ranks 0, 1, n - 1 and n: the frame completed inside the
+        # SVD's null columns of N is orthonormal and neutral, and the
+        # factor built on it certifies unitary.
+        form = form_for_kind(kind, 4)
+        n_mat, _ = make_factor(form, seed=59, rank=rank)
+        sign = (Sign.PLUS if variant_for_kind(kind) is Variant.SELFADJOINT
+                else Sign.MINUS)
+        _, diag = reconstruct_from_normal_factor(n_mat, sign, form)
+        assert np.count_nonzero(diag.core) == rank
+        assert max(frame_residuals(diag.transform[:, :4], form)) \
+            <= FRAME_GUARANTEE
+        assert diag.unitary
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
+
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_completion_of_a_barely_annihilating_factor(self, formf, seed):
+        # Annihilation residual ~5e-11, inside structure_tol: B V0 lies
+        # off N's null columns by as much, and the completion, taken
+        # inside those columns, still gives a factor that certifies.
+        form = formf(4)
+        n_mat, _ = near_neutral_factor(form, seed, 1e-10)
+        left, right = _annihilation(n_mat, adjoint(n_mat, form))
+        assert 2e-11 <= max(left, right) <= DEFAULT_TOL.structure_tol
         _, diag = reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
         assert diag.unitary
         assert max(diag.residual_automorphism,

@@ -594,8 +594,9 @@ class TestOneSpectralPass:
 
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
     def test_reconstruct_counts(self, monkeypatch, kind, formf):
-        # A rank-5 factor: one 2n x 2n SVD finds the range, one 5 x 5
-        # Schur its eigenbasis, and the completion's one QR and one eigh
+        # A rank-5 factor: one 2n x 2n SVD finds the range and its
+        # complement, one 5 x 5 Schur the eigenbasis, and the completion's
+        # one QR, of the (2n - 5) x 5 matrix U[:, 5:]^H B V0, and one eigh
         # of the complement Gram replace null_space.
         inst = random_structured_diagonalizable(kind, 8, 41)
         form = formf(8)
@@ -606,7 +607,15 @@ class TestOneSpectralPass:
         sign = (Sign.PLUS if variant_for_kind(kind) is Variant.SELFADJOINT
                 else Sign.MINUS)
         counts = self._count(monkeypatch, form)
+        qr_shapes, counted_qr = [], np.linalg.qr
+
+        def shaped_qr(x, *args, **kwargs):
+            qr_shapes.append(np.shape(x))
+            return counted_qr(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", shaped_qr)
         reconstruct_from_normal_factor(n_mat, sign, form)
+        assert qr_shapes == [(11, 5)]
         assert counts == {"eigen": 0, "eig": 0, "eigvalsh": 0, "qr": 1,
                           "null_space": 0, "classify": 0, "cluster": 0,
                           "pair": 0, "congruence": 0, "sylvester": 0,
@@ -903,14 +912,22 @@ class TestPlanTransform:
 
 
 class TestCertificate:
-    """factor_residuals reads S^{-1} off the form adjoint with a bound on
-    the truncation, and agrees with an LU solve of S^{-1} A S where S is
-    certifiable."""
+    """factor_residuals reads S^{-1} off the form adjoint, through
+    S* A S - D - E D = (I + E)(S^{-1} A S - D), and agrees with an LU
+    solve of S^{-1} A S where S is certifiable, for a given diagonal and
+    for S^{-1} A S's own."""
 
     @staticmethod
     def _assert_matches_lu(a, s, form, diagonal):
         new = factor_residuals(a, s, form, diagonal)[1]
         reference = rel_residual(solve_linear(s, a @ s), np.diag(diagonal))
+        assert abs(new - reference) <= 1e-12, (new, reference)
+        # verify --mode diag's path: no diagonal given, so the certificate
+        # takes X = S^{-1} A S's own, and the reference is X off its
+        # diagonal.
+        new = factor_residuals(a, s, form)[1]
+        x = np.linalg.solve(s, a @ s)
+        reference = rel_residual(x, np.diag(np.diag(x)))
         assert abs(new - reference) <= 1e-12, (new, reference)
 
     @pytest.mark.parametrize("t", [10.0, 1e2, 1e3])
@@ -948,11 +965,37 @@ class TestCertificate:
 
     @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
                                       "per-hermitian", "perskew-hermitian"])
+    def test_both_regimes_bound_an_lu_solve_tightly(self, kind):
+        # e on both sides of sqrt(eps): at or below it the certificate
+        # takes (I + E)^{-1} Z as Z with slack e, above it forms E Z with
+        # slack e^2. Either way the residual bounds the LU one, up to the
+        # roundoff of forming S* A S (10 eps absolute, on residuals
+        # relative to max(1, ||X||_F)), and is within 1% of it.
+        form = form_for_kind(kind, 4)
+        sides = set()
+        for seed in range(10):
+            inst = random_structured_diagonalizable(kind, 4, seed)
+            full = inst.full_diagonal
+            rng = np.random.default_rng(seed)
+            for eps in (1e-12, 1e-10, 1e-8, 1e-6):
+                p = gaussian_matrix(8, 8, seed=int(rng.integers(10**6)))
+                s = inst.transform @ (np.eye(8) + eps * p / fro(p))
+                e = fro(herm_transpose(s) @ form.matrix @ s - form.matrix)
+                sides.add(e * e <= np.finfo(float).eps)
+                res = factor_residuals(inst.matrix, s, form, full)[1]
+                x = np.linalg.solve(s, inst.matrix @ s)
+                reference = rel_residual(x, np.diag(full))
+                assert (reference - 10 * np.finfo(float).eps <= res
+                        <= 1.01 * reference), (eps, res, reference)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
     def test_residual_bounds_that_of_an_lu_solve(self, kind):
-        # S off the automorphism group by up to 0.3 in norm: the truncated
-        # series alone misses S^{-1} A S by ~e^3 ||Y||, and the bound
-        # delta on it keeps the residual above the LU one; tight when S
-        # is close to an automorphism.
+        # S off the automorphism group by up to 0.3 in norm: Z - E Z
+        # alone misses S^{-1} A S - D by ~e^2 ||Z||, and the bound on it
+        # keeps the residual above the LU one; tight when S is close to
+        # an automorphism.
         form = form_for_kind(kind, 4)
         for seed in range(10):
             inst = random_structured_diagonalizable(kind, 4, seed)

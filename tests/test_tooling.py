@@ -45,8 +45,8 @@ def test_scripts_run():
 # own validation, core._check, which judges every structure test on an
 # input (the flags of classify and the entry points, the (skew-)Hermitian
 # check of sylvester_canonical, the normality and annihilation checks of
-# split_normal and reconstruct_from_normal_factor), and the CLI help
-# text. Keyed by module and top-level definition.
+# reconstruct_from_normal_factor), and the CLI help text. Keyed by module
+# and top-level definition.
 _STRUCTURE_TOL_READERS = {
     ("core", "TolerancePolicy"),
     ("core", "_check"),
