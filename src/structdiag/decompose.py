@@ -1,6 +1,7 @@
 """Additive decomposition A = N +/- N* with N normal and N N* = N* N = 0,
-its inverse construction, verification, and the structured matrix
-exponential and p-th root built on top of it.
+which keeps the certified unitary factor it reads N from; its inverse
+construction, verification, and the structured matrix exponential (taken
+through that factor, with no factorization) and p-th root.
 """
 
 from __future__ import annotations
@@ -86,19 +87,9 @@ class AdditiveDecomposition:
     form_tag: FormTag
     # None for factors loaded from disk; the verifier recomputes them.
     residuals: DecompositionResiduals | None = None
-
-
-def _unitary_eigh_normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary diagonalization of a (numerically) normal matrix: the 2n x 2n
-    N in structured_exp, the k x k compression of N to its range in
-    reconstruct_from_normal_factor.
-
-    The complex Schur form of a normal matrix is diagonal, so the Schur
-    vectors are an orthonormal eigenbasis.
-    """
-    t, z = scipy.linalg.schur(np.asarray(a, dtype=np.complex128),
-                              output="complex")
-    return np.diag(t).copy(), z
+    # The certified unitary factor N = V D V^H is read from; None, like
+    # residuals, if hand-built or loaded (structured_exp then certifies one).
+    factor: StructuredDiagonalization | None = None
 
 
 def _annihilation(n_mat: np.ndarray,
@@ -123,8 +114,8 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     """Additive decomposition of a normal structured diagonalizable matrix.
 
     N = V D V^H from the first half of a unitary structured
-    diagonalization; the neutrality of span(V) makes both products
-    N N* and N* N vanish.
+    diagonalization, kept as its factor; the neutrality of span(V)
+    makes both products N N* and N* N vanish.
     """
     a = np.asarray(a, dtype=np.complex128)
     diag = unitary_refine(a, form, tol)
@@ -140,7 +131,7 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     if not _within(FACTOR_GUARANTEE, *astuple(residuals)):
         raise NumericalBreakdown(
             f"decomposition residuals too large ({residuals.to_dict()})")
-    return AdditiveDecomposition(n_mat, sign, form.tag, residuals)
+    return AdditiveDecomposition(n_mat, sign, form.tag, residuals, diag)
 
 
 def reconstruct_from_normal_factor(
@@ -185,13 +176,14 @@ def reconstruct_from_normal_factor(
         raise NotNeutralRange(
             f"rank {rank} exceeds the maximal neutral dimension {n}")
     q = u[:, :rank]
-    values, z = _unitary_eigh_normal(s[:rank, None] * (wh[:rank] @ q))
+    t, z = scipy.linalg.schur(s[:rank, None] * (wh[:rank] @ q),
+                              output="complex")
     v0 = q @ z
     if rank and not _within(FACTOR_GUARANTEE * max(1.0, fro(form.matrix)),
                             fro(gram(v0, form))):
         raise NotNeutralRange("column space of N is not neutral")
     frame = _complete(v0, u[:, rank:], form)
-    core = np.concatenate([values, np.zeros(n - rank, complex)])
+    core = np.concatenate([np.diag(t), np.zeros(n - rank, complex)])
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
@@ -255,17 +247,22 @@ def structured_exp(dec: AdditiveDecomposition, form: InnerProduct
     """exp(A) written through S = exp(N).
 
     Returns (exp A, S) with exp A = S (S*)^{-1} for a minus
-    decomposition and S S* for a plus decomposition. N is normal, so one
-    Schur factorization N = Z diag(values) Z^H gives S = Z exp(values) Z^H
-    and (S*)^{-1} = exp(-N)* = (Z exp(-values) Z^H)* (Higham, Functions of
-    Matrices, 2008).
+    decomposition and S S* for a plus decomposition. N = V D V^H over the
+    orthonormal first half V of the decomposition's certified unitary
+    factor, or, if it carries none, of the one reconstruct_from_normal_factor
+    certifies (or raises its typed error for). So S = I + V (e^D - I) V^H and
+    (S*)^{-1} = (I + V (e^{-D} - I) V^H)* with no factorization (Higham,
+    Functions of Matrices, 2008, ch. 1).
     """
     _check_form_tag(dec, form)
-    values, z = _unitary_eigh_normal(dec.normal_factor)
-    zh = herm_transpose(z)
-    s = (z * np.exp(values)) @ zh
+    factor = dec.factor or reconstruct_from_normal_factor(
+        dec.normal_factor, dec.sign, form)[1]
+    v = factor.transform[:, :form.half]
+    vh = herm_transpose(v)
+    eye = np.eye(form.dim, dtype=np.complex128)
+    s = eye + (v * np.expm1(factor.core)) @ vh
     if dec.sign is Sign.MINUS:
-        exp_a = s @ adjoint((z * np.exp(-values)) @ zh, form)
+        exp_a = s @ adjoint(eye + (v * np.expm1(-factor.core)) @ vh, form)
     else:
         exp_a = s @ adjoint(s, form)
     return exp_a, s

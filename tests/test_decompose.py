@@ -370,11 +370,12 @@ class TestStructuredExp:
 
     @pytest.mark.parametrize("kind", STRUCTURE_KINDS)
     def test_matches_expm(self, kind):
-        # Ten decompositions per kind, n = 4..8: S = exp(N) and, for a
-        # minus decomposition, (S*)^{-1} = exp(-N)*, both from one Schur
-        # factorization of N.
-        for seed in range(10):
-            n = 4 + seed % 5
+        # Ten decompositions per kind at n = 4..8 and one at n = 50:
+        # S = exp(N) and, for a minus decomposition, (S*)^{-1} = exp(-N)*,
+        # both read off the decomposition's certified unitary factor with
+        # no factorization.
+        inputs = [(seed, 4 + seed % 5) for seed in range(10)] + [(10, 50)]
+        for seed, n in inputs:
             form = form_for_kind(kind, n)
             a = random_structured_diagonalizable(kind, n, seed).matrix
             exp_a, _ = structured_exp(decompose_additive(a, form), form)
@@ -403,6 +404,31 @@ class TestStructuredExp:
         # The factor S = exp(N) of a normal N stays normal.
         assert rel_residual(herm_transpose(s) @ s,
                             s @ herm_transpose(s)) <= 1e-9
+
+    @staticmethod
+    def _hand_built(case):
+        if case == "non-normal":
+            return np.array([[0, 1], [0, 0]], dtype=complex), \
+                Sign.PLUS, symplectic_form(1)
+        if case == "shifted":
+            _, dec, form = TestVerify()._decomposition()
+            return dec.normal_factor + 1e-3 * np.eye(4), dec.sign, form
+        # Normal, and small enough that its annihilation residual, scaled
+        # by max(1, ||N|| ||N*||), passes; its rank-2 range is not neutral.
+        q = random_unitary(4, 57)
+        n_mat = 1e-6 * q @ np.diag([1.0, 2.0, 0, 0]) @ herm_transpose(q)
+        return n_mat, Sign.PLUS, symplectic_form(2)
+
+    @pytest.mark.parametrize("case,error", [
+        ("non-normal", NotNormal), ("shifted", NotAnnihilating),
+        ("non-neutral", NotNeutralRange)])
+    def test_hand_built_non_decomposition_raises(self, case, error):
+        # A decomposition that carries no factor is certified through
+        # reconstruct_from_normal_factor, which rejects each of these.
+        n_mat, sign, form = self._hand_built(case)
+        dec = AdditiveDecomposition(n_mat, sign, form.tag)
+        with pytest.raises(error):
+            structured_exp(dec, form)
 
 
     def test_factor_for_another_form_raises(self):

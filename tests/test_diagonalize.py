@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdiag import (
+    AdditiveDecomposition,
     AxisClass,
     DimensionMismatch,
     FormTag,
@@ -43,6 +44,7 @@ from structdiag import (
     reconstruct_from_normal_factor,
     rel_residual,
     structured_diagonalize,
+    structured_exp,
     structured_root,
     sylvester_canonical,
     symplectic_form,
@@ -592,12 +594,19 @@ class TestOneSpectralPass:
         assert all(shape[1] < 16 for shape in shapes)
         assert len(shapes) == multi
 
-    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
-    def test_reconstruct_counts(self, monkeypatch, kind, formf):
-        # A rank-5 factor: one 2n x 2n SVD finds the range and its
-        # complement, one 5 x 5 Schur the eigenbasis, and the completion's
-        # one QR, of the (2n - 5) x 5 matrix U[:, 5:]^H B V0, and one eigh
-        # of the complement Gram replace null_space.
+    # What reconstruct_from_normal_factor runs on a rank-5 factor at
+    # 2n = 16: one 2n x 2n SVD finds the range and its complement, one
+    # 5 x 5 Schur the eigenbasis, and the completion's one QR and one eigh
+    # of the complement Gram replace null_space.
+    _RECONSTRUCT_COUNTS = {"eigen": 0, "eig": 0, "eigvalsh": 0, "qr": 1,
+                           "null_space": 0, "classify": 0, "cluster": 0,
+                           "pair": 0, "congruence": 0, "sylvester": 0,
+                           "lu_on_form": 0, "eigh_shapes": [(6, 6)],
+                           "svd_shapes": [(16, 16)],
+                           "schur_shapes": [(5, 5)]}
+
+    @staticmethod
+    def _rank5_factor(kind, formf):
         inst = random_structured_diagonalizable(kind, 8, 41)
         form = formf(8)
         diag = unitary_refine(inst.matrix, form)
@@ -606,6 +615,13 @@ class TestOneSpectralPass:
         n_mat = v @ np.diag(core) @ herm_transpose(v)
         sign = (Sign.PLUS if variant_for_kind(kind) is Variant.SELFADJOINT
                 else Sign.MINUS)
+        return n_mat, sign, form
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    def test_reconstruct_counts(self, monkeypatch, kind, formf):
+        # The completion's one QR is of the (2n - 5) x 5 matrix
+        # U[:, 5:]^H B V0.
+        n_mat, sign, form = self._rank5_factor(kind, formf)
         counts = self._count(monkeypatch, form)
         qr_shapes, counted_qr = [], np.linalg.qr
 
@@ -616,12 +632,23 @@ class TestOneSpectralPass:
         monkeypatch.setattr(np.linalg, "qr", shaped_qr)
         reconstruct_from_normal_factor(n_mat, sign, form)
         assert qr_shapes == [(11, 5)]
-        assert counts == {"eigen": 0, "eig": 0, "eigvalsh": 0, "qr": 1,
-                          "null_space": 0, "classify": 0, "cluster": 0,
-                          "pair": 0, "congruence": 0, "sylvester": 0,
-                          "lu_on_form": 0, "eigh_shapes": [(6, 6)],
-                          "svd_shapes": [(16, 16)],
-                          "schur_shapes": [(5, 5)]}
+        assert counts == self._RECONSTRUCT_COUNTS
+
+    @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
+    def test_structured_exp_counts(self, monkeypatch, kind, formf):
+        # A decomposition that carries its factor takes exp through it with
+        # no factorization; a hand-built one certifies its factor through
+        # reconstruct_from_normal_factor and runs exactly what that runs.
+        inst = random_structured_diagonalizable(kind, 8, 41)
+        form = formf(8)
+        dec = decompose_additive(inst.matrix, form)
+        n_mat, sign, _ = self._rank5_factor(kind, formf)
+        counts = self._count(monkeypatch, form)
+        idle = {key: type(value)() for key, value in counts.items()}
+        structured_exp(dec, form)
+        assert counts == idle
+        structured_exp(AdditiveDecomposition(n_mat, sign, form.tag), form)
+        assert counts == self._RECONSTRUCT_COUNTS
 
 
 _ENTRY_POINTS = [diagonalizability_report, structured_diagonalize,

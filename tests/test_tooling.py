@@ -110,6 +110,14 @@ def _attribute_users(names):
             if isinstance(node, ast.Attribute) and node.attr in names}
 
 
+def test_schur_runs_only_in_reconstruct():
+    # structured_exp reads exp(N) off the decomposition's certified
+    # factor, so the one Schur factorization left is of reconstruct's k x k
+    # compression of N to its range.
+    assert _attribute_users({"schur"}) == {
+        ("decompose", "reconstruct_from_normal_factor")}
+
+
 def test_lu_runs_only_in_the_public_solver():
     # Every matrix the package inverts has a closed-form inverse (unitary
     # eigenbases, Sylvester factors with orthogonal columns, exp(-N)), and
