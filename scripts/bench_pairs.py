@@ -13,7 +13,11 @@ Each run's last line must parse as strict JSON (a bare ``NaN`` or
 end-to-end metric the script prints each side's median and quartiles, the
 number of pairs the working tree wins (ties count for neither), the
 relative change of the medians and whether their gap exceeds the
-revision's interquartile range. After the pairs it runs ``bench/run.py
+revision's interquartile range. The same lines follow, marked
+informational, for each ``<step>_ms.p50`` of the chain (``report_ms``,
+``reconstruct_ms``, ...), read from each run's full record in
+``bench/out/`` on both sides, to show which step a change came from.
+After the pairs it runs ``bench/run.py
 --trace 1`` once in this working tree for TRACE_SECONDS, with the first
 seed, under the same rule, so that a traced run that fails or prints no
 strict JSON fails the script too. It only reads ``bench/`` and
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -34,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_SECONDS = 5.0
+# The medians of the per-step samples in a run's full record.
+STEP_MEDIAN = re.compile(r"^\w+_ms\.p50$")
 
 
 def _reject_constant(name: str):
@@ -64,6 +71,16 @@ def run(tree: Path, workload: str, seed: int, seconds: float,
     except ValueError as exc:
         raise SystemExit(f"{tree} seed {seed} trace {trace}: last line is "
                          f"not strict JSON ({exc})") from None
+
+
+def step_medians(tree: Path, workload: str, seed: int) -> dict:
+    """Every ``<step>_ms.p50`` of the full record that ``bench/run.py
+    --trace 0`` wrote for this seed to ``tree``'s bench/out/."""
+    record = json.loads((tree / "bench" / "out" /
+                         f"{workload}-seed{seed}-trace0.json").read_text())
+    return {name: metric["value"]
+            for name, metric in record["metrics"].items()
+            if STEP_MEDIAN.match(name)}
 
 
 def summarize(name: str, lower_better: bool, base: list[float],
@@ -98,6 +115,7 @@ def main() -> int:
     metrics = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     values = {side: {name: [] for name in metrics}
               for side in ("base", "change")}
+    steps = {side: [] for side in ("base", "change")}
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
         extract(args.rev, base_tree)
@@ -108,6 +126,7 @@ def main() -> int:
             row = []
             for side, tree in order:
                 summary = run(tree, args.workload, seed, args.seconds)
+                steps[side].append(step_medians(tree, args.workload, seed))
                 for name in metrics:
                     values[side][name].append(
                         summary["metrics"][name]["value"])
@@ -124,6 +143,12 @@ def main() -> int:
     for name, lower_better in metrics.items():
         print(summarize(name, lower_better, values["base"][name],
                         values["change"][name]))
+    print("# per step, informational: not end-to-end metrics, no bound")
+    shared = set.intersection(*(set(run_steps) for side in steps.values()
+                                for run_steps in side))
+    for name in sorted(shared - set(metrics)):
+        print(summarize(name, True, [s[name] for s in steps["base"]],
+                        [s[name] for s in steps["change"]]))
     return 0
 
 

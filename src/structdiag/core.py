@@ -80,8 +80,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def herm_transpose(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(a).T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def fro(a: np.ndarray) -> float:

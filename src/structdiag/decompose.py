@@ -1,6 +1,6 @@
 """Additive decomposition A = N +/- N* with N normal and N N* = N* N = 0,
 which keeps the certified unitary factor it reads N from; its inverse
-construction, verification, and the structured matrix exponential (taken
+construction (from one spectral.eigen of N), verification, and the structured matrix exponential (taken
 through that factor, with no factorization) and p-th root.
 """
 
@@ -11,7 +11,6 @@ import operator
 from dataclasses import astuple, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -47,6 +46,7 @@ from .errors import (
     SingularInput,
 )
 from .forms import FormTag, InnerProduct, _form_times, adjoint, gram
+from .spectral import eigen
 from .structure import _normal_check, _route_partners
 
 
@@ -94,8 +94,11 @@ class AdditiveDecomposition:
 
 def _annihilation(n_mat: np.ndarray,
                   n_star: np.ndarray) -> tuple[float, float]:
-    """The residuals of N N* = 0 and N* N = 0."""
-    scale = max(1.0, fro(n_mat) * fro(n_star))
+    """The residuals of N N* = 0 and N* N = 0, relative to ||N||_F ||N*||_F
+    so that they do not depend on N's scale; both 0 for N = 0."""
+    scale = fro(n_mat) * fro(n_star)
+    if scale == 0.0:
+        return 0.0, 0.0
     return fro(n_mat @ n_star) / scale, fro(n_star @ n_mat) / scale
 
 
@@ -140,20 +143,21 @@ def reconstruct_from_normal_factor(
 ) -> tuple[np.ndarray, StructuredDiagonalization]:
     """A = N +/- N* together with a certified unitary diagonalization.
 
-    N is factored once, by one SVD N = U Sigma W^H. Its range has the
-    orthonormal basis Q = U_k, the left singular vectors above RANK_TOL
-    times the largest singular value (for normal N these are its
-    |eigenvalues|). N maps its range to itself, so N = Q M Q^H with
-    M = Q^H N Q = Sigma_k W_k^H U_k normal and k x k, read off the SVD's
-    own factors with no product with N; the Schur vectors Z of M give
-    N's rank-k eigenbasis V0 = Q Z (Rayleigh-Ritz on an invariant
-    subspace; Golub & Van Loan, Matrix Computations, 2.4, 7.6 and 8.1).
-    It spans a neutral subspace, extended to a Lagrangian frame when
-    k < n (zero-padding the core). The SVD's trailing columns U[:, k:]
-    span N's null space, the orthogonal complement of V0, which holds
-    BV0, so the completion works inside them: one complete QR of the
-    (2n - k) x k matrix U[:, k:]^H B V0 (see diagonalize._complete). N
-    is judged on input; what is built from it, once, by certify.
+    N is factored once, by spectral.eigen, which for a normal N takes one
+    eigh. N is checked normal first, so the moduli |lambda| of its
+    eigenvalues are its singular values: those above RANK_TOL times the
+    largest (core._rank) are kept, largest first, and their eigenvectors
+    V0 span N's range, the others its null space, the orthogonal
+    complement of V0, which holds BV0. On eigen's general route (eig,
+    taken when two eigenvalues share mu, as a core value c - i does with
+    N's zeros), vectors of one eigenvalue need not be orthogonal, so one
+    complete QR of the kept columns gives both orthonormal bases instead;
+    for normal N its leading columns are still eigenvectors, in order.
+    V0 spans a neutral subspace, extended to a Lagrangian frame when
+    k < n (zero-padding the core); the completion works inside the null
+    space basis: one complete QR of the (2n - k) x k matrix Z^H B V0 (see
+    diagonalize._complete). N is judged on input; what is built from it,
+    once, by certify.
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
@@ -170,20 +174,23 @@ def reconstruct_from_normal_factor(
     # A is built from N, so it reconstructs exactly: no residual to judge.
     a = n_mat + sign.factor * n_star
 
-    u, s, wh = np.linalg.svd(n_mat)
-    rank = _rank(s)
+    dec = eigen(n_mat)
+    mags = np.abs(dec.values)
+    rank = _rank(mags)
     if rank > n:
         raise NotNeutralRange(
             f"rank {rank} exceeds the maximal neutral dimension {n}")
-    q = u[:, :rank]
-    t, z = scipy.linalg.schur(s[:rank, None] * (wh[:rank] @ q),
-                              output="complex")
-    v0 = q @ z
+    order = np.argsort(-mags, kind="stable")
+    basis = dec.vectors[:, order]
+    if not dec.hermitian:
+        basis = np.linalg.qr(basis[:, :rank], mode="complete")[0]
+    v0 = basis[:, :rank]
     if rank and not _within(FACTOR_GUARANTEE * max(1.0, fro(form.matrix)),
                             fro(gram(v0, form))):
         raise NotNeutralRange("column space of N is not neutral")
-    frame = _complete(v0, u[:, rank:], form)
-    core = np.concatenate([np.diag(t), np.zeros(n - rank, complex)])
+    frame = _complete(v0, basis[:, rank:], form)
+    core = np.concatenate([dec.values[order[:rank]],
+                           np.zeros(n - rank, complex)])
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)

@@ -23,7 +23,9 @@ the neutral half of the complement Gram in Lagrangian completion.
 Every entry point checks only the structure it reads (selfadjoint or
 skewadjoint, and normality on the unitary routes), then eigendecomposes,
 groups, pairs and factors each critical Gram once, in one spectral plan
-that the decision and the construction share. What the calls measure of
+that the decision and the construction share; the Grams of one
+multiplicity are formed by one stacked product and factored by one
+stacked eigh (_critical_factors). What the calls measure of
 A is kept in one per-input record (_Record) in one slot, keyed by A's
 exact bytes and the form tag: A* with its selfadjoint and skewadjoint
 residuals, the normality residual, the plan of the last variant decided
@@ -40,8 +42,9 @@ S* A S - D - E D is (I + E) times the similarity residual exactly. It
 bounds that residual from four dense products and solves no linear
 system. Lagrangian completion (_complete) works inside a given
 orthonormal basis of the frame's orthogonal complement: one complete QR
-of V for complete_to_lagrangian, the SVD's null columns of N for
-decompose.reconstruct_from_normal_factor. J and R enter every product
+of V for complete_to_lagrangian, N's null eigenvectors (on eigen's
+general route, the trailing columns of one complete QR of the kept
+ones) for decompose.reconstruct_from_normal_factor. J and R enter every product
 as signed permutations (forms._times_form, forms._form_times,
 forms._inverse_times), never as dense matrices.
 """
@@ -336,13 +339,29 @@ def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
         # value times i.
         groups = [replace(g, value=1j * g.value) for g in groups]
     pairing = pair_conjugates(groups)
-    critical = {i: _sylvester(gram(groups[i].basis, form), form.kind)
-                for i in pairing.selfconjugate}
+    critical = _critical_factors(groups, pairing.selfconjugate, form)
     for array in ([g.basis for g in groups]
                   + [u for u, _ in critical.values()]):
         array.flags.writeable = False
     return replace(record, plan=_SpectralPlan(variant, tuple(groups),
                                               pairing, critical))
+
+
+def _critical_factors(groups: list[EigenGroup], selfconjugate: tuple[int, ...],
+                      form: InnerProduct
+                      ) -> dict[int, tuple[np.ndarray, Inertia]]:
+    """The _sylvester factor and inertia of each critical group's Gram
+    (V^H B) V, by group index in pairing order: one stacked product and
+    one stacked eigh per multiplicity."""
+    by_size: dict[int, list[int]] = {}
+    for i in selfconjugate:
+        by_size.setdefault(groups[i].multiplicity, []).append(i)
+    factors = {}
+    for members in by_size.values():
+        bases = np.stack([groups[i].basis for i in members])
+        grams = _form_times(form, herm_transpose(bases)) @ bases
+        factors.update(zip(members, _sylvester(grams, form.kind)))
+    return {i: factors[i] for i in selfconjugate}
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,

@@ -159,13 +159,14 @@ def _inverse_times(form: InnerProduct, x: np.ndarray) -> np.ndarray:
 
 
 def _form_times(form: InnerProduct, x: np.ndarray) -> np.ndarray:
-    """x B for a 2-D x, entry for entry equal to x @ form.matrix: J and R
-    act as signed column permutations, I returns x itself."""
+    """x B for a 2-D x (or each matrix of a stack), entry for entry equal
+    to x @ form.matrix: J and R act as signed column permutations, I
+    returns x itself."""
     if form.tag is FormTag.PERPLECTIC_R:
-        return np.ascontiguousarray(x[:, ::-1])
+        return np.ascontiguousarray(x[..., ::-1])
     if form.tag is FormTag.SYMPLECTIC_J:
         n = form.half
-        return np.concatenate([-x[:, n:], x[:, :n]], axis=1)
+        return np.concatenate([-x[..., n:], x[..., :n]], axis=-1)
     return x
 
 
@@ -200,30 +201,40 @@ class Inertia:
         return self.p == self.q and self.r == 0
 
 
-def _sylvester(h: np.ndarray, kind: FormKind) -> tuple[np.ndarray, Inertia]:
+def _sylvester(h: np.ndarray, kind: FormKind
+               ) -> tuple[np.ndarray, Inertia] | list[tuple[np.ndarray,
+                                                          Inertia]]:
     """Nonsingular U with U^H H U = diag(-alpha I_p, alpha I_q, 0_r), and
     the inertia, from one eigh of the Hermitian part of H (or -iH).
 
     Eigenvalues within GRAM_ZERO_TOL ||H||_F of 0 are zeros; columns for
     the others are scaled by 1/sqrt(|eigenvalue|); the order is negatives,
     then positives (each ascending), then zeros. H is not checked: the
-    package's own Grams are (skew-)Hermitian up to roundoff.
+    package's own Grams are (skew-)Hermitian up to roundoff. A stack
+    (g, m, m) of such H takes one stacked eigh and gives the list of each
+    slice's (U, inertia), equal byte for byte to the calls slice by
+    slice; a single H is its one-slice case.
     """
+    if h.ndim == 2:
+        return _sylvester(h[None], kind)[0]
     hh = herm_transpose(h)
     if kind is FormKind.HERMITIAN:
         w, u = np.linalg.eigh((h + hh) / 2.0)
     else:
         w, u = np.linalg.eigh(-1j * (h - hh) / 2.0)
-    zero_cut = GRAM_ZERO_TOL * fro(h)
-    neg = np.flatnonzero(w < -zero_cut)
-    pos = np.flatnonzero(w > zero_cut)
-    zer = np.flatnonzero(np.abs(w) <= zero_cut)
-    scales = np.ones(w.shape[0])
-    nz = np.concatenate([neg, pos])
-    scales[nz] = 1.0 / np.sqrt(np.abs(w[nz]))
-    u_scaled = (u * scales)[:, np.concatenate([nz, zer])]
     alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
-    return u_scaled, Inertia(len(neg), len(pos), len(zer), alpha)
+    out = []
+    for h_k, w_k, u_k in zip(h, w, u):
+        zero_cut = GRAM_ZERO_TOL * fro(h_k)
+        neg = np.flatnonzero(w_k < -zero_cut)
+        pos = np.flatnonzero(w_k > zero_cut)
+        zer = np.flatnonzero(np.abs(w_k) <= zero_cut)
+        scales = np.ones(w_k.shape[0])
+        nz = np.concatenate([neg, pos])
+        scales[nz] = 1.0 / np.sqrt(np.abs(w_k[nz]))
+        u_scaled = (u_k * scales)[:, np.concatenate([nz, zer])]
+        out.append((u_scaled, Inertia(len(neg), len(pos), len(zer), alpha)))
+    return out
 
 
 def inertia(h: np.ndarray, kind: FormKind,

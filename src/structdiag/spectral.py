@@ -15,11 +15,13 @@ brings the vectors to eig's accuracy. An a-posteriori test on the
 correction alone picks the route: when its neglected second-order term
 would exceed unit roundoff (A not normal enough, or two eigenvalues with
 nearly one mu), eigen runs LAPACK's general eig instead. No tolerance of
-the input is read.
+the input is read. The decomposition records the route it took, since
+eig's vectors of one eigenvalue need not be orthogonal.
 
 One grouping pass (group_eigenvalues) clusters the eigenvalues, builds
 each cluster's orthonormal basis and tests the cluster for defectiveness
-on that basis; every caller that needs any of the three goes through it.
+on that basis, the clusters of one size in one stacked SVD; every caller
+that needs any of the three goes through it.
 
 Every spectral decision is made on one radius r = cluster_radius: two
 eigenvalues within r share a cluster, a cluster whose spread lies within
@@ -33,18 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CLUSTER_TOL,
-    RANK_TOL,
-    fro,
-    herm_transpose,
-    orthonormalize_columns,
-)
+from .core import CLUSTER_TOL, RANK_TOL, _rank, fro, herm_transpose
 from .errors import (
     DimensionMismatch,
     NoConvergence,
     NotDiagonalizable,
-    RankDeficient,
     SpectrumNotConjugateSymmetric,
 )
 
@@ -54,6 +49,10 @@ class EigenDecomposition:
     values: np.ndarray       # (m,) complex
     vectors: np.ndarray      # (m, m), unit columns aligned with values
     matrix: np.ndarray       # (m, m) complex, the decomposed A
+    # The route taken: the eigh of M (vectors orthonormal up to their
+    # first-order correction) or, if False, LAPACK's general eig (vectors
+    # of one eigenvalue need not be orthogonal).
+    hermitian: bool
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def eigen(a: np.ndarray) -> EigenDecomposition:
         raise NoConvergence(str(exc)) from exc
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0] = 1.0
-    return EigenDecomposition(values, vectors / norms, a)
+    return EigenDecomposition(values, vectors / norms, a, hermitian=False)
 
 
 def _hermitian_eigen(a: np.ndarray) -> EigenDecomposition | None:
@@ -118,7 +117,8 @@ def _hermitian_eigen(a: np.ndarray) -> EigenDecomposition | None:
     if not np.max(np.abs(g), initial=0.0) ** 2 <= np.finfo(float).eps:
         return None
     v = q + q @ g
-    return EigenDecomposition(values, v / np.linalg.norm(v, axis=0), a)
+    return EigenDecomposition(values, v / np.linalg.norm(v, axis=0), a,
+                              hermitian=True)
 
 
 def cluster_radius(values: np.ndarray) -> float:
@@ -158,57 +158,68 @@ def group_eigenvalues(dec: EigenDecomposition) -> list[EigenGroup]:
     (cluster_radius); orthonormal group bases.
 
     A one-member cluster's basis is its unit eigenvector. A multi-member
-    cluster's eigenvectors are orthonormalized into Q, and the cluster is
-    defective (NotDiagonalizable) when they are dependent or when
-    ||(A - value I) Q||_2 exceeds RANK_TOL * max(1, ||A||_F) + max(r, s),
-    s the largest distance of a member from the mean: a normal cluster's
-    residual is s, which a chain of values each within r of the next can
-    carry past r. By min-max, this norm bounds the k-th smallest singular
-    value of A - value I from above for any orthonormal Q with k columns,
-    so the test on Q settles what a rank SVD of A - value I settles.
+    cluster's eigenvectors are orthonormalized into Q, their polar factor
+    U W^H from a thin SVD whose singular values also give their rank, and
+    the cluster is defective (NotDiagonalizable) when they are dependent or
+    when ||(A - value I) Q||_2 exceeds RANK_TOL * max(1, ||A||_F) +
+    max(r, s), s the largest distance of a member from the mean: a normal
+    cluster's residual is s, which a chain of values each within r of the
+    next can carry past r. By min-max, this norm bounds the k-th smallest
+    singular value of A - value I from above for any orthonormal Q with k
+    columns, so the test on Q settles what a rank SVD of A - value I
+    settles. The clusters of one size share one stacked SVD and one
+    stacked product (A - value I) Q; the first defective cluster, in the
+    order of their smallest index, raises.
 
     Groups are returned sorted by (Re, Im) of the cluster mean.
     """
     m = dec.values.shape[0]
     if m == 0:
         return []
-    # Roundoff on the scale of A itself: on the scale of the shifted
-    # matrix, roundoff would read as a defect when A - value I ~ 0.
     radius = cluster_radius(dec.values)
-    roundoff = RANK_TOL * max(1.0, fro(dec.matrix))
-    groups = []
-    for members in _cluster_indices(dec.values, radius):
-        if len(members) == 1:
-            value = complex(dec.values[members[0]])
-            basis = dec.vectors[:, members]
-        else:
-            values = dec.values[members]
-            value = complex(np.mean(values))
-            spread = float(np.max(np.abs(values - value)))
-            basis = _cluster_basis(dec.matrix, dec.vectors[:, members],
-                                   value, roundoff + max(radius, spread))
-        groups.append(EigenGroup(value, len(members), basis))
+    clusters = _cluster_indices(dec.values, radius)
+    groups = [EigenGroup(complex(dec.values[c[0]]), 1, dec.vectors[:, c])
+              for c in clusters if len(c) == 1]
+    groups += _cluster_groups(dec, [c for c in clusters if len(c) > 1],
+                              radius)
     groups.sort(key=lambda g: (g.value.real, g.value.imag))
     return groups
 
 
-def _cluster_basis(a: np.ndarray, vectors: np.ndarray, value: complex,
-                   cutoff: float) -> np.ndarray:
-    """Orthonormal Q spanning a cluster's eigenvectors; NotDiagonalizable
-    unless they are independent and ||(A - value I) Q||_2 <= cutoff."""
-    try:
-        q = orthonormalize_columns(vectors)
-    except RankDeficient as exc:
-        raise NotDiagonalizable(
-            f"eigenvalue {value:.6g} has a deficient eigenspace") from exc
-    r = a @ q - value * q
-    # ||R||_2 <= ||R||_F, so the top eigenvalue of R^H R is needed only
-    # when the Frobenius norm is past the cutoff.
-    if (fro(r) > cutoff
-            and np.linalg.eigvalsh(herm_transpose(r) @ r)[-1] > cutoff ** 2):
-        raise NotDiagonalizable(
-            f"eigenvalue {value:.6g} has a deficient eigenspace")
-    return q
+def _cluster_groups(dec: EigenDecomposition, clusters: list[list[int]],
+                    radius: float) -> list[EigenGroup]:
+    """The groups of the multi-member clusters, in order, for
+    group_eigenvalues; NotDiagonalizable at the first defective one."""
+    # Roundoff on the scale of A itself: on the scale of the shifted
+    # matrix, roundoff would read as a defect when A - value I ~ 0.
+    roundoff = RANK_TOL * max(1.0, fro(dec.matrix))
+    values = [complex(np.mean(dec.values[c])) for c in clusters]
+    by_size: dict[int, list[int]] = {}
+    for k, members in enumerate(clusters):
+        by_size.setdefault(len(members), []).append(k)
+    parts = {}
+    for ks in by_size.values():
+        # (clusters, rows, members): each cluster's eigenvectors.
+        vectors = np.moveaxis(dec.vectors[:, [clusters[k] for k in ks]], 1, 0)
+        u, s, wh = np.linalg.svd(vectors, full_matrices=False)
+        q = u @ wh
+        shifts = np.array([values[k] for k in ks])[:, None, None]
+        parts.update(zip(ks, zip(q, s, dec.matrix @ q - shifts * q)))
+    out = []
+    for k, members in enumerate(clusters):
+        value, (q, s, r) = values[k], parts[k]
+        spread = float(np.max(np.abs(dec.values[members] - value)))
+        cutoff = roundoff + max(radius, spread)
+        # ||R||_2 <= ||R||_F, so the top eigenvalue of R^H R is needed only
+        # when the Frobenius norm is past the cutoff.
+        if _rank(s) < s.size or (
+                fro(r) > cutoff
+                and np.linalg.eigvalsh(herm_transpose(r) @ r)[-1]
+                > cutoff ** 2):
+            raise NotDiagonalizable(
+                f"eigenvalue {value:.6g} has a deficient eigenspace")
+        out.append(EigenGroup(value, s.size, q))
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,6 +245,8 @@ def pair_conjugates(groups: list[EigenGroup]) -> ConjugatePairing:
     """
     values = np.array([g.value for g in groups])
     radius = cluster_radius(values)
+    # distance[i, j] = |value_j - conj(value_i)|, formed once.
+    distance = np.abs(values[None, :] - np.conj(values)[:, None])
     used = np.zeros(len(groups), dtype=bool)
     pairs = []
     singles = []
@@ -242,10 +255,10 @@ def pair_conjugates(groups: list[EigenGroup]) -> ConjugatePairing:
             continue
         used[i] = True
         v = values[i]
-        if abs(v - np.conj(v)) <= radius:
+        if distance[i, i] <= radius:
             singles.append(i)
             continue
-        dist = np.where(used, np.inf, np.abs(values - np.conj(v)))
+        dist = np.where(used, np.inf, distance[i])
         # argmin takes the first of equal distances.
         best = int(np.argmin(dist))
         if dist[best] > radius:

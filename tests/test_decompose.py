@@ -41,6 +41,7 @@ from structdiag import (
 from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
                              FRAME_INPUT_TOL, RANK_TOL, fro, herm_transpose)
 from structdiag.decompose import _annihilation, _decomposition_residuals
+from structdiag.spectral import _MIX, eigen, eigenvalues_match
 from structdiag.structure import frame_residuals
 
 from conftest import random_unitary
@@ -307,12 +308,70 @@ class TestReconstruct:
         assert max(diag.residual_automorphism,
                    diag.residual_similarity) <= FACTOR_GUARANTEE
 
+    # A core value lambda with mu = Re lambda + c Im lambda = 0, c the
+    # irrational of spectral.eigen's Hermitian combination, shares mu with
+    # N's zero eigenvalues; two equal-mu values share it with each other.
+    # Either sends eigen to LAPACK's eig, whose vectors of one eigenvalue
+    # need not be orthogonal: reconstruct orthonormalizes them by one QR.
+    _C = -2.0 * _MIX.imag
+
+    @staticmethod
+    def _general_route_factor(form, seed, rank, pair):
+        v = random_lagrangian_frame(form, seed)[:, :rank]
+        d = np.linspace(0.6, 1.9, rank) * np.exp(
+            2j * np.pi * (np.arange(rank) * 0.37 + seed % 7 / 7.0))
+        d[:2] = pair
+        n_mat = v @ np.diag(d) @ herm_transpose(v)
+        assert not eigen(n_mat).hermitian
+        return n_mat, d
+
+    def _assert_general_route_certifies(self, form, seed, rank, pair):
+        n_mat, d = self._general_route_factor(form, seed, rank, pair)
+        _, diag = reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
+        assert np.count_nonzero(diag.core) == rank
+        assert eigenvalues_match(diag.core[:rank], d, 1e-8)
+        assert diag.unitary
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
+
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    @pytest.mark.parametrize("n,rank", [(50, 38), (50, 5), (8, 3)])
+    def test_general_route_with_null_collision(self, formf, n, rank):
+        # c - i and 2(c - i), at mu = 0 with N's null space.
+        form = formf(n)
+        for seed in range(100, 106):
+            self._assert_general_route_certifies(
+                form, seed, rank, [self._C - 1j, 2 * (self._C - 1j)])
+
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    def test_general_route_with_equal_mu_pair(self, formf):
+        # 1 and 1 - c + i, both at mu = 1.
+        self._assert_general_route_certifies(
+            formf(8), 100, 3, [1.0, 1.0 - self._C + 1j])
+
     def test_factor_of_wrong_dimension_rejected(self):
         # The mistake verify_decomposition reports the same way (exit 2),
         # not a mathematical negative about the factor.
         with pytest.raises(DimensionMismatch):
             reconstruct_from_normal_factor(np.eye(4, dtype=complex),
                                            Sign.PLUS, symplectic_form(3))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])
+def test_annihilation_does_not_depend_on_scale(scale):
+    # Q diag(1, 2, 0, 0) Q^H is normal and its rank-2 range is not neutral
+    # under J: relative to ||N|| ||N*||, N N* reads 0.35 at every scale, so
+    # verify fails and reconstruct raises NotAnnihilating at each.
+    form = symplectic_form(2)
+    q = random_unitary(4, 57)
+    n_mat = scale * q @ np.diag([1.0, 2.0, 0, 0]) @ herm_transpose(q)
+    dec = AdditiveDecomposition(n_mat, Sign.PLUS, form.tag)
+    report = verify_decomposition(n_mat + adjoint(n_mat, form), dec, form)
+    assert not report.passed
+    assert report.residuals.annihilation_left == pytest.approx(0.3528,
+                                                               rel=1e-3)
+    with pytest.raises(NotAnnihilating):
+        reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
 
 
 class TestVerify:
@@ -413,15 +472,16 @@ class TestStructuredExp:
         if case == "shifted":
             _, dec, form = TestVerify()._decomposition()
             return dec.normal_factor + 1e-3 * np.eye(4), dec.sign, form
-        # Normal, and small enough that its annihilation residual, scaled
-        # by max(1, ||N|| ||N*||), passes; its rank-2 range is not neutral.
+        # Normal, with a rank-2 range that is not neutral: at 1e-6 its
+        # annihilation residual, relative to ||N|| ||N*||, reads as it does
+        # at scale 1.
         q = random_unitary(4, 57)
         n_mat = 1e-6 * q @ np.diag([1.0, 2.0, 0, 0]) @ herm_transpose(q)
         return n_mat, Sign.PLUS, symplectic_form(2)
 
     @pytest.mark.parametrize("case,error", [
         ("non-normal", NotNormal), ("shifted", NotAnnihilating),
-        ("non-neutral", NotNeutralRange)])
+        ("non-neutral", NotAnnihilating)])
     def test_hand_built_non_decomposition_raises(self, case, error):
         # A decomposition that carries no factor is certified through
         # reconstruct_from_normal_factor, which rejects each of these.

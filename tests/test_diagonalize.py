@@ -1,5 +1,6 @@
 import pickle
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -485,19 +486,19 @@ def structured_square_root(a, form):
 class TestOneSpectralPass:
     """Each entry point runs no full classify (it checks only the flags it
     reads), eigendecomposes once, clusters and pairs once, solves with
-    neither J nor R and runs one (2n x k) SVD per multi-member eigenvalue
-    group, which gives both its rank test and its orthonormal basis, and,
-    its conjugate pairs being simple here, no other SVD and no QR. Each
-    counted call starts on a cold plan slot (TestPlanMemo covers the
-    warm one). The one
+    neither J nor R and runs one stacked (g x 2n x k) SVD per size k of
+    its g multi-member eigenvalue groups, which gives both their rank
+    tests and their orthonormal bases, and, its conjugate pairs being
+    simple here, no other SVD and no QR. Each counted call starts on a
+    cold plan slot (TestPlanMemo covers the warm one). The one
     eigendecomposition is one 2n x 2n eigh of a Hermitian
     combination of A and A^H for normal A, with no eig; a non-normal A
-    takes that eigh and one eig. Every entry point factors each critical
-    eigenspace Gram with one (smaller) eigh, shared by the balance test
-    and the pairing, runs no eigvalsh, Schur or null_space and never
-    reaches congruence_to or sylvester_canonical. structured_root counts
-    over the selfadjoint kinds, the only ones it accepts.
-    reconstruct_from_normal_factor factors only N's range."""
+    takes that eigh and one eig. Every entry point factors the critical
+    eigenspace Grams with one stacked (smaller) eigh per multiplicity,
+    shared by the balance test and the pairing, runs no eigvalsh, Schur
+    or null_space and never reaches congruence_to or sylvester_canonical.
+    structured_root counts over the selfadjoint kinds, the only ones it
+    accepts. reconstruct_from_normal_factor factors N with one eigen."""
 
     @staticmethod
     def _count(monkeypatch, form):
@@ -576,10 +577,13 @@ class TestOneSpectralPass:
         self._assert_counts(monkeypatch, entry, a, form, eig=1)
 
     def _assert_counts(self, monkeypatch, entry, a, form, eig):
-        multi = sum(g.multiplicity > 1 for g in group_eigenvalues(eigen(a)))
-        assert multi > 0
-        critical = len(diagonalizability_report(a, form).per_eigenvalue)
-        assert critical > 0
+        multi = [g.multiplicity for g in group_eigenvalues(eigen(a))
+                 if g.multiplicity > 1]
+        critical = [e.multiplicity for e in
+                    diagonalizability_report(a, form).per_eigenvalue]
+        # Several groups of one size, so that a stack holds more than one.
+        assert len(multi) > len(set(multi))
+        assert len(critical) > len(set(critical))
         monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
         counts = self._count(monkeypatch, form)
         entry(a, form)
@@ -589,21 +593,23 @@ class TestOneSpectralPass:
                           "null_space": 0, "classify": 0, "cluster": 1,
                           "pair": 1, "congruence": 0, "sylvester": 0,
                           "lu_on_form": 0, "schur_shapes": []}
-        assert len(eigh_shapes) == critical + 1
-        assert eigh_shapes.count((16, 16)) == 1
-        assert all(shape[1] < 16 for shape in shapes)
-        assert len(shapes) == multi
+        assert eigh_shapes[0] == (16, 16)
+        assert sorted(eigh_shapes[1:]) == sorted(
+            (groups, m, m) for m, groups in Counter(critical).items())
+        assert sorted(shapes) == sorted(
+            (groups, 16, k) for k, groups in Counter(multi).items())
 
     # What reconstruct_from_normal_factor runs on a rank-5 factor at
-    # 2n = 16: one 2n x 2n SVD finds the range and its complement, one
-    # 5 x 5 Schur the eigenbasis, and the completion's one QR and one eigh
-    # of the complement Gram replace null_space.
-    _RECONSTRUCT_COUNTS = {"eigen": 0, "eig": 0, "eigvalsh": 0, "qr": 1,
+    # 2n = 16: one eigen (its one 2n x 2n eigh) gives the eigenbasis of
+    # the range and the complement, with no SVD or Schur, and the
+    # completion's one QR and one eigh of the complement Gram (a
+    # one-slice stack) replace null_space.
+    _RECONSTRUCT_COUNTS = {"eigen": 1, "eig": 0, "eigvalsh": 0, "qr": 1,
                            "null_space": 0, "classify": 0, "cluster": 0,
                            "pair": 0, "congruence": 0, "sylvester": 0,
-                           "lu_on_form": 0, "eigh_shapes": [(6, 6)],
-                           "svd_shapes": [(16, 16)],
-                           "schur_shapes": [(5, 5)]}
+                           "lu_on_form": 0,
+                           "eigh_shapes": [(16, 16), (1, 6, 6)],
+                           "svd_shapes": [], "schur_shapes": []}
 
     @staticmethod
     def _rank5_factor(kind, formf):
@@ -619,8 +625,8 @@ class TestOneSpectralPass:
 
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
     def test_reconstruct_counts(self, monkeypatch, kind, formf):
-        # The completion's one QR is of the (2n - 5) x 5 matrix
-        # U[:, 5:]^H B V0.
+        # The completion's one QR is of the (2n - 5) x 5 matrix Z^H B V0,
+        # Z the null eigenvectors of N.
         n_mat, sign, form = self._rank5_factor(kind, formf)
         counts = self._count(monkeypatch, form)
         qr_shapes, counted_qr = [], np.linalg.qr

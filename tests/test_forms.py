@@ -20,8 +20,8 @@ from structdiag import (
     sylvester_canonical,
 )
 from structdiag.core import fro, herm_transpose, numerical_rank, solve_linear
-from structdiag.forms import (_form_times, _times_form, perplectic_r,
-                              symplectic_j)
+from structdiag.forms import (_form_times, _sylvester, _times_form,
+                              perplectic_r, symplectic_j)
 
 from conftest import (
     gaussian_matrix,
@@ -239,6 +239,25 @@ class TestSylvesterCanonical:
         _, b = sylvester_canonical(herm_transpose(q) @ h @ q,
                                    FormKind.HERMITIAN)
         assert a.counts == b.counts
+
+    @pytest.mark.parametrize("kind", list(FormKind))
+    def test_stack_equals_slice_by_slice(self, kind):
+        # One stacked eigh factors each slice byte for byte as its own
+        # call does, whatever the slices' inertias (a singular slice too).
+        make = (random_hermitian if kind is FormKind.HERMITIAN
+                else random_skew_hermitian)
+        q = random_unitary(4, 5)
+        alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
+        singular = alpha * q @ np.diag([1.0, -2.0, 0, 0]) @ herm_transpose(q)
+        stack = np.stack([make(4, seed) for seed in range(3)] + [singular])
+        stacked = _sylvester(stack, kind)
+        assert len(stacked) == 4
+        assert stacked[3][1].counts == (1, 1, 2)
+        for h, (u, h_inertia) in zip(stack, stacked):
+            u_slice, slice_inertia = _sylvester(h, kind)
+            assert u.shape == u_slice.shape
+            assert u.tobytes() == u_slice.tobytes()
+            assert h_inertia == slice_inertia
 
 
 class TestCongruence:

@@ -110,12 +110,15 @@ def _attribute_users(names):
             if isinstance(node, ast.Attribute) and node.attr in names}
 
 
-def test_schur_runs_only_in_reconstruct():
-    # structured_exp reads exp(N) off the decomposition's certified
-    # factor, so the one Schur factorization left is of reconstruct's k x k
-    # compression of N to its range.
-    assert _attribute_users({"schur"}) == {
-        ("decompose", "reconstruct_from_normal_factor")}
+def test_no_module_calls_schur():
+    # reconstruct_from_normal_factor factors N through spectral.eigen and
+    # structured_exp reads exp(N) off the decomposition's certified factor,
+    # so no package module names a Schur factorization, by attribute,
+    # name or import.
+    assert not {(module, top) for module, top, node in _package_nodes()
+                if "schur" in (getattr(node, "attr", None),
+                               getattr(node, "id", None),
+                               getattr(node, "name", None))}
 
 
 def test_lu_runs_only_in_the_public_solver():
