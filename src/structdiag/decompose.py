@@ -1,13 +1,19 @@
 """Additive decomposition A = N +/- N* with N normal and N N* = N* N = 0,
-which keeps the certified unitary factor it reads N from; its inverse
-construction (from one spectral.eigen of N), verification, and the structured matrix exponential (taken
-through that factor, with no factorization) and p-th root.
+which keeps the certified unitary factor [V, B^T V] it reads N = V D V^H
+from and bounds N's normality and annihilation from V's two Grams (read
+off the factor's certificate), with no 2n x 2n product; its inverse
+construction (from one spectral.eigen of N, certified from the completed
+frame), the verification that measures every residual with 2n x 2n
+products, and the structured matrix exponential (taken through that
+factor, with no factorization) and p-th root.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -34,7 +40,6 @@ from .diagonalize import (
     _store,
     _with_normality,
     certify,
-    unitary_refine,
 )
 from .errors import (
     DimensionMismatch,
@@ -45,9 +50,9 @@ from .errors import (
     NumericalBreakdown,
     SingularInput,
 )
-from .forms import FormTag, InnerProduct, _form_times, adjoint, gram
+from .forms import FormTag, InnerProduct, adjoint, gram
 from .spectral import eigen
-from .structure import _normal_check, _route_partners
+from .structure import _normal_check, _with_partners
 
 
 class Sign(enum.Enum):
@@ -116,12 +121,16 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
                        ) -> AdditiveDecomposition:
     """Additive decomposition of a normal structured diagonalizable matrix.
 
-    N = V D V^H from the first half of a unitary structured
-    diagonalization, kept as its factor; the neutrality of span(V)
-    makes both products N N* and N* N vanish.
+    N = V D V^H from the first half V of unitary_refine's factor, kept
+    as its factor; the neutrality of span(V) makes both products N N* and
+    N* N vanish. N's normality and annihilation residuals are bounded
+    from V's Grams V^H V - I and V^H B V, read off the first n rows of
+    S^H S - I the factor S was certified with (_decomposition_bounds),
+    with no 2n x 2n product; the reconstruction residual of A = N +/- N*
+    is measured.
     """
     a = np.asarray(a, dtype=np.complex128)
-    diag = unitary_refine(a, form, tol)
+    diag, factor = _certified(_record(a, form), a, form, tol, unitary=True)
     n = form.half
     v = diag.transform[:, :n]
     # A product with diag(core), not v * core: numpy's elementwise complex
@@ -130,11 +139,86 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     n_mat = v @ np.diag(diag.core) @ herm_transpose(v)
     # Skewadjoint structures decompose with a minus, selfadjoint with a plus.
     sign = Sign.PLUS if diag.variant is Variant.SELFADJOINT else Sign.MINUS
-    residuals = _decomposition_residuals(a, n_mat, adjoint(n_mat, form), sign)
+    residuals = DecompositionResiduals(
+        *_decomposition_bounds(factor.frame_error, diag.core, form),
+        reconstruction=rel_residual(n_mat + sign.factor * adjoint(n_mat, form),
+                                    a))
     if not _within(FACTOR_GUARANTEE, *astuple(residuals)):
         raise NumericalBreakdown(
             f"decomposition residuals too large ({residuals.to_dict()})")
     return AdditiveDecomposition(n_mat, sign, form.tag, residuals, diag)
+
+
+def _decomposition_bounds(frame_error: np.ndarray, core: np.ndarray,
+                          form: InnerProduct) -> tuple[float, float, float]:
+    """Bounds on the normality and both annihilation residuals of
+    N = V D V^H (_decomposition_residuals) as decompose_additive forms it,
+    from the first n rows [C - I, V^H B^T V] of S^H S - I for its factor
+    S = [V, B^T V] (diagonalize._frame_certificate), C = V^H V, and the
+    core d, with no 2n x 2n product.
+
+    In exact arithmetic N^H N - N N^H = V K V^H with
+    K = D^H C D - D C D^H, whose entries (conj(d_i) d_j - d_i conj(d_j))
+    (C - I)_ij vanish on the diagonal; N N* = V D (-/+G) D^H V^H B and
+    N* N = B^{-1} V D^H G D V^H, G = V^H B V, whose middle factors have
+    the same Frobenius norm as the elementwise product |d_i| |d_j| |G_ij|,
+    and V^H B^T V is -G under J and G F under R (F the n x n flip). With
+    delta >= ||C - I||_F, ||V M V^H||_F <= (1 + delta) ||M||_F, and
+    ||N^H N||_F >= (1 - delta) ||D^H C D||_F, ||N||_F^2 >= (1 - delta)
+    ||V D||_F^2. Rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.5 and 3.6): every product here has an
+    inner dimension of at most 2n, so with gamma = gamma_{2n+4}
+    (k u/(1 - k u), u = eps/2, the 4 covering complex arithmetic) the
+    Grams are off by at most gamma |V|^H |V|, N as formed is off
+    V D V^H by at most gamma |V| |D| |V|^H, whose norm is at most
+    nu = gamma ||V D||_F ||V||_F, and each product of N the residuals
+    take is off by at most gamma ||N||_F^2. Each bound adds these terms,
+    so it bounds the residual of the returned N as the verifier
+    (verify_decomposition) computes it.
+    """
+    n = core.size
+    k = (2 * n + 4) * sys.float_info.epsilon / 2
+    gamma = k / (1.0 - k)
+    # Squared moduli of [C - I, V^H B^T V] and of d, and the diagonal of
+    # C - I: every norm below is a sum or a quadratic form of them.
+    sq = (frame_error * frame_error.conj()).real
+    conj = core.conj()
+    mod2 = (core * conj).real
+    diag_cm = frame_error.diagonal().real
+    trace_c = n + float(diag_cm.sum())
+    delta = float(sq[:, :n].sum()) ** 0.5 + gamma * trace_c
+    hi, lo = 1.0 + delta, 1.0 - delta
+    # ||V D||_F^2 = sum_j |d_j|^2 C_jj, and ||N - V D V^H||_F <= nu.
+    vd2 = float(mod2.sum()) + float(mod2 @ diag_cm)
+    nu = gamma * (vd2 * trace_c) ** 0.5
+    n_hi = (hi * vd2) ** 0.5 + nu          # ||N||_F at most
+    n_lo = (max(0.0, lo) * vd2) ** 0.5 - nu
+    # ||N^H N - (V D V^H)^H (V D V^H)||_F and its rounding, per product.
+    spread = 2.0 * hi * float(mod2.max()) ** 0.5 * nu + nu * nu
+    per_product = spread + gamma * n_hi * n_hi
+    # ||D^H (C - I) D||_F^2 and ||D G D^H||_F^2, G's columns in d's order.
+    weighted = mod2 @ sq
+    cm_d = float(weighted[:n] @ mod2) ** 0.5
+    g_d = float(weighted[n:] @ (mod2 if form.tag is FormTag.SYMPLECTIC_J
+                                else mod2[::-1])) ** 0.5
+    # |K_ij| = 2 |Im(conj(d_i) d_j)| |C - I|_ij.
+    skew = (conj[:, None] * core).imag
+    k_norm = 2.0 * float((skew * skew * sq[:, :n]).sum()) ** 0.5
+    normality = hi * (k_norm + 2.0 * gamma * vd2) + 2.0 * per_product
+    # ||D^H C D||_F >= || |d|^2 ||_2 - ||D^H (C - I) D||_F.
+    size = (lo * (float(mod2 @ mod2) ** 0.5 - cm_d - gamma * vd2)
+            - per_product)
+    normality = (1.0 + gamma) * normality / max(1.0, (1.0 - gamma) * size)
+    if lo <= 0.0:
+        normality = math.inf
+    # Both annihilation residuals are relative to ||N||_F ||N*||_F =
+    # ||N||_F^2, and 0 for N = 0.
+    annihilation = hi * (g_d + gamma * vd2) + per_product
+    scale = (1.0 - gamma) * max(0.0, n_lo) ** 2
+    if annihilation:
+        annihilation = ((1.0 + gamma) * annihilation / scale if scale > 0.0
+                        else math.inf)
+    return normality, annihilation, annihilation
 
 
 def reconstruct_from_normal_factor(
@@ -153,11 +237,12 @@ def reconstruct_from_normal_factor(
     N's zeros), vectors of one eigenvalue need not be orthogonal, so one
     complete QR of the kept columns gives both orthonormal bases instead;
     for normal N its leading columns are still eigenvectors, in order.
-    V0 spans a neutral subspace, extended to a Lagrangian frame when
+    V0 spans a neutral subspace, extended to a Lagrangian frame V when
     k < n (zero-padding the core); the completion works inside the null
     space basis: one complete QR of the (2n - k) x k matrix Z^H B V0 (see
     diagonalize._complete). N is judged on input; what is built from it,
-    once, by certify.
+    the unitary automorphism [V, B^T V] (structure._with_partners), once,
+    by certify, from V (diagonalize._frame_certificate).
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
@@ -194,9 +279,8 @@ def reconstruct_from_normal_factor(
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
-    # Partner columns B^T V = (V^T B)^T.
-    transform = _route_partners(frame, _form_times(form, frame.T).T, form.tag)
-    return a, certify(a, transform, core, form, variant, unitary=True)
+    return a, certify(a, _with_partners(frame, form), core, form, variant,
+                      unitary=True)
 
 
 def _check_form_tag(dec: AdditiveDecomposition, form: InnerProduct) -> None:
@@ -296,7 +380,7 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
         raise NotStructured(
             "structured roots require a selfadjoint matrix "
             f"(residual {selfadjoint.residual:.3e})")
-    diag = _certified(record, a, form, tol, unitary=True)
+    diag, _ = _certified(record, a, form, tol, unitary=True)
     # The singular values of normal A are |core| and their mirror images.
     mags = np.abs(diag.core)
     if _rank(mags) < mags.size:

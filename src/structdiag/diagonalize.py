@@ -13,12 +13,16 @@ Gram directions of each critical eigenspace into partner columns,
 corrects all partner columns at once for neutrality to first order, and
 routes them into the positions that reproduce the form matrix. On
 normal input the eigenspace bases are orthonormal, so the automorphism
-is unitary up to the eigenvector error; unitary_refine runs the same
-construction, then one Newton-Schulz step towards the unitary polar
-factor, which for the unitary J and R is an automorphism too (Higham,
-Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 2005), and
-certifies unitarity as well. The same pairing (_balanced_pairs) gives
-the neutral half of the complement Gram in Lagrangian completion.
+is unitary up to the eigenvector error. A unitary automorphism of J or R
+is [V, B^T V] for an orthonormal Lagrangian frame V (Paige & Van Loan,
+Linear Algebra Appl. 1981, for J), and every unitary factor is built,
+certified and decomposed from its frame: unitary_refine runs the same
+construction, takes its frame one Newton-Schulz step towards the unitary
+polar factor and routes [X, B^T X] (_unitary_factor), and certifies it,
+unitarity too, from the first n rows of S^H S - I, which hold X's two
+n x n Grams (_frame_certificate). The same
+pairing (_balanced_pairs) gives the neutral half of the complement Gram
+in Lagrangian completion.
 
 Every entry point checks only the structure it reads (selfadjoint or
 skewadjoint, and normality on the unitary routes), then eigendecomposes,
@@ -30,18 +34,20 @@ A is kept in one per-input record (_Record) in one slot, keyed by A's
 exact bytes and the form tag: A* with its selfadjoint and skewadjoint
 residuals, the normality residual, the plan of the last variant decided
 with its routed automorphism S0 and core, and each factor a route
-certifies (S0, and its polar step on the unitary routes) with its
-factor_residuals. So consecutive calls on the same A (classify, a report,
-both constructions and the decomposition built on them) form each of
-these once. Every call still judges the stored residuals against its own
+certifies (S0, and the _unitary_factor of its frame on the unitary
+routes) with its residuals, the unitary one with the first n rows of
+S^H S - I, which the decomposition reads. So consecutive calls on the
+same A (classify, a report, both constructions and the decomposition
+built on them) form each of these once. Every call still judges the stored residuals against its own
 tolerance and FACTOR_GUARANTEE, in a cold call's order, so it raises
 what a cold call raises, and returns its own copies of S and the core.
-The certificate (factor_residuals) reads S^{-1} off the form: the form
-adjoint S* of S is (I + E) S^{-1} with E the automorphism error, so
-S* A S - D - E D is (I + E) times the similarity residual exactly. It
-bounds that residual from four dense products and solves no linear
-system. Lagrangian completion (_complete) works inside a given
-orthonormal basis of the frame's orthogonal complement: one complete QR
+The certificate reads S^{-1} off the form: the form adjoint S* of S is
+(I + E) S^{-1} with E the automorphism error, so S* A S - D - E D is
+(I + E) times the similarity residual exactly (_similarity). It solves no
+linear system; factor_residuals forms E from S^H B S, while for a unitary
+factor of partner form E is assembled from its first n rows. Lagrangian
+completion (_complete) works inside a given orthonormal basis of the
+frame's orthogonal complement: one complete QR
 of V for complete_to_lagrangian, N's null eigenvectors (on eigen's
 general route, the trailing columns of one complete QR of the kept
 ones) for decompose.reconstruct_from_normal_factor. J and R enter every product
@@ -101,6 +107,7 @@ from .structure import (
     _check_square,
     _normal_check,
     _route_partners,
+    _with_partners,
     frame_residuals,
 )
 
@@ -195,10 +202,13 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
 
 
 class _Factor(NamedTuple):
-    """A route's automorphism (read-only) and its factor_residuals."""
+    """A route's automorphism S and its certificate (_certificate): for a
+    unitary S of partner form, also the first n rows of S^H S - I that the
+    certificate was read from and the decomposition bounds N with."""
 
     transform: np.ndarray
     residuals: tuple[float, float, float]
+    frame_error: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -208,11 +218,10 @@ class _SpectralPlan:
     bases), their conjugate pairing and, by group index, the Sylvester
     factor and inertia of each self-conjugate (critical) group's Gram.
     The first construction on a balanced plan adds the routed
-    automorphism S0 (_route, before any polar step) and its core, and
-    each construction the certified factor of its route, keyed by
-    ``unitary``: S0 itself, or its _polar_step; a report alone leaves
-    them empty. Its arrays are read-only, since one plan may serve
-    several calls."""
+    automorphism S0 (_route) and its core, and each construction the
+    certified factor of its route, keyed by ``unitary``: S0 itself, or
+    the _unitary_factor of S0's frame; a report alone leaves them empty.
+    Its arrays are read-only, since one plan may serve several calls."""
 
     variant: Variant
     groups: tuple[EigenGroup, ...]
@@ -418,11 +427,55 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     S* = B^{-1} S^H B is a signed permutation of S^H, and
     E = S* S - I = B^{-1} (S^H B S - B) a signed row permutation of the
     automorphism residual's difference, so e = ||E||_F = ||S^H B S - B||_F.
+    The similarity residual is _similarity's bound given E.
+    """
+    sh = herm_transpose(s)
+    sbs = _form_times(form, sh) @ s
+    diff = sbs - form.matrix
+    e = fro(diff)
+    return (e / max(1.0, fro(sbs)),
+            _similarity(a, s, form, e, _inverse_times(form, diff), diagonal),
+            rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
+
+
+def _frame_certificate(a: np.ndarray, s: np.ndarray, form: InnerProduct,
+                       diagonal: np.ndarray) -> _Factor:
+    """factor_residuals of an S = [X, B^T X] of partner form
+    (structure._with_partners), read off the first n rows of
+    E = S^H S - I, [X^H X - I, X^H B^T X]: one n x 2n by 2n x 2n product.
+
+    With C = X^H X and G = X^H B X, E is [[C - I, -G], [G, C - I]] under
+    J and [[C - I, G F], [F G, F (C - I) F]] under R (F the n x n flip),
+    so its last n rows are its first n taken times J, or flipped both
+    ways under R, and S^H B S - B = B E holds the same blocks. So the
+    automorphism and unitarity residuals are one number,
+    sqrt 2 ||[C - I, G]||_F over max(1, sqrt 2 ||[C, G]||_F), where
+    2 ||[C, G]||_F^2 = e^2 + 4 Re tr(C - I) + 2n, E is assembled with no
+    product, and the similarity residual is _similarity's, as in
+    factor_residuals. The factor keeps the first n rows of E.
+    """
+    n = form.half
+    top = herm_transpose(s[:, :n]) @ s
+    top.reshape(-1)[::2 * n + 1] -= 1.0
+    e = 2.0 ** 0.5 * fro(top)
+    scale = max(0.0, e * e + 4.0 * float(top.trace().real) + 2 * n) ** 0.5
+    bottom = (_form_times(form, top) if form.tag is FormTag.SYMPLECTIC_J
+              else top[::-1, ::-1])
+    res = e / max(1.0, scale)
+    sim = _similarity(a, s, form, e, np.concatenate([top, bottom]), diagonal)
+    return _Factor(s, (res, sim, res), top)
+
+
+def _similarity(a: np.ndarray, s: np.ndarray, form: InnerProduct, e: float,
+                e_mat: np.ndarray, diagonal: np.ndarray | None) -> float:
+    """The similarity residual of S given E = S* S - I and e = ||E||_F,
+    from two dense products, A S and S* (A S).
+
     For e < 1, I + E is nonsingular, hence so is S, and S* = (I + E) S^{-1}.
     With X = S^{-1} A S and Y = S* (A S) = (I + E) X this gives exactly
     Z = Y - D - E D = (I + E)(X - D), where E D scales E's columns by the
     diagonal and costs no product. So ||X - D||_F <= ||Z||_F / (1 - e) and
-    ||X||_F >= ||Y||_F / (1 + e), and the similarity residual reported is
+    ||X||_F >= ||Y||_F / (1 + e), and the residual is
     (||Z||_F / (1 - e)) / max(1, ||Y||_F / (1 + e)), a bound on the
     residual of X in exact arithmetic up to the roundoff of forming Y. It
     is larger than X's own by a factor of at most about 1 + 4e, which for
@@ -437,30 +490,21 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     With no diagonal given, D is X's own diagonal up to second order in
     E: diag(Y) - diag(E Y), one row-by-column dot.
     """
-    sh = herm_transpose(s)
-    sbs = _form_times(form, sh) @ s
-    diff = sbs - form.matrix
-    e = fro(diff)
     if e >= 1.0:
-        res_sim = math.inf
-    else:
-        e_mat = _inverse_times(form, diff)
-        y = adjoint(s, form) @ (a @ s)
-        if diagonal is None:
-            diagonal = np.diagonal(y) - np.einsum("ij,ji->i", e_mat, y)
-        step = y.shape[0] + 1
-        z = y - e_mat * diagonal
-        z.flat[::step] -= diagonal
-        if e * e <= sys.float_info.epsilon:
-            res_sim = (fro(z) / (1.0 - e)) / max(1.0, fro(y) / (1.0 + e))
-        else:
-            w = z - e_mat @ z
-            rest = e * e / (1.0 - e) * fro(z)
-            bound = fro(w) + rest
-            w.flat[::step] += diagonal
-            res_sim = bound / max(1.0, fro(w) - rest)
-    return (e / max(1.0, fro(sbs)), res_sim,
-            rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
+        return math.inf
+    y = adjoint(s, form) @ (a @ s)
+    if diagonal is None:
+        diagonal = np.diagonal(y) - np.einsum("ij,ji->i", e_mat, y)
+    step = y.shape[0] + 1
+    z = y - e_mat * diagonal
+    z.flat[::step] -= diagonal
+    if e * e <= sys.float_info.epsilon:
+        return (fro(z) / (1.0 - e)) / max(1.0, fro(y) / (1.0 + e))
+    w = z - e_mat @ z
+    rest = e * e / (1.0 - e) * fro(z)
+    bound = fro(w) + rest
+    w.flat[::step] += diagonal
+    return bound / max(1.0, fro(w) - rest)
 
 
 def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
@@ -468,18 +512,25 @@ def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,
             unitary: bool = False) -> StructuredDiagonalization:
     """S as a diagonalization of A; NumericalBreakdown unless its residuals
     (unitarity too, with ``unitary``) meet FACTOR_GUARANTEE, which a
-    non-finite S never does."""
+    non-finite S never does. With ``unitary``, S must be of partner form
+    [V, B^T V] (structure._with_partners): it is certified from V."""
     return _judged(s, core, form.tag, variant,
-                   _certificate(a, s, core, form, variant), unitary)
+                   _certificate(a, s, core, form, variant, unitary).residuals,
+                   unitary)
 
 
 def _certificate(a: np.ndarray, s: np.ndarray, core: np.ndarray,
-                 form: InnerProduct,
-                 variant: Variant) -> tuple[float, float, float]:
-    """The factor_residuals of S against the structured diagonal of core:
-    the one place the package certifies a factor it built."""
-    return factor_residuals(a, s, form,
-                            assemble_core_diagonal(core, form.tag, variant))
+                 form: InnerProduct, variant: Variant,
+                 unitary: bool) -> _Factor:
+    """S with its residuals against the structured diagonal of core: the
+    one place the package certifies a factor it built. A unitary factor
+    is of partner form and certified from the first n rows of
+    S^H S - I (_frame_certificate), which it keeps; any other by
+    factor_residuals."""
+    diagonal = assemble_core_diagonal(core, form.tag, variant)
+    if unitary:
+        return _frame_certificate(a, s, form, diagonal)
+    return _Factor(s, factor_residuals(a, s, form, diagonal))
 
 
 def _judged(s: np.ndarray, core: np.ndarray, form_tag: FormTag,
@@ -501,12 +552,13 @@ def _judged(s: np.ndarray, core: np.ndarray, form_tag: FormTag,
 
 
 def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
-               tol: TolerancePolicy,
-               unitary: bool) -> StructuredDiagonalization:
+               tol: TolerancePolicy, unitary: bool
+               ) -> tuple[StructuredDiagonalization, _Factor]:
     """Decide, then judge the automorphism every constructor uses: the
-    plan's routed S0 (see _route), or with ``unitary`` S0 taken one
-    _polar_step, each routed and certified once per plan (_factored) and
-    returned as a copy, with a copy of the core.
+    plan's routed S0 (see _route), or with ``unitary`` the
+    _unitary_factor of its frame, each routed and certified once per plan
+    (_factored) and returned as a copy, with a copy of the core, next to
+    the plan's read-only factor.
 
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
@@ -531,22 +583,24 @@ def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
         raise NotStructuredDiagonalizable(report.reason, report)
     factor = plan.factors[unitary]
     return _judged(factor.transform.copy(), plan.core.copy(), form.tag,
-                   plan.variant, factor.residuals, unitary)
+                   plan.variant, factor.residuals, unitary), factor
 
 
 def _factored(plan: _SpectralPlan, a: np.ndarray, form: InnerProduct,
               unitary: bool) -> _SpectralPlan:
     """The balanced plan with its route's factor certified: S0, routed
-    first if the plan lacks it, or with ``unitary`` its _polar_step. The
-    certificate is kept whether or not it meets the guarantee, so that
-    every call on the plan judges it alike."""
+    first if the plan lacks it, or with ``unitary`` the _unitary_factor
+    of its frame. The certificate is kept whether or not it meets the
+    guarantee, so that every call on the plan judges it alike."""
     if plan.transform is None:
         s0, core = _route(plan, form)
         s0.flags.writeable = core.flags.writeable = False
         plan = replace(plan, transform=s0, core=core)
-    s = _polar_step(plan.transform) if unitary else plan.transform
-    s.flags.writeable = False
-    factor = _Factor(s, _certificate(a, s, plan.core, form, plan.variant))
+    s = _unitary_factor(plan.transform, form) if unitary else plan.transform
+    factor = _certificate(a, s, plan.core, form, plan.variant, unitary)
+    for array in (s, factor.frame_error):
+        if array is not None:
+            array.flags.writeable = False
     return replace(plan, factors={**plan.factors, unitary: factor})
 
 
@@ -610,16 +664,21 @@ def _route(plan: _SpectralPlan, form: InnerProduct
     return _route_partners(x, y, form.tag), np.repeat(values[order], width)
 
 
-def _polar_step(s: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step S (3I - S^H S)/2 towards the unitary polar
-    factor of S, which for the unitary J and R is an automorphism when S
-    is one; the step itself keeps S an automorphism only up to second
-    order in ||S^H S - I||. It moves the columns of S off their
-    eigenvectors by (S^H S - I)/2, which costs the similarity only
+def _unitary_factor(s0: np.ndarray, form: InnerProduct) -> np.ndarray:
+    """The unitary automorphism [X, B^T X] (structure._with_partners) of
+    S0's frame X = S0[:, :n] taken one Newton-Schulz step X (3I - X^H X)/2
+    towards its unitary polar factor, an n x n Gram and one 2n x n product.
+    A unitary automorphism of J or R is [V, B^T V] for an orthonormal
+    Lagrangian frame V (Paige & Van Loan, Linear Algebra Appl. 1981, for
+    J), and on normal input S0 is one up to the eigenvector error: its
+    second half is B^T X up to that error, and X is that far from
+    orthonormal, which the step removes to first order. The step moves X
+    off its eigenvectors by (X^H X - I)/2, which costs the similarity only
     roundoff when A is normal (its eigenvectors are orthogonal) and the
-    non-normal part of A otherwise, so only the unitary constructors
-    take it."""
-    return 1.5 * s - 0.5 * s @ (herm_transpose(s) @ s)
+    non-normal part of A otherwise, so only the unitary constructors take
+    it."""
+    x = s0[:, :form.half]
+    return _with_partners(1.5 * x - 0.5 * x @ (herm_transpose(x) @ x), form)
 
 
 def structured_diagonalize(a: np.ndarray, form: InnerProduct,
@@ -647,7 +706,7 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
     """
     a = np.asarray(a, dtype=np.complex128)
     _check_form(form)
-    return _certified(_record(a, form), a, form, tol, unitary=False)
+    return _certified(_record(a, form), a, form, tol, unitary=False)[0]
 
 
 def unitary_refine(a: np.ndarray, form: InnerProduct,
@@ -655,19 +714,24 @@ def unitary_refine(a: np.ndarray, form: InnerProduct,
                    ) -> StructuredDiagonalization:
     """Unitary automorphism diagonalizing a normal structured matrix.
 
-    The construction is structured_diagonalize's plus one polar step,
-    certified unitary too. Normality makes the eigenspaces of A_hat = A
-    or i A mutually orthogonal and their bases orthonormal, so every
-    conjugate-pair cross Gram is unitary and the Hermitian part of every
-    critical Gram is an involution (eigenvalues +/-1): the balanced split
-    and the neutrality correction give an automorphism that is unitary up
-    to the eigenvector error. One Newton-Schulz step S (3I - S^H S)/2
-    (_polar_step) moves it towards its unitary polar factor, which
-    removes that error to first order and keeps S an automorphism up to
-    second order in it.
+    The construction is structured_diagonalize's, then one polar step
+    on its frame, certified unitary too. Normality makes the eigenspaces
+    of A_hat = A or i A mutually orthogonal and their bases orthonormal,
+    so every conjugate-pair cross Gram is unitary and the Hermitian part
+    of every critical Gram is an involution (eigenvalues +/-1): the
+    balanced split and the neutrality correction give an automorphism S0
+    that is unitary up to the eigenvector error, whose second half is
+    B^T X up to that error, X = S0[:, :n]. One Newton-Schulz step
+    X (3I - X^H X)/2 moves X towards its unitary polar factor, which
+    removes that error to first order, and the result is
+    S = [X, B^T X] (_unitary_factor), an automorphism and unitary up to
+    second order in it. S is certified from the first n rows of
+    S^H S - I, which hold X's Grams X^H X - I and X^H B X
+    (_frame_certificate): its automorphism and unitarity residuals are
+    one number.
     """
     a = np.asarray(a, dtype=np.complex128)
-    return _certified(_record(a, form), a, form, tol, unitary=True)
+    return _certified(_record(a, form), a, form, tol, unitary=True)[0]
 
 
 def _balanced_pairs(u: np.ndarray, form: InnerProduct

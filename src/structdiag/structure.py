@@ -7,8 +7,9 @@ into the per-input record the entry points share (diagonalize._record),
 so classify and the entry points after it on the same A form them once;
 _normal_check also judges the matrices the decomposition routines build.
 build_unitary_automorphism assembles a unitary automorphism from an
-orthonormal Lagrangian frame, with the partner layout the constructive
-diagonalization uses.
+orthonormal Lagrangian frame V: [V, B^T V] in the partner layout the
+constructive diagonalization uses (_with_partners, which the unitary
+constructions share).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, Check, TolerancePolicy,
                    _check, _within, fro, herm_transpose, rel_residual)
 from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
-from .forms import FormTag, InnerProduct, _form_times
+from .forms import FormTag, InnerProduct, _form_times, _inverse_times
 
 # Form-specific display names for the three adjoint-relative structures.
 _NAMES = {
@@ -147,15 +148,21 @@ def _check_frame(v: np.ndarray, form: InnerProduct) -> None:
 def _route_partners(x_cols: np.ndarray, y_cols: np.ndarray,
                     form_tag: FormTag) -> np.ndarray:
     """Place partner columns at (j, n+j) for J and (j, 2n+1-j) for R."""
-    if form_tag is FormTag.SYMPLECTIC_J:
-        return np.hstack([x_cols, y_cols])
-    return np.hstack([x_cols, y_cols[:, ::-1]])
+    if form_tag is FormTag.PERPLECTIC_R:
+        y_cols = y_cols[:, ::-1]
+    return np.concatenate([x_cols, y_cols], axis=1)
+
+
+def _with_partners(v: np.ndarray, form: InnerProduct) -> np.ndarray:
+    """[V, B^T V] in partner positions: each column v_j of V partnered with
+    B^T v_j, B^T = B^{-1} (a signed row permutation) for J and R."""
+    return _route_partners(v, _inverse_times(form, v), form.tag)
 
 
 def build_unitary_automorphism(v: np.ndarray, form: InnerProduct) -> np.ndarray:
     """Unitary automorphism of the J or R form whose first n columns are
     the orthonormal Lagrangian frame V: each column v_j is partnered with
-    B^T v_j, giving [V, J^T V] and [V, R V R_n]."""
+    B^T v_j, giving [V, J^T V] and [V, R V R_n] (_with_partners)."""
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured(
             "unitary automorphism frames require the J or R form")
@@ -164,5 +171,4 @@ def build_unitary_automorphism(v: np.ndarray, form: InnerProduct) -> np.ndarray:
         raise NotLagrangianFrame(
             f"frame must be a nonempty {form.dim} x n matrix", failed="shape")
     _check_frame(v, form)
-    # B^T V = (V^T B)^T.
-    return _route_partners(v, _form_times(form, v.T).T, form.tag)
+    return _with_partners(v, form)

@@ -20,6 +20,7 @@ from structdiag import (
     TolerancePolicy,
     Variant,
     adjoint,
+    assemble_core_diagonal,
     classify,
     decompose_additive,
     diagonalizability_report,
@@ -35,14 +36,16 @@ from structdiag import (
     structured_exp,
     structured_root,
     symplectic_form,
+    unitary_refine,
     variant_for_kind,
     verify_decomposition,
 )
 from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
                              FRAME_INPUT_TOL, RANK_TOL, fro, herm_transpose)
 from structdiag.decompose import _annihilation, _decomposition_residuals
+from structdiag.diagonalize import _frame_certificate
 from structdiag.spectral import _MIX, eigen, eigenvalues_match
-from structdiag.structure import frame_residuals
+from structdiag.structure import _with_partners, frame_residuals
 
 from conftest import random_unitary
 
@@ -372,6 +375,61 @@ def test_annihilation_does_not_depend_on_scale(scale):
                                                                rel=1e-3)
     with pytest.raises(NotAnnihilating):
         reconstruct_from_normal_factor(n_mat, Sign.PLUS, form)
+
+
+def _planted(kind, n, seed, zeros=0):
+    """A planted normal instance whose core's first ``zeros`` entries
+    are 0 (N of rank n - zeros): A, its planted frame, the core and the
+    form."""
+    inst = random_structured_diagonalizable(kind, n, seed, critical_share=0.5)
+    form = form_for_kind(kind, n)
+    core = inst.core.copy()
+    core[:zeros] = 0.0
+    full = assemble_core_diagonal(core, form.tag, variant_for_kind(kind))
+    q = inst.transform
+    return q @ np.diag(full) @ herm_transpose(q), q[:, :n], core, form
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+@pytest.mark.parametrize("n", [8, 50])
+def test_every_unitary_factor_is_of_partner_form(kind, n):
+    # S[:, n:] is the routed B^T S[:, :n] bit for bit, so the frame
+    # certificate applies: the automorphism residual is the unitarity
+    # residual, which the explicit S^H S - I confirms.
+    a, v, core, form = _planted(kind, n, 3, zeros=n // 4)
+    sign = (Sign.PLUS if variant_for_kind(kind) is Variant.SELFADJOINT
+            else Sign.MINUS)
+    factors = [unitary_refine(a, form), decompose_additive(a, form).factor,
+               reconstruct_from_normal_factor(
+                   v @ np.diag(core) @ herm_transpose(v), sign, form)[1]]
+    for d in factors:
+        s = d.transform
+        assert np.array_equal(s, _with_partners(s[:, :n], form))
+        res_auto, _, res_unit = _frame_certificate(
+            a, s, form, d.full_diagonal).residuals
+        assert res_auto == res_unit == d.residual_automorphism
+        unitarity = rel_residual(herm_transpose(s) @ s, np.eye(2 * n))
+        assert abs(unitarity - res_unit) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+@pytest.mark.parametrize("n", [2, 8, 50])
+def test_decomposition_bounds_dominate_the_explicit_residuals(kind, n):
+    # decompose_additive bounds N's normality and annihilation from its
+    # frame's Grams, with a rounding term for forming N; each bound is at
+    # least what verify_decomposition measures on the returned N with
+    # 2n x 2n products, and still far inside the guarantee. Odd seeds zero
+    # a quarter of the core (at least one entry).
+    for seed in range(6):
+        a, _, _, form = _planted(kind, n, seed,
+                                 zeros=(seed % 2) * max(1, n // 4))
+        dec = decompose_additive(a, form)
+        explicit = verify_decomposition(a, dec, form).residuals
+        for name in ("normality_n", "annihilation_left",
+                     "annihilation_right"):
+            bound = getattr(dec.residuals, name)
+            assert getattr(explicit, name) <= bound <= 1e-12, (seed, name)
+        assert explicit.reconstruction == dec.residuals.reconstruction
 
 
 class TestVerify:

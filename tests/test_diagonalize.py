@@ -57,12 +57,13 @@ from structdiag.core import DEFAULT_TOL, fro, herm_transpose, solve_linear
 import structdiag.diagonalize as diagonalize_module
 from structdiag.diagonalize import (
     _balanced_pairs,
+    _frame_certificate,
     _neutral_half,
-    _polar_step,
     certify,
     factor_residuals,
 )
 from structdiag.forms import _sylvester
+from structdiag.structure import _with_partners
 from structdiag.spectral import (
     _cluster_indices,
     cluster_radius,
@@ -388,11 +389,13 @@ class TestUnitaryRefine:
         form = formf(n)
         unitary = unitary_refine(inst.matrix, form)
         structured = structured_diagonalize(inst.matrix, form)
-        # One construction: unitary_refine adds only the polar step and
-        # the unitarity certificate.
+        # One construction: unitary_refine adds only one Newton-Schulz
+        # step on the frame X = S0[:, :n], routes [X, B^T X] and certifies
+        # unitarity too.
         assert np.array_equal(unitary.core, structured.core)
-        assert np.array_equal(unitary.transform,
-                              _polar_step(structured.transform))
+        x = structured.transform[:, :n]
+        step = 1.5 * x - 0.5 * x @ (herm_transpose(x) @ x)
+        assert np.array_equal(unitary.transform, _with_partners(step, form))
 
     def test_non_normal_rejected(self):
         # Skew-Hamiltonian but not Euclidean-normal.
@@ -663,7 +666,7 @@ _ENTRY_POINTS = [diagonalizability_report, structured_diagonalize,
 
 class TestPlanMemo:
     """The one record slot: calls on the same A back to back form A*, the
-    normality products, the spectral plan, S0, the polar step and each
+    normality products, the spectral plan, S0, the unitary factor and each
     certificate once, while other bytes or another form start a new
     record and another variant builds a new plan. Every call judges the
     stored residuals at its own tolerance, so a hit raises and returns
@@ -776,11 +779,12 @@ class TestPlanMemo:
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
     def test_chain_measures_the_input_once(self, monkeypatch, kind, formf):
         # classify, a report, both constructions and the decomposition
-        # form A* and A^H A, A A^H once, take one polar step and certify
-        # S0 and its polar step once each.
+        # form A* and A^H A, A A^H once, build the unitary factor once and
+        # certify S0 (in full) and the unitary factor (from its frame)
+        # once each.
         a, form = self._instance(kind)
-        calls = {"adjoint of A": 0, "normality of A": 0, "polar step": 0,
-                 "certificate": 0}
+        calls = {"adjoint of A": 0, "normality of A": 0, "unitary factor": 0,
+                 "certificate": 0, "frame certificate": 0}
 
         def counted(key, fn, of_a):
             def wrapper(x, *args, **kwargs):
@@ -791,8 +795,11 @@ class TestPlanMemo:
         for key, fn, of_a in (
                 ("adjoint of A", diagonalize_module.adjoint, True),
                 ("normality of A", diagonalize_module._normal_check, True),
-                ("polar step", diagonalize_module._polar_step, False),
-                ("certificate", diagonalize_module.factor_residuals, False)):
+                ("unitary factor", diagonalize_module._unitary_factor,
+                 False),
+                ("certificate", diagonalize_module.factor_residuals, False),
+                ("frame certificate", diagonalize_module._frame_certificate,
+                 False)):
             wrapper = counted(key, fn, of_a)
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "structdiag":
@@ -803,7 +810,8 @@ class TestPlanMemo:
         for entry in [classify] + _ENTRY_POINTS:
             entry(a, form)
         assert calls == {"adjoint of A": 1, "normality of A": 1,
-                         "polar step": 1, "certificate": 2}
+                         "unitary factor": 1, "certificate": 1,
+                         "frame certificate": 1}
 
     @pytest.mark.parametrize("entry", [structured_diagonalize,
                                        unitary_refine])
@@ -866,8 +874,8 @@ class TestPlanMemo:
 class TestPlanTransform:
     """The plan carries the routed automorphism S0: the first construction
     on a plan routes it, later constructions on the same plan copy it (or
-    the polar step taken from it once), and no caller's array aliases
-    it."""
+    the unitary factor built from its frame once), and no caller's array
+    aliases it."""
 
     @staticmethod
     def _count_routes(monkeypatch):
@@ -1043,6 +1051,42 @@ class TestCertificate:
                 assert reference <= res < np.inf
                 if eps <= 1e-2:
                     assert res <= 1.01 * reference
+
+    # e = ||S^H B S - B||_F for the frame moved by eps: at or below
+    # sqrt(eps) up to 1e-9, above it (and below 1) at 1e-6, past 1 at 0.8.
+    _E_SIDE = {0.0: "small", 1e-12: "small", 1e-9: "small", 1e-6: "large",
+               0.8: "singular"}
+
+    @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
+                                      "per-hermitian", "perskew-hermitian"])
+    @pytest.mark.parametrize("eps", sorted(_E_SIDE))
+    def test_frame_certificate_matches_the_full_one(self, kind, eps):
+        # S = [X, B^T X] routed, X the planted frame moved by eps in norm:
+        # the frame certificate reads off the first n rows of S^H S - I
+        # what factor_residuals forms from 2n x 2n products.
+        n = 8
+        form = form_for_kind(kind, n)
+        inst = random_structured_diagonalizable(kind, n, 5,
+                                                critical_share=0.5)
+        p = gaussian_matrix(2 * n, n, seed=7)
+        x = inst.transform[:, :n] + eps * p / fro(p)
+        s = _with_partners(x, form)
+        full = inst.full_diagonal
+        frame = _frame_certificate(inst.matrix, s, form, full).residuals
+        reference = factor_residuals(inst.matrix, s, form, full)
+        ulp = np.finfo(float).eps
+        assert frame[0] == frame[2]
+        for res, ref in ((frame[0], reference[0]), (frame[2], reference[2])):
+            assert abs(res - ref) <= 4 * ulp * max(1.0, ref), (res, ref)
+        e = fro(herm_transpose(s) @ form.matrix @ s - form.matrix)
+        side = ("singular" if e >= 1.0 else
+                "small" if e * e <= ulp else "large")
+        assert side == self._E_SIDE[eps]
+        if side == "singular":
+            assert frame[1] == reference[1] == np.inf
+        else:
+            assert abs(frame[1] - reference[1]) <= (1e-12 * reference[1]
+                                                    + 4 * ulp)
 
     @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
     def test_singular_transform_is_rejected(self, formf):

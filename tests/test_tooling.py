@@ -179,12 +179,25 @@ def _callers(name):
 
 
 def test_each_factor_is_built_and_certified_in_one_place():
-    # The polar step is taken only where the record certifies a unitary
-    # route's factor, and factor_residuals runs only where a factor the
-    # package built is certified (the record's fill and certify share
-    # _certificate) and where verify --mode diag checks a given one.
-    assert _callers("_polar_step") == [("diagonalize", "_factored")]
+    # The unitary factor is built only where the record certifies a
+    # unitary route's factor; every [V, B^T V] goes through the one
+    # partner-routing helper; factor_residuals runs only where a
+    # non-unitary factor the package built is certified (the record's
+    # fill and certify share _certificate) and where verify --mode diag
+    # checks a given one, and a unitary factor is certified from its
+    # frame's Grams in that same place. The 2n x 2n decomposition
+    # residuals are formed only by the independent verifier.
+    assert _callers("_unitary_factor") == [("diagonalize", "_factored")]
+    assert sorted(_callers("_with_partners")) == [
+        ("decompose", "reconstruct_from_normal_factor"),
+        ("diagonalize", "_unitary_factor"),
+        ("structure", "build_unitary_automorphism")]
+    assert sorted(_callers("_route_partners")) == [
+        ("diagonalize", "_route"), ("structure", "_with_partners")]
     assert sorted(_callers("factor_residuals")) == [
         ("cli", "_verify_diag"), ("diagonalize", "_certificate")]
+    assert _callers("_frame_certificate") == [("diagonalize", "_certificate")]
     assert sorted(_callers("_certificate")) == [
         ("diagonalize", "_factored"), ("diagonalize", "certify")]
+    assert _callers("_decomposition_residuals") == [
+        ("decompose", "verify_decomposition")]
