@@ -17,6 +17,10 @@ revision's interquartile range. The same lines follow, marked
 informational, for each ``<step>_ms.p50`` of the chain (``report_ms``,
 ``reconstruct_ms``, ...), read from each run's full record in
 ``bench/out/`` on both sides, to show which step a change came from.
+Each is divided by the same run's ``yardstick_ms.p50``, as
+``chain_norm_ms`` is normalized, so that a drift in machine speed
+between runs does not read as a change of every step; the yardstick's
+own line stays in ms.
 After the pairs it runs ``bench/run.py
 --trace 1`` once in this working tree for TRACE_SECONDS, with the first
 seed, under the same rule, so that a traced run that fails or prints no
@@ -41,6 +45,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACE_SECONDS = 5.0
 # The medians of the per-step samples in a run's full record.
 STEP_MEDIAN = re.compile(r"^\w+_ms\.p50$")
+YARDSTICK = "yardstick_ms.p50"
 
 
 def _reject_constant(name: str):
@@ -81,6 +86,16 @@ def step_medians(tree: Path, workload: str, seed: int) -> dict:
     return {name: metric["value"]
             for name, metric in record["metrics"].items()
             if STEP_MEDIAN.match(name)}
+
+
+def yardstick_scaled(medians: dict) -> dict:
+    """One run's step medians, each but the yardstick's divided by the
+    run's ``yardstick_ms.p50`` and named ``<step>_ms.p50/yardstick``; the
+    yardstick's own stays in ms."""
+    yardstick = medians[YARDSTICK]
+    return {YARDSTICK: yardstick,
+            **{f"{name}/yardstick": value / yardstick
+               for name, value in medians.items() if name != YARDSTICK}}
 
 
 def summarize(name: str, lower_better: bool, base: list[float],
@@ -126,7 +141,10 @@ def main() -> int:
             row = []
             for side, tree in order:
                 summary = run(tree, args.workload, seed, args.seconds)
-                steps[side].append(step_medians(tree, args.workload, seed))
+                steps[side].append(yardstick_scaled(
+                    {name: value for name, value in
+                     step_medians(tree, args.workload, seed).items()
+                     if name not in metrics}))
                 for name in metrics:
                     values[side][name].append(
                         summary["metrics"][name]["value"])
@@ -143,10 +161,12 @@ def main() -> int:
     for name, lower_better in metrics.items():
         print(summarize(name, lower_better, values["base"][name],
                         values["change"][name]))
-    print("# per step, informational: not end-to-end metrics, no bound")
+    print("# per step, informational: not end-to-end metrics, no bound; "
+          "each <step>_ms.p50 is yardstick-scaled (divided by the same "
+          "run's yardstick_ms.p50), the yardstick itself in ms")
     shared = set.intersection(*(set(run_steps) for side in steps.values()
                                 for run_steps in side))
-    for name in sorted(shared - set(metrics)):
+    for name in sorted(shared):
         print(summarize(name, True, [s[name] for s in steps["base"]],
                         [s[name] for s in steps["change"]]))
     return 0

@@ -2,7 +2,8 @@
 table of pinned thresholds and the one judge of residuals against them.
 
 Matrices are plain ``numpy.ndarray`` values with dtype complex128 and
-C-contiguous (row-major) layout; all functions here are pure. _within
+C-contiguous (row-major) layout; all functions here are pure. _ratio is
+the one division of every relative residual by its scale, and _within
 makes every comparison of a residual with structure_tol (through _check)
 or a guarantee of the table, and a NaN residual never passes it.
 """
@@ -22,11 +23,13 @@ from .errors import DimensionMismatch, RankDeficient, SingularMatrix
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """The one settable tolerance, structure_tol: the Frobenius-scaled
-    residual threshold of every structure test on an input (the flags of
-    classify, the (skew-)Hermitian check before an inertia, the normality
-    and annihilation checks of the decomposition routines). Every other
-    cutoff is pinned in the table below.
+    """The one settable tolerance, structure_tol: the threshold of every
+    structure test on an input (the flags of classify, the (skew-)Hermitian
+    check before an inertia, the normality and annihilation checks of the
+    decomposition routines), each a residual relative to its own Frobenius
+    scale with no floor (_ratio), so that a test of a class closed under
+    positive scaling reads the same on A as on s A. Every other cutoff is
+    pinned in the table below.
     """
 
     structure_tol: float = 1e-10
@@ -49,6 +52,17 @@ FRAME_INPUT_TOL = 1e-10   # frames accepted by build_unitary_automorphism
 CLUSTER_TOL = 1e-8        # radius r of every spectral decision, relative
 GRAM_ZERO_TOL = 1e-8      # zero cut of Gram inertia, times ||Gram||_F
 RANK_TOL = 1e-10          # singular-value and LU-pivot cutoff, relative
+
+
+def _ratio(num: float, scale: float) -> float:
+    """num / scale, the one division of every relative residual by its
+    Frobenius scale, with no floor: 0 when num and scale are both 0 (a
+    zero measured against zero), and NaN for any other scale that is not
+    finite and positive (a zero scale under a nonzero difference, or an
+    overflowed one), which _within never admits."""
+    if 0.0 < scale < math.inf:
+        return num / scale
+    return 0.0 if num == 0.0 and scale == 0.0 else math.nan
 
 
 def _within(bound: float, *residuals: float) -> bool:
@@ -90,12 +104,13 @@ def fro(a: np.ndarray) -> float:
 
 
 def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """|| a - b ||_F / max(1, || a ||_F)."""
+    """|| a - b ||_F / || a ||_F, through _ratio: 0 for a = b = 0, NaN
+    for a = 0 != b or an overflowed || a ||_F."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return fro(a - b) / max(1.0, fro(a))
+    return _ratio(fro(a - b), fro(a))
 
 
 def _rank(s: np.ndarray) -> int:

@@ -25,6 +25,7 @@ from .core import (
     TolerancePolicy,
     _check,
     _rank,
+    _ratio,
     _within,
     fro,
     herm_transpose,
@@ -100,11 +101,11 @@ class AdditiveDecomposition:
 def _annihilation(n_mat: np.ndarray,
                   n_star: np.ndarray) -> tuple[float, float]:
     """The residuals of N N* = 0 and N* N = 0, relative to ||N||_F ||N*||_F
-    so that they do not depend on N's scale; both 0 for N = 0."""
+    (core._ratio) so that they do not depend on N's scale; both 0 for
+    N = 0."""
     scale = fro(n_mat) * fro(n_star)
-    if scale == 0.0:
-        return 0.0, 0.0
-    return fro(n_mat @ n_star) / scale, fro(n_star @ n_mat) / scale
+    return (_ratio(fro(n_mat @ n_star), scale),
+            _ratio(fro(n_star @ n_mat), scale))
 
 
 def _decomposition_residuals(a: np.ndarray, n_mat: np.ndarray,
@@ -131,12 +132,8 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     """
     a = np.asarray(a, dtype=np.complex128)
     diag, factor = _certified(_record(a, form), a, form, tol, unitary=True)
-    n = form.half
-    v = diag.transform[:, :n]
-    # A product with diag(core), not v * core: numpy's elementwise complex
-    # product rounds differently from OpenBLAS's GEMM, and would move every
-    # factor N in its last bits.
-    n_mat = v @ np.diag(diag.core) @ herm_transpose(v)
+    v = diag.transform[:, :form.half]
+    n_mat = (v * diag.core) @ herm_transpose(v)
     # Skewadjoint structures decompose with a minus, selfadjoint with a plus.
     sign = Sign.PLUS if diag.variant is Variant.SELFADJOINT else Sign.MINUS
     residuals = DecompositionResiduals(
@@ -174,7 +171,9 @@ def _decomposition_bounds(frame_error: np.ndarray, core: np.ndarray,
     nu = gamma ||V D||_F ||V||_F, and each product of N the residuals
     take is off by at most gamma ||N||_F^2. Each bound adds these terms,
     so it bounds the residual of the returned N as the verifier
-    (verify_decomposition) computes it.
+    (verify_decomposition) computes it. Each bound divides by its lower
+    bound on the residual's scale through core._ratio, with no floor: 0
+    for a zero core, NaN where that lower bound is not positive.
     """
     n = core.size
     k = (2 * n + 4) * sys.float_info.epsilon / 2
@@ -208,16 +207,14 @@ def _decomposition_bounds(frame_error: np.ndarray, core: np.ndarray,
     # ||D^H C D||_F >= || |d|^2 ||_2 - ||D^H (C - I) D||_F.
     size = (lo * (float(mod2 @ mod2) ** 0.5 - cm_d - gamma * vd2)
             - per_product)
-    normality = (1.0 + gamma) * normality / max(1.0, (1.0 - gamma) * size)
+    normality = _ratio((1.0 + gamma) * normality, (1.0 - gamma) * size)
     if lo <= 0.0:
         normality = math.inf
     # Both annihilation residuals are relative to ||N||_F ||N*||_F =
-    # ||N||_F^2, and 0 for N = 0.
-    annihilation = hi * (g_d + gamma * vd2) + per_product
-    scale = (1.0 - gamma) * max(0.0, n_lo) ** 2
-    if annihilation:
-        annihilation = ((1.0 + gamma) * annihilation / scale if scale > 0.0
-                        else math.inf)
+    # ||N||_F^2.
+    annihilation = _ratio(
+        (1.0 + gamma) * (hi * (g_d + gamma * vd2) + per_product),
+        (1.0 - gamma) * max(0.0, n_lo) ** 2)
     return normality, annihilation, annihilation
 
 
@@ -270,7 +267,7 @@ def reconstruct_from_normal_factor(
     if not dec.hermitian:
         basis = np.linalg.qr(basis[:, :rank], mode="complete")[0]
     v0 = basis[:, :rank]
-    if rank and not _within(FACTOR_GUARANTEE * max(1.0, fro(form.matrix)),
+    if rank and not _within(FACTOR_GUARANTEE * fro(form.matrix),
                             fro(gram(v0, form))):
         raise NotNeutralRange("column space of N is not neutral")
     frame = _complete(v0, basis[:, rank:], form)

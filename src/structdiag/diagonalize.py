@@ -71,6 +71,7 @@ from .core import (
     FRAME_GUARANTEE,
     TolerancePolicy,
     _check,
+    _ratio,
     _within,
     fro,
     herm_transpose,
@@ -426,14 +427,16 @@ def factor_residuals(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     S^{-1} is read off the form, with no solve. The form adjoint
     S* = B^{-1} S^H B is a signed permutation of S^H, and
     E = S* S - I = B^{-1} (S^H B S - B) a signed row permutation of the
-    automorphism residual's difference, so e = ||E||_F = ||S^H B S - B||_F.
-    The similarity residual is _similarity's bound given E.
+    automorphism residual's difference, so e = ||E||_F = ||S^H B S - B||_F,
+    and the automorphism residual is e / ||S^H B S||_F (core._ratio, as
+    every residual here). The similarity residual is _similarity's bound
+    given E.
     """
     sh = herm_transpose(s)
     sbs = _form_times(form, sh) @ s
     diff = sbs - form.matrix
     e = fro(diff)
-    return (e / max(1.0, fro(sbs)),
+    return (_ratio(e, fro(sbs)),
             _similarity(a, s, form, e, _inverse_times(form, diff), diagonal),
             rel_residual(sh @ s, np.eye(s.shape[1], dtype=np.complex128)))
 
@@ -449,7 +452,7 @@ def _frame_certificate(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     so its last n rows are its first n taken times J, or flipped both
     ways under R, and S^H B S - B = B E holds the same blocks. So the
     automorphism and unitarity residuals are one number,
-    sqrt 2 ||[C - I, G]||_F over max(1, sqrt 2 ||[C, G]||_F), where
+    sqrt 2 ||[C - I, G]||_F over sqrt 2 ||[C, G]||_F = ||S^H S||_F, where
     2 ||[C, G]||_F^2 = e^2 + 4 Re tr(C - I) + 2n, E is assembled with no
     product, and the similarity residual is _similarity's, as in
     factor_residuals. The factor keeps the first n rows of E.
@@ -461,7 +464,7 @@ def _frame_certificate(a: np.ndarray, s: np.ndarray, form: InnerProduct,
     scale = max(0.0, e * e + 4.0 * float(top.trace().real) + 2 * n) ** 0.5
     bottom = (_form_times(form, top) if form.tag is FormTag.SYMPLECTIC_J
               else top[::-1, ::-1])
-    res = e / max(1.0, scale)
+    res = _ratio(e, scale)
     sim = _similarity(a, s, form, e, np.concatenate([top, bottom]), diagonal)
     return _Factor(s, (res, sim, res), top)
 
@@ -476,7 +479,7 @@ def _similarity(a: np.ndarray, s: np.ndarray, form: InnerProduct, e: float,
     Z = Y - D - E D = (I + E)(X - D), where E D scales E's columns by the
     diagonal and costs no product. So ||X - D||_F <= ||Z||_F / (1 - e) and
     ||X||_F >= ||Y||_F / (1 + e), and the residual is
-    (||Z||_F / (1 - e)) / max(1, ||Y||_F / (1 + e)), a bound on the
+    (||Z||_F / (1 - e)) / (||Y||_F / (1 + e)), a bound on the
     residual of X in exact arithmetic up to the roundoff of forming Y. It
     is larger than X's own by a factor of at most about 1 + 4e, which for
     e <= sqrt(eps), eps the machine epsilon, is below the digits a
@@ -484,7 +487,9 @@ def _similarity(a: np.ndarray, s: np.ndarray, form: InnerProduct, e: float,
     near 1e-13. So only a larger e takes one more product:
     (I + E)^{-1} Z = Z - E Z + R with ||R||_F <= e^2/(1 - e) ||Z||_F, so
     ||X - D||_F <= ||Z - E Z||_F + ||R||_F and
-    ||X||_F >= ||D + Z - E Z||_F - ||R||_F. For e >= 1 nothing shows S
+    ||X||_F >= ||D + Z - E Z||_F - ||R||_F. Both quotients are taken by
+    core._ratio: 0 for A = D = 0, NaN where the lower bound on ||X||_F is
+    not positive or has overflowed. For e >= 1 nothing shows S
     nonsingular, and the residual is inf.
 
     With no diagonal given, D is X's own diagonal up to second order in
@@ -499,12 +504,12 @@ def _similarity(a: np.ndarray, s: np.ndarray, form: InnerProduct, e: float,
     z = y - e_mat * diagonal
     z.flat[::step] -= diagonal
     if e * e <= sys.float_info.epsilon:
-        return (fro(z) / (1.0 - e)) / max(1.0, fro(y) / (1.0 + e))
+        return _ratio(fro(z) / (1.0 - e), fro(y) / (1.0 + e))
     w = z - e_mat @ z
     rest = e * e / (1.0 - e) * fro(z)
     bound = fro(w) + rest
     w.flat[::step] += diagonal
-    return bound / max(1.0, fro(w) - rest)
+    return _ratio(bound, fro(w) - rest)
 
 
 def certify(a: np.ndarray, s: np.ndarray, core: np.ndarray,

@@ -3,6 +3,7 @@ against the package."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import re
@@ -201,3 +202,52 @@ def test_each_factor_is_built_and_certified_in_one_place():
         ("diagonalize", "_factored"), ("diagonalize", "certify")]
     assert _callers("_decomposition_residuals") == [
         ("decompose", "verify_decomposition")]
+
+
+def test_only_the_spectral_cuts_keep_a_unit_floor():
+    # Every relative residual divides by its own scale through core._ratio,
+    # with no floor at 1, so that a residual of s A reads as that of A. A
+    # max(1, .) floor is left only in the spectral cuts (the cluster
+    # radius and the defect roundoff of merged clusters) and in the
+    # spectrum comparison the benchmark checks planted spectra with.
+    floored = set()
+    for module, top, node in _package_nodes():
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                == "max" and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 1):
+            floored.add((module, top))
+    # The CLI's worker count is a clamp, not a scale.
+    assert floored - {("cli", "cmd_analyze")} == {
+        ("spectral", "cluster_radius"), ("spectral", "_cluster_groups"),
+        ("spectral", "eigenvalues_match")}
+    assert sorted(set(_callers("_ratio"))) == [
+        ("core", "rel_residual"), ("decompose", "_annihilation"),
+        ("decompose", "_decomposition_bounds"),
+        ("diagonalize", "_frame_certificate"),
+        ("diagonalize", "_similarity"), ("diagonalize", "factor_residuals")]
+
+
+def test_bench_pairs_scales_each_step_by_its_runs_yardstick(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    out = tmp_path / "bench" / "out"
+    out.mkdir(parents=True)
+    metrics = {"yardstick_ms.p50": 4.0, "classify_ms.p50": 2.0,
+               "chain_ms.p50": 10.0, "classify_ms.p90": 3.0,
+               "setup_s": 0.5}
+    (out / "small-mixed-seed7-trace0.json").write_text(json.dumps(
+        {"metrics": {name: {"value": value}
+                     for name, value in metrics.items()}}))
+    medians = bench_pairs.step_medians(tmp_path, "small-mixed", 7)
+    assert medians == {"yardstick_ms.p50": 4.0, "classify_ms.p50": 2.0,
+                       "chain_ms.p50": 10.0}
+    # A machine twice as slow doubles every step and the yardstick alike.
+    for speed in (1.0, 2.0):
+        assert bench_pairs.yardstick_scaled(
+            {name: speed * value for name, value in medians.items()}) == {
+            "yardstick_ms.p50": speed * 4.0,
+            "classify_ms.p50/yardstick": 0.5,
+            "chain_ms.p50/yardstick": 2.5}
