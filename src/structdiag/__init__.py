@@ -8,7 +8,6 @@ additive decomposition A = N +/- N*, and structured matrix functions.
 from .core import (
     DEFAULT_TOL,
     TolerancePolicy,
-    as_matrix,
     herm_transpose,
     orthonormalize_columns,
     rel_residual,
@@ -94,7 +93,6 @@ from .spectral import (
     group_eigenvalues,
     is_diagonalizable,
     pair_conjugates,
-    spectrum,
 )
 from .structure import (
     Check,

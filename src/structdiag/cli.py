@@ -178,10 +178,12 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
         # A hit on the record classify has just stored.
         diag_report = diagonalizability_report(a, form, tol)
     except (NotDiagonalizable, SpectrumNotConjugateSymmetric) as exc:
-        # A spectrum that fails the pairing was grouped without a defect.
+        # A selfadjoint A has a conjugate-symmetric spectrum in exact
+        # arithmetic, so a failed pairing is roundoff: no evidence either way.
         payload["diagonalizability"] = {
             "decision": None,
-            "diagonalizable": isinstance(exc, SpectrumNotConjugateSymmetric),
+            "diagonalizable": False if isinstance(exc, NotDiagonalizable)
+            else None,
             "reason": str(exc),
         }
         return payload, residuals

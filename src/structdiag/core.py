@@ -83,16 +83,6 @@ def _check(residual: float, tol: TolerancePolicy) -> Check:
     return Check(_within(tol.structure_tol, residual), residual)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array (copying if needed)."""
-    m = np.array(a, dtype=np.complex128, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def herm_transpose(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix of a stack)."""
     return np.conj(a).swapaxes(-1, -2)

@@ -131,13 +131,14 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     is measured.
     """
     a = np.asarray(a, dtype=np.complex128)
-    diag, factor = _certified(_record(a, form), a, form, tol, unitary=True)
+    diag, plan = _certified(_record(a, form), a, form, tol, unitary=True)
     v = diag.transform[:, :form.half]
     n_mat = (v * diag.core) @ herm_transpose(v)
     # Skewadjoint structures decompose with a minus, selfadjoint with a plus.
     sign = Sign.PLUS if diag.variant is Variant.SELFADJOINT else Sign.MINUS
     residuals = DecompositionResiduals(
-        *_decomposition_bounds(factor.frame_error, diag.core, form),
+        *_decomposition_bounds(plan.factors[True].frame_error, diag.core,
+                               form),
         reconstruction=rel_residual(n_mat + sign.factor * adjoint(n_mat, form),
                                     a))
     if not _within(FACTOR_GUARANTEE, *astuple(residuals)):

@@ -24,23 +24,27 @@ n x n Grams (_frame_certificate). The same
 pairing (_balanced_pairs) gives the neutral half of the complement Gram
 in Lagrangian completion.
 
-Every entry point checks only the structure it reads (selfadjoint or
-skewadjoint, and normality on the unitary routes), then eigendecomposes,
-groups, pairs and factors each critical Gram once, in one spectral plan
-that the decision and the construction share; the Grams of one
-multiplicity are formed by one stacked product and factored by one
-stacked eigh (_critical_factors). What the calls measure of
-A is kept in one per-input record (_Record) in one slot, keyed by A's
-exact bytes and the form tag: A* with its selfadjoint and skewadjoint
-residuals, the normality residual, the plan of the last variant decided
-with its routed automorphism S0 and core, and each factor a route
-certifies (S0, and the _unitary_factor of its frame on the unitary
-routes) with its residuals, the unitary one with the first n rows of
-S^H S - I, which the decomposition reads. So consecutive calls on the
-same A (classify, a report, both constructions and the decomposition
-built on them) form each of these once. Every call still judges the stored residuals against its own
-tolerance and FACTOR_GUARANTEE, in a cold call's order, so it raises
-what a cold call raises, and returns its own copies of S and the core.
+Every entry point, the report included, checks only the structure it
+reads (selfadjoint or skewadjoint, and normality on the unitary routes),
+then takes one path (_certified): it eigendecomposes, groups, pairs and
+factors each critical Gram once, in one spectral plan that the decision
+and the construction share, and on a balanced plan routes S0 and
+certifies it in the same step (_planned); the Grams of one multiplicity
+are formed by one stacked product and factored by one stacked eigh
+(_critical_factors). So the report's yes means that S0 met
+FACTOR_GUARANTEE, and it raises NumericalBreakdown wherever
+structured_diagonalize does. What the calls measure of A is kept in one
+per-input record (_Record) in one slot, keyed by A's exact bytes and the
+form tag: A* with its selfadjoint and skewadjoint residuals, the
+normality residual, the plan of the last variant decided with its core,
+and each factor a route certifies (S0, and the _unitary_factor of its
+frame on the unitary routes) with its residuals, the unitary one with
+the first n rows of S^H S - I, which the decomposition reads. So
+consecutive calls on the same A (classify, a report, both constructions
+and the decomposition built on them) form each of these once. Every call
+still judges the stored residuals against its own tolerance and
+FACTOR_GUARANTEE, in a cold call's order, so it raises what a cold call
+raises, and returns its own copies of S and the core.
 The certificate reads S^{-1} off the form: the form adjoint S* of S is
 (I + E) S^{-1} with E the automorphism error, so S* A S - D - E D is
 (I + E) times the similarity residual exactly (_similarity). It solves no
@@ -218,17 +222,17 @@ class _SpectralPlan:
     eigenvalue groups of A_hat = A or i A (clustered, with orthonormal
     bases), their conjugate pairing and, by group index, the Sylvester
     factor and inertia of each self-conjugate (critical) group's Gram.
-    The first construction on a balanced plan adds the routed
-    automorphism S0 (_route) and its core, and each construction the
-    certified factor of its route, keyed by ``unitary``: S0 itself, or
-    the _unitary_factor of S0's frame; a report alone leaves them empty.
-    Its arrays are read-only, since one plan may serve several calls."""
+    An unbalanced plan holds nothing more. A balanced one holds the core
+    and, keyed by ``unitary``, the certified factor of each route: the
+    routed automorphism S0 (_route), certified when the plan is built,
+    and the _unitary_factor of S0's frame, added by the first unitary
+    call. Its arrays are read-only, since one plan may serve several
+    calls."""
 
     variant: Variant
     groups: tuple[EigenGroup, ...]
     pairing: ConjugatePairing
     critical: dict[int, tuple[np.ndarray, Inertia]]
-    transform: np.ndarray | None = None
     core: np.ndarray | None = None
     factors: dict[bool, _Factor] = field(default_factory=dict)
 
@@ -304,25 +308,16 @@ def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
     return values / 1j if variant is Variant.SKEWADJOINT else values
 
 
-def _spectral_plan(a: np.ndarray, form: InnerProduct,
-                   tol: TolerancePolicy) -> _SpectralPlan:
-    """The plan of A for the variant tol decides (_planned), kept in A's
-    record. NotStructured off the J and R forms."""
-    _check_form(form)
-    # One dtype, so that equal bytes in the key mean equal entries.
-    a = np.asarray(a, dtype=np.complex128)
-    record = _planned(_record(a, form), a, form, tol)
-    _store(record)
-    return record.plan
-
-
 def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
              tol: TolerancePolicy) -> _Record:
     """record with the plan of the variant its residuals give at tol:
-    decompose and group A, pair the groups of A_hat and factor the Gram
-    of each critical group, unless the record holds the plan of that
-    variant already. The tolerance reaches the plan only through the
-    variant, so a tolerance that flips it rebuilds the plan alone.
+    decompose and group A, pair the groups of A_hat, factor the Gram of
+    each critical group and, if every one is balanced, route S0 and
+    certify it, unless the record holds the plan of that variant
+    already. The certificate is kept whether or not it meets the
+    guarantee, so that every call on the plan judges it alike. The
+    tolerance reaches the plan only through the variant, so a tolerance
+    that flips it rebuilds the plan alone.
 
     Raises NotStructured for a matrix that is neither selfadjoint nor
     skewadjoint, NotDiagonalizable (from group_eigenvalues) when an
@@ -353,8 +348,12 @@ def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
     for array in ([g.basis for g in groups]
                   + [u for u, _ in critical.values()]):
         array.flags.writeable = False
-    return replace(record, plan=_SpectralPlan(variant, tuple(groups),
-                                              pairing, critical))
+    plan = _SpectralPlan(variant, tuple(groups), pairing, critical)
+    if plan.balanced:
+        s0, core = _route(plan, form)
+        core.flags.writeable = False
+        plan = _factored(replace(plan, core=core), a, form, s0, False)
+    return replace(record, plan=plan)
 
 
 def _critical_factors(groups: list[EigenGroup], selfconjugate: tuple[int, ...],
@@ -377,15 +376,25 @@ def _critical_factors(groups: list[EigenGroup], selfconjugate: tuple[int, ...],
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
                              tol: TolerancePolicy = DEFAULT_TOL
                              ) -> DiagonalizabilityReport:
-    """Balance test of every critical eigenspace Gram.
+    """Balance test of every critical eigenspace Gram, whose yes is a
+    certificate.
 
     An eigenvalue is critical when its group of A_hat = A or i A is
     self-conjugate (the plan's pairing): real eigenvalues for selfadjoint
     A, purely imaginary ones for skewadjoint A, zero for both. The
-    decision is the conjunction of the balance flags.
+    decision is the conjunction of the balance flags. The report takes
+    the constructors' one path (_certified): on a balanced plan it
+    judges the routed S0 before it says yes, so it raises
+    NumericalBreakdown wherever structured_diagonalize does, and its yes
+    means S0 met FACTOR_GUARANTEE.
     """
     a = np.asarray(a, dtype=np.complex128)
-    return _report(_spectral_plan(a, form, tol))
+    _check_form(form)
+    try:
+        plan = _certified(_record(a, form), a, form, tol, unitary=False)[1]
+    except NotStructuredDiagonalizable as exc:
+        return exc.report
+    return _report(plan)
 
 
 def _report(plan: _SpectralPlan) -> DiagonalizabilityReport:
@@ -558,12 +567,12 @@ def _judged(s: np.ndarray, core: np.ndarray, form_tag: FormTag,
 
 def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
                tol: TolerancePolicy, unitary: bool
-               ) -> tuple[StructuredDiagonalization, _Factor]:
+               ) -> tuple[StructuredDiagonalization, _SpectralPlan]:
     """Decide, then judge the automorphism every constructor uses: the
-    plan's routed S0 (see _route), or with ``unitary`` the
-    _unitary_factor of its frame, each routed and certified once per plan
-    (_factored) and returned as a copy, with a copy of the core, next to
-    the plan's read-only factor.
+    plan's certified S0 (see _planned), or with ``unitary`` the
+    _unitary_factor of its frame, certified once per plan (_factored).
+    It is returned as a copy, with a copy of the core, next to the plan,
+    which holds the read-only factor.
 
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
@@ -580,7 +589,8 @@ def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
     record = _planned(record, a, form, tol)
     plan = record.plan
     if plan.balanced and unitary not in plan.factors:
-        plan = _factored(plan, a, form, unitary)
+        plan = _factored(plan, a, form, _unitary_factor(
+            plan.factors[False].transform, form), True)
         record = replace(record, plan=plan)
     _store(record)
     if not plan.balanced:
@@ -588,20 +598,14 @@ def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
         raise NotStructuredDiagonalizable(report.reason, report)
     factor = plan.factors[unitary]
     return _judged(factor.transform.copy(), plan.core.copy(), form.tag,
-                   plan.variant, factor.residuals, unitary), factor
+                   plan.variant, factor.residuals, unitary), plan
 
 
 def _factored(plan: _SpectralPlan, a: np.ndarray, form: InnerProduct,
-              unitary: bool) -> _SpectralPlan:
-    """The balanced plan with its route's factor certified: S0, routed
-    first if the plan lacks it, or with ``unitary`` the _unitary_factor
-    of its frame. The certificate is kept whether or not it meets the
-    guarantee, so that every call on the plan judges it alike."""
-    if plan.transform is None:
-        s0, core = _route(plan, form)
-        s0.flags.writeable = core.flags.writeable = False
-        plan = replace(plan, transform=s0, core=core)
-    s = _unitary_factor(plan.transform, form) if unitary else plan.transform
+              s: np.ndarray, unitary: bool) -> _SpectralPlan:
+    """The balanced plan with S certified as its route's factor, S0 or
+    with ``unitary`` the _unitary_factor of S0's frame, whether or not
+    the certificate meets the guarantee."""
     factor = _certificate(a, s, plan.core, form, plan.variant, unitary)
     for array in (s, factor.frame_error):
         if array is not None:

@@ -314,12 +314,3 @@ def eigenvalues_match(found: np.ndarray, planted: np.ndarray,
             return False
         unused.pop(k)
     return True
-
-
-def spectrum(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only."""
-    a = np.asarray(a, dtype=np.complex128)
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc

@@ -7,7 +7,21 @@ import numpy as np
 import pytest
 
 import structdiag
-from structdiag import PortableRng
+import structdiag.diagonalize as diagonalize_module
+from structdiag import (
+    DiagonalizabilityReport,
+    NotStructuredDiagonalizable,
+    PortableRng,
+    StructDiagError,
+    StructuredDiagonalization,
+    assemble_core_diagonal,
+    diagonalizability_report,
+    form_for_kind,
+    random_structured_diagonalizable,
+    structured_diagonalize,
+    variant_for_kind,
+)
+from structdiag.core import DEFAULT_TOL
 
 # The directory holding the structdiag package this test run imported.
 PACKAGE_PARENT = Path(structdiag.__file__).resolve().parents[1]
@@ -79,6 +93,50 @@ def near_normal_defective() -> np.ndarray:
     normal at the default 1e-10 structure tolerance, and defective."""
     m = np.array([[1.0, 5e-6], [0.0, 1.0]], dtype=complex)
     return np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), m.conj().T]])
+
+
+def chain_probe(seed: int):
+    """(A, form): the planted normal 2n = 16 input of the seed, skew-
+    Hamiltonian for even seeds and per-Hermitian for odd ones, with its
+    first L = 2 + seed % 4 core values set to 0.3 + 0.9 r j (j < L),
+    r = 1e-8 max(1, max |full diagonal|): a chain each within the cluster
+    radius of the next, merged into one cluster."""
+    kind = ("skew-hamiltonian", "per-hermitian")[seed % 2]
+    inst = random_structured_diagonalizable(kind, 8, seed)
+    form = form_for_kind(kind, 8)
+    r = 1e-8 * max(1.0, np.max(np.abs(inst.full_diagonal)))
+    core = inst.core.copy()
+    core[:2 + seed % 4] = 0.3 + 0.9 * r * np.arange(2 + seed % 4)
+    full = assemble_core_diagonal(core, form.tag, variant_for_kind(kind))
+    q = inst.transform
+    return q @ np.diag(full) @ q.conj().T, form
+
+
+def _cold(call, *args):
+    """call(*args) on an empty plan slot: what it returns or raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        try:
+            return call(*args)
+        except StructDiagError as exc:
+            return exc
+
+
+def agreed_report(a, form, tol=DEFAULT_TOL):
+    """The cold diagonalizability_report of A (or the error it raises),
+    checked against a cold structured_diagonalize on the one-path rule: a
+    yes means that it certifies, a no that it raises
+    NotStructuredDiagonalizable, and an error that it raises the same
+    type."""
+    report = _cold(diagonalizability_report, a, form, tol)
+    built = _cold(structured_diagonalize, a, form, tol)
+    if isinstance(report, DiagonalizabilityReport):
+        said = (StructuredDiagonalization if report.decision
+                else NotStructuredDiagonalizable)
+    else:
+        said = type(report)
+    assert type(built) is said, (report, built)
+    return report
 
 
 @pytest.fixture

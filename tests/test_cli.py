@@ -21,7 +21,7 @@ from structdiag import cli, diagonalize, forms
 from structdiag.cli import main
 from structdiag.structure import classify
 
-from conftest import gaussian_matrix, near_normal_defective
+from conftest import chain_probe, gaussian_matrix, near_normal_defective
 from conftest import run_structdiag as run_cli
 
 
@@ -499,7 +499,27 @@ def test_analyze_reports_a_spectrum_without_conjugate_pairs(tmp_path):
     assert code == 0
     diag = json.loads(out)["payload"]["diagonalizability"]
     assert diag["decision"] is None
+    # A selfadjoint spectrum pairs in exact arithmetic, so a failed
+    # pairing is no evidence that A is diagonalizable.
+    assert diag["diagonalizable"] is None
     assert "conjugate" in diag["reason"]
+    code, out, _ = run_cli("analyze", "--form", "symplectic", "--tol", "1e-4",
+                           "--expect", "diagonalizable", path)
+    assert code == 1
+    assert json.loads(out)["payload"]["expect_failed"] == "diagonalizable"
+
+
+def test_analyze_exits_as_diagonalize_does_on_a_merged_chain(tmp_path):
+    # The balance test reads yes, but S0 misses the guarantee: analyze
+    # raises the construction's NumericalBreakdown rather than say yes.
+    a, form = chain_probe(2)
+    path = tmp_path / "chain.mtx"
+    write_matrix(path, a)
+    analyzed = run_cli("analyze", "--form", "symplectic", path)
+    built = run_cli("diagonalize", "--form", "symplectic", "--out",
+                    tmp_path / "out", path)
+    assert analyzed[0] == built[0] == 3, (analyzed[2], built[2])
+    assert analyzed[2].splitlines()[-1] == built[2].splitlines()[-1]
 
 
 def test_tight_tolerance_analyze_and_diagonalize_accept_the_input(tmp_path):

@@ -37,7 +37,7 @@ from structdiag import (
     variant_for_kind,
     verify_decomposition,
 )
-from structdiag.core import FACTOR_GUARANTEE, _ratio, as_matrix, fro
+from structdiag.core import FACTOR_GUARANTEE, _ratio, fro
 from structdiag.decompose import _decomposition_bounds
 from structdiag.diagonalize import _frame_certificate, certify, factor_residuals
 
@@ -161,11 +161,6 @@ def test_frobenius_submultiplicative(seed):
     a = gaussian_matrix(4, 5, seed)
     b = gaussian_matrix(5, 3, seed + 1)
     assert fro(a @ b) <= fro(a) * fro(b) + 1e-12
-
-
-def test_as_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf],

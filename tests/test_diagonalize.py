@@ -25,6 +25,7 @@ from structdiag import (
     StructDiagError,
     TolerancePolicy,
     Variant,
+    adjoint,
     assemble_core_diagonal,
     complete_to_lagrangian,
     congruence_to,
@@ -72,6 +73,8 @@ from structdiag.spectral import (
 from structdiag.structure import classify
 
 from conftest import (
+    agreed_report,
+    chain_probe,
     gaussian_matrix,
     near_normal_defective,
     skew_block_instance,
@@ -716,9 +719,10 @@ class TestPlanMemo:
         # eigenspace Grams. Relative residuals give r_self + r_skew >= 2
         # for any nonzero A; here r_self = 2 and r_skew ~ eps, so a
         # tolerance between the two reads it as skewadjoint, and one above
-        # both as selfadjoint: i and -i then form a conjugate pair, no
-        # group is critical and the report says yes, but their cross Gram
-        # vanishes, so that reading's construction raises.
+        # both as selfadjoint: i and -i then form a conjugate pair and no
+        # group is critical, so the plan is balanced, but their cross Gram
+        # vanishes, so that reading's S0 misses the guarantee and its
+        # report raises as its construction does.
         form = symplectic_form(2)
         q = random_automorphism(form, 2, 0)
         a = q @ np.diag([1j, -1j, 1j, -1j]) @ herm_transpose(q)
@@ -732,14 +736,19 @@ class TestPlanMemo:
                                       "other_variant"])
     def test_other_input_builds_again(self, monkeypatch, pair):
         first, change = getattr(self, f"_{pair}")()
-        report = diagonalizability_report(*first)
+        if pair == "other_variant":
+            with pytest.raises(NumericalBreakdown):
+                diagonalizability_report(*first)
+        else:
+            assert diagonalizability_report(*first).decision
+        held = diagonalize_module._PLAN_SLOT.plan
         second = change()
         counts = TestOneSpectralPass._count(monkeypatch, second[1])
         rebuilt = diagonalizability_report(*second)
         assert self._builds(counts) == (1, 1, 1)
-        assert report.decision and rebuilt.decision
+        assert rebuilt.decision
         if pair == "other_variant":
-            assert (report.variant, rebuilt.variant) == (
+            assert (held.variant, rebuilt.variant) == (
                 Variant.SELFADJOINT, Variant.SKEWADJOINT)
         monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
         assert diagonalizability_report(*second) == rebuilt
@@ -831,7 +840,9 @@ class TestPlanMemo:
 
     def test_variant_flip_keeps_the_residuals(self, monkeypatch):
         first, change = self._other_variant()
-        diagonalizability_report(*first)
+        # The selfadjoint reading raises, and its record is stored.
+        with pytest.raises(NumericalBreakdown):
+            diagonalizability_report(*first)
         held = diagonalize_module._PLAN_SLOT
         second = change()
         counts = TestOneSpectralPass._count(monkeypatch, second[1])
@@ -865,10 +876,13 @@ class TestPlanMemo:
 
     def test_plan_is_read_only(self):
         a, form = self._instance()
-        plan = diagonalize_module._spectral_plan(a, form, DEFAULT_TOL)
-        assert diagonalize_module._spectral_plan(a, form, DEFAULT_TOL) is plan
+        diagonalizability_report(a, form)
+        plan = diagonalize_module._PLAN_SLOT.plan
+        diagonalizability_report(a, form)
+        assert diagonalize_module._PLAN_SLOT.plan is plan
         arrays = ([g.basis for g in plan.groups]
-                  + [u for u, _ in plan.critical.values()])
+                  + [u for u, _ in plan.critical.values()]
+                  + [plan.core, plan.factors[False].transform])
         assert plan.critical
         for array in arrays:
             with pytest.raises(ValueError):
@@ -876,10 +890,10 @@ class TestPlanMemo:
 
 
 class TestPlanTransform:
-    """The plan carries the routed automorphism S0: the first construction
-    on a plan routes it, later constructions on the same plan copy it (or
-    the unitary factor built from its frame once), and no caller's array
-    aliases it."""
+    """A balanced plan carries its certified S0: the call that builds the
+    plan, a report included, routes and certifies it, later calls on the
+    same plan copy it (or the unitary factor built from its frame once),
+    and no caller's array aliases it."""
 
     @staticmethod
     def _count_routes(monkeypatch):
@@ -907,27 +921,31 @@ class TestPlanTransform:
         decompose_additive(a, form)
         assert len(routes) == 1
         plan = self._slot_plan()
-        for array in (plan.transform, plan.core):
+        for array in (plan.factors[False].transform,
+                      plan.factors[True].transform, plan.core):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    def test_report_alone_routes_nothing(self, monkeypatch):
+    def test_report_alone_routes_and_certifies_once(self, monkeypatch):
         a, form = TestPlanMemo._instance()
         routes = self._count_routes(monkeypatch)
-        diagonalizability_report(a, form)
-        diagonalizability_report(a, form)
-        assert not routes
-        assert self._slot_plan().transform is None
-        assert self._slot_plan().core is None
+        first = diagonalizability_report(a, form)
+        assert diagonalizability_report(a, form) == first
+        assert first.decision and len(routes) == 1
+        # S0 alone: the unitary factor waits for a unitary call.
+        plan = self._slot_plan()
+        assert list(plan.factors) == [False] and plan.core is not None
 
     def test_unbalanced_input_stores_no_transform(self, monkeypatch):
         a, form = counterexample_unbalanced(3, 5), symplectic_form(3)
         routes = self._count_routes(monkeypatch)
+        assert not diagonalizability_report(a, form).decision
         for entry in (structured_diagonalize, unitary_refine):
             with pytest.raises(NotStructuredDiagonalizable):
                 entry(a, form)
         assert not routes
-        assert self._slot_plan().transform is None
+        assert not self._slot_plan().factors
+        assert self._slot_plan().core is None
 
     def test_returned_factors_are_the_callers(self, monkeypatch):
         a, form = TestPlanMemo._instance()
@@ -1173,7 +1191,8 @@ class TestBalancedPairs:
 class TestNearCriticalSweep:
     """Normal input, so unitarily structure-diagonalizable, near the
     critical axis and with clusters that single linkage chains together:
-    criticality, clustering and defectiveness are decided on one radius."""
+    criticality, clustering and defectiveness are decided on one radius,
+    and the report agrees with the construction (agreed_report)."""
 
     @given(kind=st.sampled_from(["skew-hamiltonian", "per-hermitian",
                                  "hamiltonian", "perskew-hermitian"]),
@@ -1207,17 +1226,55 @@ class TestNearCriticalSweep:
         full = assemble_core_diagonal(core, form.tag, variant)
         a = inst.transform @ np.diag(full) @ herm_transpose(inst.transform)
 
-        report = diagonalizability_report(a, form)
-        assert report.decision, report.reason
-        for construct in (structured_diagonalize, unitary_refine,
-                          decompose_additive):
+        # A typed exit-3 error only for a chain merged into one cluster,
+        # whose spread the certificate sees; the near-conjugate pair
+        # always certifies, and normal input never reads "no" or
+        # NotDiagonalizable.
+        report = agreed_report(a, form)
+        if isinstance(report, StructDiagError):
+            assert isinstance(report, NumericalBreakdown) and steps, report
+        else:
+            assert report.decision, report.reason
+        for construct in (unitary_refine, decompose_additive):
             try:
                 construct(a, form)
             except NumericalBreakdown:
-                # A typed exit-3 error only for a chain merged into one
-                # cluster, whose spread the certificate sees; the
-                # near-conjugate pair always certifies.
                 assert len(steps) > 0
+
+
+class TestOnePath:
+    """Seeded inputs whose balance test reads yes while structured_diagonalize
+    raises NumericalBreakdown: the report agrees with the construction
+    (agreed_report), so it never says yes where S0 misses the guarantee."""
+
+    @pytest.mark.parametrize("seed", [2, 6, 10, 11, 14, 19, 26, 27, 30, 34,
+                                      38, 39])
+    def test_merged_chain(self, seed):
+        agreed_report(*chain_probe(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loose_tolerance(self, seed):
+        # A planted input of each kind plus a Gaussian of relative size
+        # eps = 1e-8, read at structure_tol 1e-7.
+        kind = ("skew-hamiltonian", "per-hermitian", "hamiltonian",
+                "perskew-hermitian")[seed]
+        a = random_structured_diagonalizable(kind, 8, seed).matrix
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a = a + 1e-8 * np.linalg.norm(a) * g / np.linalg.norm(g)
+        agreed_report(a, form_for_kind(kind, 8), TolerancePolicy(1e-7))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_rotated_nilpotent(self, seed):
+        # 1e-3 Q (E - E*) Q^H under R, E strictly upper triangular: roundoff
+        # splits its Jordan block into simple eigenvalues in conjugate pairs.
+        form = perplectic_form(2)
+        rng = np.random.default_rng(seed)
+        e = np.triu(rng.standard_normal((4, 4))
+                    + 1j * rng.standard_normal((4, 4)), 1)
+        q = random_automorphism(form, 2, 2)
+        agreed_report(1e-3 * q @ (e - adjoint(e, form)) @ herm_transpose(q),
+                      form)
 
 
 class TestConditioning:

@@ -180,15 +180,15 @@ def _callers(name):
 
 
 def test_each_factor_is_built_and_certified_in_one_place():
-    # The unitary factor is built only where the record certifies a
-    # unitary route's factor; every [V, B^T V] goes through the one
+    # The unitary factor is built only where a unitary call adds it to
+    # the plan; every [V, B^T V] goes through the one
     # partner-routing helper; factor_residuals runs only where a
     # non-unitary factor the package built is certified (the record's
     # fill and certify share _certificate) and where verify --mode diag
     # checks a given one, and a unitary factor is certified from its
     # frame's Grams in that same place. The 2n x 2n decomposition
     # residuals are formed only by the independent verifier.
-    assert _callers("_unitary_factor") == [("diagonalize", "_factored")]
+    assert _callers("_unitary_factor") == [("diagonalize", "_certified")]
     assert sorted(_callers("_with_partners")) == [
         ("decompose", "reconstruct_from_normal_factor"),
         ("diagonalize", "_unitary_factor"),
@@ -202,6 +202,24 @@ def test_each_factor_is_built_and_certified_in_one_place():
         ("diagonalize", "_factored"), ("diagonalize", "certify")]
     assert _callers("_decomposition_residuals") == [
         ("decompose", "verify_decomposition")]
+
+
+def test_report_and_constructors_take_one_path():
+    # S0 is routed and certified only where a plan is built, and a plan is
+    # built only on the path every entry point takes, the report included,
+    # so the report's yes is S0's certificate; no report-only plan exists.
+    assert _callers("_route") == [("diagonalize", "_planned")]
+    assert _callers("_planned") == [("diagonalize", "_certified")]
+    assert sorted(_callers("_certified")) == [
+        ("decompose", "decompose_additive"),
+        ("decompose", "structured_root"),
+        ("diagonalize", "diagonalizability_report"),
+        ("diagonalize", "structured_diagonalize"),
+        ("diagonalize", "unitary_refine")]
+    assert not {(module, top) for module, top, node in _package_nodes()
+                if "_spectral_plan" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None))}
 
 
 def test_only_the_spectral_cuts_keep_a_unit_floor():
