@@ -22,9 +22,12 @@ Each is divided by the same run's ``yardstick_ms.p50``, as
 between runs does not read as a change of every step; the yardstick's
 own line stays in ms.
 After the pairs it runs ``bench/run.py
---trace 1`` once in this working tree for TRACE_SECONDS, with the first
-seed, under the same rule, so that a traced run that fails or prints no
-strict JSON fails the script too. It only reads ``bench/`` and
+--trace 1`` once in each tree for TRACE_SECONDS, with the first seed,
+under the same rule, so that a traced run that fails or prints no strict
+JSON fails the script too, and prints both sides of every per-layer
+``*.self_ms``, ``lapack.*.calls`` and ``spectral.eigen.calls`` of the
+two traced summaries, to show in which layer a change saves time and
+that it runs the same kernels. It only reads ``bench/`` and
 ``BENCHMARK.json``.
 """
 
@@ -46,6 +49,9 @@ TRACE_SECONDS = 5.0
 # The medians of the per-step samples in a run's full record.
 STEP_MEDIAN = re.compile(r"^\w+_ms\.p50$")
 YARDSTICK = "yardstick_ms.p50"
+# The traced metrics printed for both trees.
+TRACED = re.compile(
+    r"^[\w.]+\.self_ms$|^lapack\.\w+\.calls$|^spectral\.eigen\.calls$")
 
 
 def _reject_constant(name: str):
@@ -96,6 +102,24 @@ def yardstick_scaled(medians: dict) -> dict:
     return {YARDSTICK: yardstick,
             **{f"{name}/yardstick": value / yardstick
                for name, value in medians.items() if name != YARDSTICK}}
+
+
+def traced_metrics(summary: dict) -> dict:
+    """The per-layer self times and the kernel and eigen call counts of
+    a ``--trace 1`` summary line."""
+    return {name: metric["value"]
+            for name, metric in summary["metrics"].items()
+            if TRACED.match(name)}
+
+
+def traced_lines(base: dict, change: dict) -> list[str]:
+    """One line per traced metric of both runs: base -> change."""
+    lines = []
+    for name in sorted(base.keys() & change.keys()):
+        b, c = base[name], change[name]
+        rel = f", {(c / b - 1) * 100:+.1f}%" if b else ""
+        lines.append(f"{name}: {b:.6g} -> {c:.6g}{rel}")
+    return lines
 
 
 def summarize(name: str, lower_better: bool, base: list[float],
@@ -153,9 +177,14 @@ def main() -> int:
                                f"{name} {values[side][name][-1]:.6g}"
                                for name in metrics))
             print(f"pair {i} seed {seed}: " + "; ".join(row), flush=True)
-    traced = run(ROOT, args.workload, args.seeds[0], TRACE_SECONDS, trace=1)
-    print(f"traced run seed {args.seeds[0]}: failed {traced['failed']}/"
-          f"{traced['attempted']}, strict JSON", flush=True)
+        traced = {}
+        for side, tree in (("base", base_tree), ("change", ROOT)):
+            summary = run(tree, args.workload, args.seeds[0], TRACE_SECONDS,
+                          trace=1)
+            traced[side] = traced_metrics(summary)
+            print(f"traced run {side} seed {args.seeds[0]}: failed "
+                  f"{summary['failed']}/{summary['attempted']}, strict JSON",
+                  flush=True)
     print(f"# {args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s, "
           f"{args.rev} -> working tree, median (quartiles)")
     for name, lower_better in metrics.items():
@@ -169,6 +198,11 @@ def main() -> int:
     for name in sorted(shared):
         print(summarize(name, True, [s[name] for s in steps["base"]],
                         [s[name] for s in steps["change"]]))
+    print(f"# traced, informational: one --trace 1 run per tree of "
+          f"{TRACE_SECONDS:g} s, seed {args.seeds[0]}, {args.rev} -> "
+          "working tree")
+    for line in traced_lines(traced["base"], traced["change"]):
+        print(line)
     return 0
 
 

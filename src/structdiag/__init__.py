@@ -88,7 +88,7 @@ from .mmio import read_matrix, write_matrix
 from .spectral import (
     ConjugatePairing,
     EigenDecomposition,
-    EigenGroup,
+    EigenGroups,
     eigen,
     group_eigenvalues,
     is_diagonalizable,

@@ -3,7 +3,8 @@
 Subcommands: analyze, diagonalize, decompose, generate, verify. Reports
 are JSON documents on stdout; matrices travel as MatrixMarket array
 files. Exit codes: 0 success, 1 mathematical negative (_NEGATIVE_ERRORS),
-2 parse/IO (_IO_ERRORS), 3 numerical breakdown (_NUMERICAL_ERRORS).
+2 parse/IO (_IO_ERRORS), 3 numerical breakdown (_NUMERICAL_ERRORS);
+analyze exits with the largest code of its files.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ _NUMERICAL_ERRORS = (NumericalBreakdown, SingularMatrix, RankDeficient,
                      NoConvergence, InertiaMismatch,
                      SpectrumNotConjugateSymmetric, NotLagrangianFrame,
                      NotNeutral, FrameTooLarge)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """An error's exit code, from the tables above, and stderr label."""
+    if isinstance(exc, _IO_ERRORS):
+        return EXIT_IO, "error"
+    if isinstance(exc, _NUMERICAL_ERRORS):
+        return EXIT_NUMERICAL, "numerical error"
+    if isinstance(exc, _NEGATIVE_ERRORS):
+        return EXIT_NEGATIVE, "negative result"
+    return EXIT_NUMERICAL, "error"
 
 
 def _digest(path: str) -> str:
@@ -207,19 +219,31 @@ def _expect_satisfied(payload: dict, expect: str) -> bool:
 
 
 def _analyze_one(path: str, form_name: str, tol: TolerancePolicy,
-                 expect: str | None) -> tuple[int, dict]:
-    a, form, digest = _load(path, form_name)
-    payload, residuals = _analysis_payload(a, form, tol)
+                 expect: str | None) -> tuple[int, dict, str | None]:
+    """One file's exit code and document, and if it raised, an error
+    document and the stderr line, which names the file."""
+    digest = None
+    try:
+        a, form, digest = _load(path, form_name)
+        payload, residuals = _analysis_payload(a, form, tol)
+    except (*_IO_ERRORS, StructDiagError) as exc:
+        code, label = _failure(exc)
+        doc = _negative_document("analyze", digest, exc)
+        doc["payload"]["file"] = path
+        # Parse errors name their file already.
+        named = str(exc) if str(exc).startswith(path) else f"{path}: {exc}"
+        return code, doc, f"{label}: {named}"
     payload["file"] = path
     doc = _document("analyze", digest, payload, residuals)
     code = EXIT_OK
     if expect is not None and not _expect_satisfied(payload, expect):
         payload["expect_failed"] = expect
         code = EXIT_NEGATIVE
-    return code, doc
+    return code, doc, None
 
 
 def cmd_analyze(args) -> int:
+    """One document per file, in file order; the largest exit code."""
     tol = _resolve_tol(args.tol)
     # The pool starts all its workers at once: no more than there are files.
     jobs = min(max(1, args.jobs), len(args.files))
@@ -234,8 +258,10 @@ def cmd_analyze(args) -> int:
                                    args.expect)
                        for p in args.files]
             results = [f.result() for f in futures]
-    for code, doc in results:
+    for code, doc, line in results:
         _emit(doc, compact)
+        if line is not None:
+            print(line, file=sys.stderr)
         worst = max(worst, code)
     return worst
 
@@ -436,18 +462,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _IO_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _NEGATIVE_ERRORS as exc:
-        print(f"negative result: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except StructDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (*_IO_ERRORS, StructDiagError) as exc:
+        code, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -103,16 +103,18 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     return _ratio(fro(a - b), fro(a))
 
 
-def _rank(s: np.ndarray) -> int:
-    """Count of singular values s above RANK_TOL times the largest."""
-    return int(np.count_nonzero(s > RANK_TOL * np.max(s, initial=0.0)))
+def _rank(s: np.ndarray) -> int | np.ndarray:
+    """Count of singular values s above RANK_TOL times the largest, of
+    each row of a stack (g, k) of them."""
+    return (s > RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
+            ).sum(axis=-1)
 
 
 def numerical_rank(a: np.ndarray) -> int:
     """Number of singular values above RANK_TOL times the largest."""
     if a.size == 0:
         return 0
-    return _rank(np.linalg.svd(a, compute_uv=False))
+    return int(_rank(np.linalg.svd(a, compute_uv=False)))
 
 
 def solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

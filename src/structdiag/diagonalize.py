@@ -29,10 +29,11 @@ reads (selfadjoint or skewadjoint, and normality on the unitary routes),
 then takes one path (_certified): it eigendecomposes, groups, pairs and
 factors each critical Gram once, in one spectral plan that the decision
 and the construction share, and on a balanced plan routes S0 and
-certifies it in the same step (_planned); the Grams of one multiplicity
-are formed by one stacked product and factored by one stacked eigh
-(_critical_factors). So the report's yes means that S0 met
-FACTOR_GUARANTEE, and it raises NumericalBreakdown wherever
+certifies it in the same step (_planned). The plan's groups are arrays
+(spectral.EigenGroups): the critical Grams (_critical_factors, one
+stacked product and eigh per multiplicity) and S0 (_route) gather their
+bases from its one basis matrix by one index. So the report's yes means
+that S0 met FACTOR_GUARANTEE, and it raises NumericalBreakdown wherever
 structured_diagonalize does. What the calls measure of A is kept in one
 per-input record (_Record) in one slot, keyed by A's exact bytes and the
 form tag: A* with its selfadjoint and skewadjoint residuals, the
@@ -103,7 +104,7 @@ from .forms import (
 )
 from .spectral import (
     ConjugatePairing,
-    EigenGroup,
+    EigenGroups,
     eigen,
     group_eigenvalues,
     pair_conjugates,
@@ -220,8 +221,9 @@ class _Factor(NamedTuple):
 class _SpectralPlan:
     """What the calls learn about A's spectrum once: its variant, the
     eigenvalue groups of A_hat = A or i A (clustered, with orthonormal
-    bases), their conjugate pairing and, by group index, the Sylvester
-    factor and inertia of each self-conjugate (critical) group's Gram.
+    bases, as arrays), their conjugate pairing and, by group index, the
+    Sylvester factor and inertia of each self-conjugate (critical) group's
+    Gram.
     An unbalanced plan holds nothing more. A balanced one holds the core
     and, keyed by ``unitary``, the certified factor of each route: the
     routed automorphism S0 (_route), certified when the plan is built,
@@ -230,7 +232,7 @@ class _SpectralPlan:
     calls."""
 
     variant: Variant
-    groups: tuple[EigenGroup, ...]
+    groups: EigenGroups
     pairing: ConjugatePairing
     critical: dict[int, tuple[np.ndarray, Inertia]]
     core: np.ndarray | None = None
@@ -342,13 +344,14 @@ def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
         # i A has the eigenvectors of A; clustering sees only
         # distances, so the groups of i A are those of A with every
         # value times i.
-        groups = [replace(g, value=1j * g.value) for g in groups]
+        groups = replace(groups, values=1j * groups.values)
     pairing = pair_conjugates(groups)
     critical = _critical_factors(groups, pairing.selfconjugate, form)
-    for array in ([g.basis for g in groups]
-                  + [u for u, _ in critical.values()]):
+    for array in (groups.values, groups.sizes, groups.basis, pairing.pairs,
+                  pairing.selfconjugate,
+                  *(u for u, _ in critical.values())):
         array.flags.writeable = False
-    plan = _SpectralPlan(variant, tuple(groups), pairing, critical)
+    plan = _SpectralPlan(variant, groups, pairing, critical)
     if plan.balanced:
         s0, core = _route(plan, form)
         core.flags.writeable = False
@@ -356,21 +359,21 @@ def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
     return replace(record, plan=plan)
 
 
-def _critical_factors(groups: list[EigenGroup], selfconjugate: tuple[int, ...],
+def _critical_factors(groups: EigenGroups, selfconjugate: np.ndarray,
                       form: InnerProduct
                       ) -> dict[int, tuple[np.ndarray, Inertia]]:
     """The _sylvester factor and inertia of each critical group's Gram
-    (V^H B) V, by group index in pairing order: one stacked product and
-    one stacked eigh per multiplicity."""
-    by_size: dict[int, list[int]] = {}
-    for i in selfconjugate:
-        by_size.setdefault(groups[i].multiplicity, []).append(i)
+    (V^H B) V, by group index: per multiplicity, one stack of bases
+    gathered by one index, one stacked product and one stacked eigh."""
+    sizes = groups.sizes[selfconjugate]
     factors = {}
-    for members in by_size.values():
-        bases = np.stack([groups[i].basis for i in members])
+    for k in sorted(set(sizes.tolist())):
+        members = selfconjugate[sizes == k]
+        bases = groups.basis[:, groups.columns(members)].reshape(
+            -1, members.size, k).transpose(1, 0, 2)
         grams = _form_times(form, herm_transpose(bases)) @ bases
-        factors.update(zip(members, _sylvester(grams, form.kind)))
-    return {i: factors[i] for i in selfconjugate}
+        factors.update(zip(members.tolist(), _sylvester(grams, form.kind)))
+    return factors
 
 
 def diagonalizability_report(a: np.ndarray, form: InnerProduct,
@@ -400,8 +403,8 @@ def diagonalizability_report(a: np.ndarray, form: InnerProduct,
 def _report(plan: _SpectralPlan) -> DiagonalizabilityReport:
     # Group order, which is ascending by A's eigenvalues.
     critical = sorted(plan.critical.items())
-    values = _core_values(
-        np.array([plan.groups[i].value for i, _ in critical]), plan.variant)
+    values = _core_values(plan.groups.values[[i for i, _ in critical]],
+                          plan.variant)
     axis = (AxisClass.REAL if plan.variant is Variant.SELFADJOINT
             else AxisClass.PURELY_IMAGINARY)
     entries = []
@@ -410,7 +413,7 @@ def _report(plan: _SpectralPlan) -> DiagonalizabilityReport:
             value=value,
             axis_class=(AxisClass.BOTH if abs(value) <= plan.pairing.radius
                         else axis),
-            multiplicity=plan.groups[i].multiplicity,
+            multiplicity=int(plan.groups.sizes[i]),
             gram_inertia=g_inertia,
             balanced=g_inertia.balanced,
         ))
@@ -622,26 +625,24 @@ def _route(plan: _SpectralPlan, form: InnerProduct
     core value (the lower eigenvalue, divided by i for skewadjoint A),
     its real part rounded to the cluster radius.
     """
-    groups = plan.groups
-    # (primary group, partner group, critical Sylvester factor or None); a
-    # critical group is its own partner.
-    blocks = [(groups[gi], groups[gj], None) for gi, gj in plan.pairing.pairs]
-    blocks += [(groups[gi], groups[gi], plan.critical[gi][0])
-               for gi in plan.pairing.selfconjugate]
-    values = _core_values(np.array([g.value for g, _, _ in blocks]),
-                          plan.variant)
+    groups, pairing = plan.groups, plan.pairing
+    # Each block's group and its partner, the pairs first; a critical
+    # group is its own partner.
+    first = np.concatenate([pairing.pairs[:, 0], pairing.selfconjugate])
+    partner = np.concatenate([pairing.pairs[:, 1], pairing.selfconjugate])
+    values = _core_values(groups.values[first], plan.variant)
     # Rounded, real parts equal in exact arithmetic (0 for imaginary
     # values) tie, so roundoff never decides the order.
     order = np.lexsort((values.imag,
-                        np.round(values.real / plan.pairing.radius)))
-    blocks = [blocks[k] for k in order]
-    # Partner columns x = V L (first half) and y = W R (second half), with
-    # the bases stacked in V and W and block-diagonal coefficients L and R.
-    v = np.hstack([g.basis for g, _, _ in blocks])
-    w = np.hstack([p.basis for _, p, _ in blocks])
-    k = np.array([g.multiplicity for g, _, _ in blocks])
-    width = np.array([m // 2 if u is not None else m for m, (_, _, u)
-                      in zip(k, blocks)])
+                        np.round(values.real / pairing.radius)))
+    first, partner = first[order], partner[order]
+    critical = order >= len(pairing.pairs)
+    # Partner columns x = V L (first half) and y = W R (second half): V and
+    # W gather the bases, L and R are block-diagonal coefficients.
+    v = groups.basis[:, groups.columns(first)]
+    w = groups.basis[:, groups.columns(partner)]
+    k = groups.sizes[first]
+    width = np.where(critical, k // 2, k)
     row0, col0 = np.cumsum(k) - k, np.cumsum(width) - width
     c = herm_transpose(v) @ _times_form(form, w)
     l = np.zeros((v.shape[1], form.half), dtype=np.complex128)
@@ -654,12 +655,12 @@ def _route(plan: _SpectralPlan, form: InnerProduct
     d = c[row0[one], row0[one]]
     l[row0[one], col0[one]] = d / np.abs(d) ** 1.5
     r[row0[one], col0[one]] = np.abs(d) ** -0.5
-    for (_, _, u), m, n_x, i, j in zip(blocks, k, width, row0, col0):
-        if m == 1:
-            continue
-        rows, cols = slice(i, i + m), slice(j, j + n_x)
-        if u is not None:
-            l[rows, cols], r[rows, cols] = _balanced_pairs(u, form)
+    for b in (k > 1).nonzero()[0].tolist():
+        rows = slice(row0[b], row0[b] + k[b])
+        cols = slice(col0[b], col0[b] + width[b])
+        if critical[b]:
+            l[rows, cols], r[rows, cols] = _balanced_pairs(
+                plan.critical[first[b]][0], form)
         else:
             uu, sigma, zh = np.linalg.svd(c[rows, rows])
             l[rows, cols] = uu / np.sqrt(sigma)

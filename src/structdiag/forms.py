@@ -223,18 +223,15 @@ def _sylvester(h: np.ndarray, kind: FormKind
     else:
         w, u = np.linalg.eigh(-1j * (h - hh) / 2.0)
     alpha = 1.0 if kind is FormKind.HERMITIAN else 1j
-    out = []
-    for h_k, w_k, u_k in zip(h, w, u):
-        zero_cut = GRAM_ZERO_TOL * fro(h_k)
-        neg = np.flatnonzero(w_k < -zero_cut)
-        pos = np.flatnonzero(w_k > zero_cut)
-        zer = np.flatnonzero(np.abs(w_k) <= zero_cut)
-        scales = np.ones(w_k.shape[0])
-        nz = np.concatenate([neg, pos])
-        scales[nz] = 1.0 / np.sqrt(np.abs(w_k[nz]))
-        u_scaled = (u_k * scales)[:, np.concatenate([nz, zer])]
-        out.append((u_scaled, Inertia(len(neg), len(pos), len(zer), alpha)))
-    return out
+    zero_cut = GRAM_ZERO_TOL * np.array([fro(h_k) for h_k in h])[:, None]
+    # 0 negative, 1 positive, 2 zero: a stable sort keeps each class
+    # ascending.
+    zero = np.abs(w) <= zero_cut
+    key = (w > zero_cut) + 2 * zero
+    order = key.argsort(axis=-1, kind="stable")
+    u = u * (1.0 / np.sqrt(np.where(zero, 1.0, np.abs(w))))[:, None, :]
+    return [(u_k[:, o_k], Inertia(k.count(0), k.count(1), k.count(2), alpha))
+            for u_k, o_k, k in zip(u, order, key.tolist())]
 
 
 def inertia(h: np.ndarray, kind: FormKind,

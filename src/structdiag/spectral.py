@@ -20,8 +20,11 @@ eig's vectors of one eigenvalue need not be orthogonal.
 
 One grouping pass (group_eigenvalues) clusters the eigenvalues, builds
 each cluster's orthonormal basis and tests the cluster for defectiveness
-on that basis, the clusters of one size in one stacked SVD; every caller
-that needs any of the three goes through it.
+on that basis; every caller that needs any of the three goes through it.
+It returns arrays (EigenGroups): the groups' values and sizes and one
+basis matrix holding their bases as column blocks. Two values within r
+have real parts within r, so clustering and pair_conjugates take their
+close pairs from one sort of the real parts (_close_pairs).
 
 Every spectral decision is made on one radius r = cluster_radius: two
 eigenvalues within r share a cluster, a cluster whose spread lies within
@@ -56,10 +59,26 @@ class EigenDecomposition:
 
 
 @dataclass(frozen=True)
-class EigenGroup:
-    value: complex           # cluster mean
-    multiplicity: int
-    basis: np.ndarray        # orthonormal columns spanning the eigenspace
+class EigenGroups:
+    """The eigenvalue groups of one decomposition as arrays, ascending by
+    (Re, Im) of their values: each group's value (its cluster mean) and
+    size, and one m x m basis whose consecutive column blocks are the
+    groups' orthonormal bases, in group order."""
+
+    values: np.ndarray       # (g,) complex
+    sizes: np.ndarray        # (g,) int
+    basis: np.ndarray        # (m, m) complex
+
+    def columns(self, which: np.ndarray) -> np.ndarray:
+        """The basis columns of the groups ``which``, block after block."""
+        return _ranges((self.sizes.cumsum() - self.sizes)[which],
+                       self.sizes[which])
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] ... starts[i] + sizes[i] - 1, concatenated."""
+    return (np.arange(sizes.sum())
+            + (starts - sizes.cumsum() + sizes).repeat(sizes))
 
 
 # W of eigen's Hermitian combination M = W A + conj(W) A^H, W = (1 - ic)/2.
@@ -123,37 +142,49 @@ def _hermitian_eigen(a: np.ndarray) -> EigenDecomposition | None:
 
 def cluster_radius(values: np.ndarray) -> float:
     """r = CLUSTER_TOL * max(1, max |value|), the radius of every decision."""
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    return CLUSTER_TOL * scale
+    return CLUSTER_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
-def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clusters (union-find) of complex values.
-
-    Each cluster lists its indices ascending; clusters come in the order
-    of their smallest index.
-    """
-    m = values.shape[0]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    close = np.abs(values[:, None] - values[None, :]) <= radius
-    # np.nonzero walks the upper triangle row by row, i < j.
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(np.triu(close, 1)))):
-        parent[find(i)] = find(j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+def _close_pairs(values: np.ndarray, radius: float, conjugate: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j), i != j, both ways, with d = |value_i - value_j|
+    (or |value_i - conj(value_j)|) at most radius, and d. Their real
+    parts lie within the radius too, so the pairs come from one sweep of
+    the sorted real parts (at twice the radius, so that no rounding drops
+    one)."""
+    order = values.real.argsort(kind="stable")
+    ascending = values.real[order]
+    after = np.arange(1, values.size + 1)
+    # Sorted position p is swept with p + 1 ... p + reach[p].
+    reach = (ascending.searchsorted(ascending + 2.0 * radius, side="right")
+             - after)
+    i = order[(after - 1).repeat(reach)]
+    j = order[_ranges(after, reach)]
+    d = np.abs(values[i] - (values[j].conj() if conjugate else values[j]))
+    close = d <= radius
+    i, j, d = i[close], j[close], d[close]
+    both = np.concatenate
+    return both([i, j]), both([j, i]), both([d, d])
 
 
-def group_eigenvalues(dec: EigenDecomposition) -> list[EigenGroup]:
+def _cluster_indices(values: np.ndarray, radius: float) -> np.ndarray:
+    """Single-linkage clusters of complex values at radius: each value's
+    cluster, numbered in the order of the clusters' smallest indices. Each
+    value takes the least label of itself and its close partners
+    (_close_pairs), then that label's label, until no label moves: each
+    cluster's is then its smallest index."""
+    i, j, _ = _close_pairs(values, radius, conjugate=False)
+    labels = np.arange(values.shape[0])
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, i, labels[j])
+        low = low[low]
+        if (low == labels).all():
+            return ((labels == np.arange(labels.size)).cumsum() - 1)[labels]
+        labels = low
+
+
+def group_eigenvalues(dec: EigenDecomposition) -> EigenGroups:
     """Single-linkage clustering of eigenvalues at the radius r
     (cluster_radius); orthonormal group bases.
 
@@ -167,113 +198,120 @@ def group_eigenvalues(dec: EigenDecomposition) -> list[EigenGroup]:
     next can carry past r. By min-max, this norm bounds the k-th smallest
     singular value of A - value I from above for any orthonormal Q with k
     columns, so the test on Q settles what a rank SVD of A - value I
-    settles. The clusters of one size share one stacked SVD and one
-    stacked product (A - value I) Q; the first defective cluster, in the
-    order of their smallest index, raises.
+    settles. The clusters of one size share one stacked SVD, and all
+    multi-member clusters one product A [Q_1 ... Q_c]; the first defective
+    cluster, in the order of their smallest index, raises.
 
-    Groups are returned sorted by (Re, Im) of the cluster mean.
+    Groups are sorted by (Re, Im) of the cluster mean.
     """
-    m = dec.values.shape[0]
-    if m == 0:
-        return []
     radius = cluster_radius(dec.values)
-    clusters = _cluster_indices(dec.values, radius)
-    groups = [EigenGroup(complex(dec.values[c[0]]), 1, dec.vectors[:, c])
-              for c in clusters if len(c) == 1]
-    groups += _cluster_groups(dec, [c for c in clusters if len(c) > 1],
-                              radius)
-    groups.sort(key=lambda g: (g.value.real, g.value.imag))
-    return groups
-
-
-def _cluster_groups(dec: EigenDecomposition, clusters: list[list[int]],
-                    radius: float) -> list[EigenGroup]:
-    """The groups of the multi-member clusters, in order, for
-    group_eigenvalues; NotDiagonalizable at the first defective one."""
+    labels = _cluster_indices(dec.values, radius)
+    sizes = np.bincount(labels)
+    starts = sizes.cumsum() - sizes
+    members = labels.argsort(kind="stable")
+    values = dec.values[members[starts]]
+    # Each size k's merged clusters, their (clusters, k) eigenvalues, mean.
+    stacks = []
+    for k in sorted(set(sizes.tolist()) - {1}):
+        of_size = (sizes == k).nonzero()[0]
+        idx = members[starts[of_size, None] + np.arange(k)]
+        values[of_size] = dec.values[idx].sum(axis=1) / k
+        stacks.append((of_size, idx))
+    order = np.lexsort((values.imag, values.real))
+    # The eigenvectors by group, ascending within one.
+    gather = members[_ranges(starts[order], sizes[order])]
+    basis = dec.vectors[:, gather]
+    if not stacks:
+        return EigenGroups(values[order], sizes[order], basis)
+    column = gather.argsort()
+    deficient = np.zeros(sizes.size, dtype=bool)
+    for of_size, idx in stacks:
+        # (clusters, rows, k): each cluster's eigenvectors.
+        u, s, wh = np.linalg.svd(dec.vectors[:, idx].transpose(1, 0, 2),
+                                 full_matrices=False)
+        basis[:, column[idx]] = (u @ wh).transpose(1, 0, 2)
+        deficient[of_size] = _rank(s) < idx.shape[1]
+    # R = (A - value I) Q of every merged cluster, a block of columns each,
+    # its Frobenius norm and the spread of its values about the mean.
+    merged = (sizes > 1).nonzero()[0]
+    first = sizes[merged].cumsum() - sizes[merged]
+    each = members[_ranges(starts[merged], sizes[merged])]
+    shift = values[labels[each]]
+    q = basis[:, column[each]]
+    r = dec.matrix @ q - shift * q
+    norms = np.sqrt(np.add.reduceat((r.conj() * r).real, first,
+                                    axis=1).sum(axis=0))
+    spread = np.maximum.reduceat(abs(dec.values[each] - shift), first)
     # Roundoff on the scale of A itself: on the scale of the shifted
     # matrix, roundoff would read as a defect when A - value I ~ 0.
-    roundoff = RANK_TOL * max(1.0, fro(dec.matrix))
-    values = [complex(np.mean(dec.values[c])) for c in clusters]
-    by_size: dict[int, list[int]] = {}
-    for k, members in enumerate(clusters):
-        by_size.setdefault(len(members), []).append(k)
-    parts = {}
-    for ks in by_size.values():
-        # (clusters, rows, members): each cluster's eigenvectors.
-        vectors = np.moveaxis(dec.vectors[:, [clusters[k] for k in ks]], 1, 0)
-        u, s, wh = np.linalg.svd(vectors, full_matrices=False)
-        q = u @ wh
-        shifts = np.array([values[k] for k in ks])[:, None, None]
-        parts.update(zip(ks, zip(q, s, dec.matrix @ q - shifts * q)))
-    out = []
-    for k, members in enumerate(clusters):
-        value, (q, s, r) = values[k], parts[k]
-        spread = float(np.max(np.abs(dec.values[members] - value)))
-        cutoff = roundoff + max(radius, spread)
-        # ||R||_2 <= ||R||_F, so the top eigenvalue of R^H R is needed only
-        # when the Frobenius norm is past the cutoff.
-        if _rank(s) < s.size or (
-                fro(r) > cutoff
-                and np.linalg.eigvalsh(herm_transpose(r) @ r)[-1]
-                > cutoff ** 2):
+    cutoff = (RANK_TOL * max(1.0, fro(dec.matrix))
+              + np.maximum(radius, spread))
+    # ||R||_2 <= ||R||_F, so the top eigenvalue of R^H R is needed only
+    # where the Frobenius norm is past the cutoff.
+    for t in (deficient[merged] | (norms > cutoff)).nonzero()[0].tolist():
+        block = r[:, first[t]:first[t] + sizes[merged[t]]]
+        if deficient[merged[t]] or (np.linalg.eigvalsh(
+                herm_transpose(block) @ block)[-1] > cutoff[t] ** 2):
             raise NotDiagonalizable(
-                f"eigenvalue {value:.6g} has a deficient eigenspace")
-        out.append(EigenGroup(value, s.size, q))
-    return out
+                f"eigenvalue {complex(values[merged[t]]):.6g} has a "
+                "deficient eigenspace")
+    return EigenGroups(values[order], sizes[order], basis)
 
 
 @dataclass(frozen=True)
 class ConjugatePairing:
-    """Partition of group indices into conjugate pairs and self-conjugate
-    singletons, decided at ``radius``. In each pair the first index holds
-    the eigenvalue with the smaller imaginary part. The real parts of a
-    conjugate pair agree in exact arithmetic, so ordering by them would
-    let roundoff decide.
+    """Partition of group indices into conjugate pairs (the rows of
+    ``pairs``) and self-conjugate singletons, decided at ``radius``. In
+    each pair the first index holds the eigenvalue with the smaller
+    imaginary part. The real parts of a conjugate pair agree in exact
+    arithmetic, so ordering by them would let roundoff decide.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    selfconjugate: tuple[int, ...]
+    pairs: np.ndarray            # (p, 2) int
+    selfconjugate: np.ndarray    # (c,) int
     radius: float
 
 
-def pair_conjugates(groups: list[EigenGroup]) -> ConjugatePairing:
+def pair_conjugates(groups: EigenGroups) -> ConjugatePairing:
     """Match each group with the group holding its conjugate eigenvalue.
 
     A group within the cluster radius r of its own conjugate is
-    self-conjugate; any other needs a partner of equal multiplicity
-    within r of its conjugate, else SpectrumNotConjugateSymmetric.
+    self-conjugate; any other needs a partner of equal size within r of
+    its conjugate, else SpectrumNotConjugateSymmetric. Groups are taken
+    ascending by (Re, Im), each with the nearest partner not yet taken
+    (the first of equal distances) among its close pairs (_close_pairs).
     """
-    values = np.array([g.value for g in groups])
+    values = groups.values
     radius = cluster_radius(values)
-    # distance[i, j] = |value_j - conj(value_i)|, formed once.
-    distance = np.abs(values[None, :] - np.conj(values)[:, None])
-    used = np.zeros(len(groups), dtype=bool)
-    pairs = []
-    singles = []
-    for i in np.lexsort((values.imag, values.real)).tolist():
-        if used[i]:
+    candidates: dict[int, list[tuple[float, int]]] = {}
+    for a, b, d in zip(*(x.tolist() for x in _close_pairs(
+            values, radius, conjugate=True))):
+        candidates.setdefault(a, []).append((d, b))
+    sizes, imag = groups.sizes.tolist(), values.imag.tolist()
+    used = [False] * len(sizes)
+    pairs, singles = [], []
+    for a in np.lexsort((values.imag, values.real)).tolist():
+        if used[a]:
             continue
-        used[i] = True
-        v = values[i]
-        if distance[i, i] <= radius:
-            singles.append(i)
+        used[a] = True
+        # |value - conj(value)| = 2 |Im value|.
+        if 2.0 * abs(imag[a]) <= radius:
+            singles.append(a)
             continue
-        dist = np.where(used, np.inf, distance[i])
-        # argmin takes the first of equal distances.
-        best = int(np.argmin(dist))
-        if dist[best] > radius:
+        _, b = min(((d, b) for d, b in candidates.get(a, ()) if not used[b]),
+                   default=(None, None))
+        if b is None:
             raise SpectrumNotConjugateSymmetric(
-                f"eigenvalue {v:.6g} has no conjugate partner")
-        if groups[i].multiplicity != groups[best].multiplicity:
+                f"eigenvalue {values[a]:.6g} has no conjugate partner")
+        if sizes[a] != sizes[b]:
             raise SpectrumNotConjugateSymmetric(
-                f"conjugate eigenvalues {v:.6g} and {values[best]:.6g} "
-                f"have multiplicities {groups[i].multiplicity} != "
-                f"{groups[best].multiplicity}")
-        used[best] = True
-        lo, hi = ((i, best) if values[i].imag <= values[best].imag
-                  else (best, i))
-        pairs.append((lo, hi))
-    return ConjugatePairing(tuple(pairs), tuple(singles), radius)
+                f"conjugate eigenvalues {values[a]:.6g} and "
+                f"{values[b]:.6g} have multiplicities {sizes[a]} != "
+                f"{sizes[b]}")
+        used[b] = True
+        pairs.append((a, b) if imag[a] <= imag[b] else (b, a))
+    return ConjugatePairing(np.array(pairs, dtype=np.intp).reshape(-1, 2),
+                            np.array(singles, dtype=np.intp), radius)
 
 
 def is_diagonalizable(a: np.ndarray) -> bool:

@@ -519,7 +519,40 @@ def test_analyze_exits_as_diagonalize_does_on_a_merged_chain(tmp_path):
     built = run_cli("diagonalize", "--form", "symplectic", "--out",
                     tmp_path / "out", path)
     assert analyzed[0] == built[0] == 3, (analyzed[2], built[2])
-    assert analyzed[2].splitlines()[-1] == built[2].splitlines()[-1]
+    # The same line, which analyze, taking several files, prefixes with
+    # the file's name.
+    label, reason = built[2].splitlines()[-1].split(": ", 1)
+    assert analyzed[2].splitlines()[-1] == f"{label}: {path}: {reason}"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("middle,code,error", [
+    ("bad", 2, "ParseError"), ("chain", 3, "NumericalBreakdown")])
+def test_analyze_keeps_every_file_when_one_fails(tmp_path, capsys, jobs,
+                                                 middle, code, error):
+    # One document per file, in file order, an error document for the
+    # failed one; its stderr line names it, and the exit code is the
+    # failed file's.
+    good = str(tmp_path / "good.mtx")
+    main(["generate", "--kind", "skew-hamiltonian-diagonalizable", "--n",
+          "2", "--seed", "1", good])
+    failed = str(tmp_path / f"{middle}.mtx")
+    if middle == "bad":
+        (tmp_path / "bad.mtx").write_text("not a matrix\n")
+    else:
+        write_matrix(failed, chain_probe(2)[0])
+    capsys.readouterr()
+    assert main(["analyze", "--form", "symplectic", "--jobs", jobs,
+                 good, failed, good]) == code
+    out, err = capsys.readouterr()
+    docs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [d["payload"]["file"] for d in docs] == [good, failed, good]
+    assert [d["payload"]["diagonalizability"]["decision"]
+            for d in docs[::2]] == [True, True]
+    assert docs[1]["payload"]["error"] == error
+    assert docs[1]["payload"]["reason"]
+    (line,) = err.strip().splitlines()
+    assert failed in line and docs[1]["payload"]["reason"] in line
 
 
 def test_tight_tolerance_analyze_and_diagonalize_accept_the_input(tmp_path):

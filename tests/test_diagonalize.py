@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import sys
 from collections import Counter
@@ -159,11 +160,11 @@ class TestReport:
         form = symplectic_form(2)
         a = np.eye(4, dtype=complex)
         groups = group_eigenvalues(eigen(a))
-        (g,) = groups
-        base = inertia(gram(g.basis, form), form.kind)
+        assert groups.sizes.tolist() == [4]
+        base = inertia(gram(groups.basis, form), form.kind)
         for seed in range(5):
             mix = gaussian_matrix(4, 4, seed) + 2 * np.eye(4)
-            mixed = inertia(gram(g.basis @ mix, form), form.kind)
+            mixed = inertia(gram(groups.basis @ mix, form), form.kind)
             assert mixed.counts == base.counts
 
     def test_unbalanced_flags_survive_basis_recombination(self):
@@ -173,13 +174,15 @@ class TestReport:
         n = 3
         form = symplectic_form(n)
         a = counterexample_unbalanced(n, 4)
-        for g in group_eigenvalues(eigen(a)):
-            base = inertia(gram(g.basis, form), form.kind)
+        groups = group_eigenvalues(eigen(a))
+        for basis in np.split(groups.basis, groups.sizes.cumsum()[:-1],
+                              axis=1):
+            base = inertia(gram(basis, form), form.kind)
             assert not base.balanced
             for seed in range(3):
-                k = g.multiplicity
+                k = basis.shape[1]
                 mix = gaussian_matrix(k, k, 100 + seed) + 2 * np.eye(k)
-                mixed = inertia(gram(g.basis @ mix, form), form.kind)
+                mixed = inertia(gram(basis @ mix, form), form.kind)
                 assert mixed.counts == base.counts
 
 
@@ -583,8 +586,8 @@ class TestOneSpectralPass:
         self._assert_counts(monkeypatch, entry, a, form, eig=1)
 
     def _assert_counts(self, monkeypatch, entry, a, form, eig):
-        multi = [g.multiplicity for g in group_eigenvalues(eigen(a))
-                 if g.multiplicity > 1]
+        multi = [k for k in group_eigenvalues(eigen(a)).sizes.tolist()
+                 if k > 1]
         critical = [e.multiplicity for e in
                     diagonalizability_report(a, form).per_eigenvalue]
         # Several groups of one size, so that a stack holds more than one.
@@ -880,13 +883,15 @@ class TestPlanMemo:
         plan = diagonalize_module._PLAN_SLOT.plan
         diagonalizability_report(a, form)
         assert diagonalize_module._PLAN_SLOT.plan is plan
-        arrays = ([g.basis for g in plan.groups]
+        arrays = ([getattr(plan.groups, f.name)
+                   for f in dataclasses.fields(plan.groups)]
+                  + [plan.pairing.pairs, plan.pairing.selfconjugate]
                   + [u for u, _ in plan.critical.values()]
                   + [plan.core, plan.factors[False].transform])
-        assert plan.critical
+        assert plan.critical and len(plan.pairing.pairs)
         for array in arrays:
             with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+                array[(0,) * array.ndim] = 0
 
 
 class TestPlanTransform:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from structdiag import (
     DEFAULT_TOL,
-    EigenGroup,
+    EigenDecomposition,
+    EigenGroups,
     NotDiagonalizable,
     NumericalBreakdown,
     SpectrumNotConjugateSymmetric,
@@ -129,22 +132,23 @@ class TestGrouping:
     def test_merges_within_tolerance(self):
         a = np.diag([1.0, 1.0 + 1e-12, 5.0]).astype(complex)
         groups = group_eigenvalues(eigen(a))
-        assert sorted(g.multiplicity for g in groups) == [1, 2]
+        assert groups.sizes.tolist() == [2, 1]
+        assert groups.basis.shape == (3, 3)
 
     def test_separated_values_stay_apart(self):
         groups = group_eigenvalues(eigen(np.diag([1.0, 2.0]).astype(complex)))
-        assert [g.multiplicity for g in groups] == [1, 1]
+        assert groups.sizes.tolist() == [1, 1]
 
     def test_scalar_matrix_single_group(self):
         groups = group_eigenvalues(eigen(np.eye(4, dtype=complex)))
-        assert len(groups) == 1
-        g = groups[0]
-        assert g.multiplicity == 4
-        assert fro(herm_transpose(g.basis) @ g.basis - np.eye(4)) <= 1e-12
+        assert groups.sizes.tolist() == [4]
+        basis = groups.basis
+        assert fro(herm_transpose(basis) @ basis - np.eye(4)) <= 1e-12
 
 
 def _cluster_indices_loop(values, radius):
-    """The pairwise double loop that _cluster_indices vectorizes."""
+    """The pairwise double loop that _cluster_indices replaces: clusters as
+    index lists, ascending, in the order of their smallest index."""
     m = values.shape[0]
     parent = list(range(m))
 
@@ -164,27 +168,176 @@ def _cluster_indices_loop(values, radius):
     return list(clusters.values())
 
 
-class TestClusterIndices:
-    @given(st.lists(st.lists(st.booleans(), max_size=6), min_size=1,
+def _groups_loop(dec):
+    """group_eigenvalues one cluster at a time, as a list of (value,
+    basis) sorted by (Re, Im), or the message of the first defective
+    cluster in the order of their smallest index."""
+    radius = cluster_radius(dec.values)
+    roundoff = RANK_TOL * max(1.0, fro(dec.matrix))
+    groups = []
+    for members in _cluster_indices_loop(dec.values, radius):
+        value = complex(np.mean(dec.values[members]))
+        q = dec.vectors[:, members]
+        if len(members) > 1:
+            u, s, wh = np.linalg.svd(q, full_matrices=False)
+            q = u @ wh
+            spread = np.max(np.abs(dec.values[members] - value))
+            if (np.count_nonzero(s > RANK_TOL * s.max()) < len(members)
+                    or np.linalg.norm(dec.matrix @ q - value * q, 2)
+                    > roundoff + max(radius, spread)):
+                return f"eigenvalue {value:.6g} has a deficient eigenspace"
+        groups.append((value, q))
+    return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
+
+
+def _pairing_loop(values, sizes):
+    """pair_conjugates with the full matrix of distances
+    |value_j - conj(value_i)| and one masked argmin per group: (pairs,
+    self-conjugate) or the message of the failed match."""
+    radius = cluster_radius(values)
+    distance = np.abs(values[None, :] - np.conj(values)[:, None])
+    used = np.zeros(len(values), dtype=bool)
+    pairs, singles = [], []
+    for i in np.lexsort((values.imag, values.real)).tolist():
+        if used[i]:
+            continue
+        used[i] = True
+        if distance[i, i] <= radius:
+            singles.append(i)
+            continue
+        dist = np.where(used, np.inf, distance[i])
+        best = int(np.argmin(dist))
+        if dist[best] > radius:
+            return f"eigenvalue {values[i]:.6g} has no conjugate partner"
+        if sizes[i] != sizes[best]:
+            return (f"conjugate eigenvalues {values[i]:.6g} and "
+                    f"{values[best]:.6g} have multiplicities {sizes[i]} != "
+                    f"{sizes[best]}")
+        used[best] = True
+        pairs.append([i, best] if values[i].imag <= values[best].imag
+                     else [best, i])
+    return pairs, singles
+
+
+def _chain_values(chains, angle, rnd, radius):
+    """Chains of values, each step just under (True) or just over (False)
+    the radius, so that single linkage can span far more than the radius;
+    shuffled."""
+    step = np.exp(1j * angle)
+    values = []
+    for c, under in enumerate(chains):
+        v = complex(0.5 * c, -0.3 * c)
+        values.append(v)
+        for u in under:
+            v += step * radius * (1 - 1e-6 if u else 1 + 1e-6)
+            values.append(v)
+    rnd.shuffle(values)
+    return np.array(values, dtype=complex)
+
+
+def _bases(groups):
+    """Each group's block of columns of the basis."""
+    return np.split(groups.basis, groups.sizes.cumsum()[:-1], axis=1)
+
+
+_CHAINS = (st.lists(st.lists(st.booleans(), max_size=6), min_size=1,
                     max_size=4),
            st.floats(0.0, 2 * np.pi), st.randoms(use_true_random=False))
+
+
+class TestClusterIndices:
+    @given(*_CHAINS)
     @settings(max_examples=60, deadline=None)
     def test_chains_match_the_pairwise_loop(self, chains, angle, rnd):
-        # Each chain steps just under (True) or just over (False) the
-        # radius, so single linkage can span far more than the radius.
         radius = cluster_radius(np.array([2.0]))
-        step = np.exp(1j * angle)
-        values = []
-        for c, under in enumerate(chains):
-            v = complex(0.5 * c, -0.3 * c)
-            values.append(v)
-            for u in under:
-                v += step * radius * (1 - 1e-6 if u else 1 + 1e-6)
-                values.append(v)
-        rnd.shuffle(values)
-        values = np.array(values, dtype=complex)
-        assert (_cluster_indices(values, radius)
-                == _cluster_indices_loop(values, radius))
+        values = _chain_values(chains, angle, rnd, radius)
+        labels = _cluster_indices(values, radius)
+        assert [np.flatnonzero(labels == c).tolist()
+                for c in range(labels.max() + 1)
+                ] == _cluster_indices_loop(values, radius)
+
+
+class TestArrayGrouping:
+    """The grouping and the pairing, which work on arrays, against the
+    plain loops they replace."""
+
+    @given(*_CHAINS, st.lists(st.booleans(), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_grouping_matches_the_cluster_loop(self, chains, angle, rnd,
+                                               defective):
+        # The radius of the chain starts, which the steps move by far
+        # less than their 1e-6 margin.
+        starts = [complex(0.5 * c, -0.3 * c) for c in range(len(chains))]
+        values = _chain_values(chains, angle, rnd,
+                               cluster_radius(np.array(starts)))
+        vectors = random_unitary(values.size, rnd.randrange(1000))
+        matrix = (vectors * values) @ herm_transpose(vectors)
+        # Copies of one eigenvector make a merged cluster defective.
+        merged = [c for c in _cluster_indices_loop(
+            values, cluster_radius(values)) if len(c) > 1]
+        for members, bad in zip(merged, defective):
+            if bad:
+                vectors[:, members] = vectors[:, members[:1]]
+        dec = EigenDecomposition(values, vectors, matrix, hermitian=False)
+        expected = _groups_loop(dec)
+        if isinstance(expected, str):
+            with pytest.raises(NotDiagonalizable) as raised:
+                group_eigenvalues(dec)
+            assert str(raised.value) == expected
+            return
+        groups = group_eigenvalues(dec)
+        assert groups.values.tolist() == [v for v, _ in expected]
+        assert groups.sizes.tolist() == [q.shape[1] for _, q in expected]
+        for basis, (_, q) in zip(_bases(groups), expected):
+            assert np.array_equal(basis, q)
+
+    @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
+                              st.integers(1, 3), st.booleans()),
+                    max_size=6),
+           st.booleans(), st.lists(st.integers(0, 20), max_size=2),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_pairing_matches_the_greedy_loop(self, points, skew, drop, rnd):
+        # A spectrum of A_hat closed under conjugation, with each value
+        # repeated to its multiplicity, minus a few values so that some
+        # partners go missing or lose a member. A doubled point is v and
+        # v + 1.1 r with the partners conj(v + (0.5 + 0.75i) r) and
+        # conj(v + (0.6 - 0.75i) r): four groups, each with both of the
+        # other side as candidates (0.90 r and 0.96 r away).
+        r = cluster_radius(np.array([complex(x, y) for x, y, _, _ in points]))
+        spectrum = []
+        for x, y, k, doubled in points:
+            v = complex(x, y)
+            group = [v, v.conjugate()]
+            if doubled:
+                group = [v, v + 1.1 * r, (v + (0.5 + 0.75j) * r).conjugate(),
+                         (v + (0.6 - 0.75j) * r).conjugate()]
+            spectrum += group * k
+        for d in drop:
+            if spectrum:
+                spectrum.pop(d % len(spectrum))
+        rnd.shuffle(spectrum)
+        hat = np.array(spectrum, dtype=complex)
+        # A skewadjoint A has the spectrum of A_hat = i A divided by i.
+        values = hat / 1j if skew else hat
+        dec = EigenDecomposition(values, np.eye(values.size, dtype=complex),
+                                 np.diag(values), hermitian=False)
+        groups = group_eigenvalues(dec)
+        expected = [v for v, _ in _groups_loop(dec)]
+        if skew:
+            # The relabel of the plan: one multiply, as value by value.
+            groups = dataclasses.replace(groups, values=1j * groups.values)
+            expected = [1j * v for v in expected]
+        assert groups.values.tolist() == expected
+        pairing = _pairing_loop(groups.values, groups.sizes)
+        if isinstance(pairing, str):
+            with pytest.raises(SpectrumNotConjugateSymmetric) as raised:
+                pair_conjugates(groups)
+            assert str(raised.value) == pairing
+            return
+        found = pair_conjugates(groups)
+        assert found.pairs.tolist() == pairing[0]
+        assert found.selfconjugate.tolist() == pairing[1]
 
 
 class TestPairing:
@@ -195,20 +348,18 @@ class TestPairing:
         assert len(pairing.pairs) == 1
         assert len(pairing.selfconjugate) == 1
         lo, hi = pairing.pairs[0]
-        assert groups[lo].value.imag < 0 < groups[hi].value.imag
+        assert groups.values[lo].imag < 0 < groups.values[hi].imag
 
     @pytest.mark.parametrize("direction", [-np.inf, np.inf])
     def test_lower_member_ignores_real_part_roundoff(self, direction):
         # The real parts of a conjugate pair agree only up to roundoff: one
         # ulp either way must leave the member below the real axis first.
-        eye = np.eye(2, dtype=complex)
-        groups = [
-            EigenGroup(complex(np.nextafter(0.7, direction), 0.4), 1,
-                       eye[:, :1]),
-            EigenGroup(complex(0.7, -0.4), 1, eye[:, 1:]),
-        ]
+        groups = EigenGroups(
+            np.array([complex(np.nextafter(0.7, direction), 0.4),
+                      complex(0.7, -0.4)]),
+            np.array([1, 1]), np.eye(2, dtype=complex))
         ((lo, hi),) = pair_conjugates(groups).pairs
-        assert groups[lo].value.imag < 0 < groups[hi].value.imag
+        assert groups.values[lo].imag < 0 < groups.values[hi].imag
 
     def test_missing_partner_rejected(self):
         groups = group_eigenvalues(eigen(np.diag([1j]).astype(complex)))
@@ -227,7 +378,7 @@ class TestPairing:
         a = random_structured("skew-hamiltonian", 2, seed)
         pairing = pair_conjugates(group_eigenvalues(eigen(a)))
         total = 2 * len(pairing.pairs) + len(pairing.selfconjugate)
-        assert total == len(group_eigenvalues(eigen(a)))
+        assert total == len(group_eigenvalues(eigen(a)).sizes)
 
 
 class TestDiagonalizable:
@@ -259,10 +410,11 @@ def _rank_test_every_cluster(a):
     m = a.shape[0]
     dec = eigen(a)
     cutoff = RANK_TOL * max(1.0, fro(a))
-    for members in _cluster_indices(dec.values, cluster_radius(dec.values)):
-        value = complex(np.mean(dec.values[np.array(members)]))
+    labels = _cluster_indices(dec.values, cluster_radius(dec.values))
+    for c in range(labels.max() + 1):
+        value = complex(np.mean(dec.values[labels == c]))
         s = np.linalg.svd(a - value * np.eye(m), compute_uv=False)
-        if int(np.count_nonzero(s > cutoff)) != m - len(members):
+        if int(np.count_nonzero(s > cutoff)) != m - np.sum(labels == c):
             return False
     return True
 
@@ -356,11 +508,13 @@ class TestStructuredSpectralFacts:
         form = symplectic_form(n)
         a = random_structured("skew-hamiltonian", n, seed)
         groups = group_eigenvalues(eigen(a))
-        scale = max(1.0, max(abs(g.value) for g in groups))
-        for i, gi in enumerate(groups):
-            for j, gj in enumerate(groups):
-                if abs(np.conj(gi.value) - gj.value) > 1e-6 * scale:
-                    cross = herm_transpose(gi.basis) @ form.matrix @ gj.basis
+        values = groups.values
+        bases = _bases(groups)
+        scale = max(1.0, np.abs(values).max())
+        for vi, bi in zip(values, bases):
+            for vj, bj in zip(values, bases):
+                if abs(np.conj(vi) - vj) > 1e-6 * scale:
+                    cross = herm_transpose(bi) @ form.matrix @ bj
                     assert fro(cross) <= 1e-8 * scale
 
     @given(st.integers(0, 10**5))
@@ -369,10 +523,11 @@ class TestStructuredSpectralFacts:
         n = 2
         form = symplectic_form(n)
         a = random_structured("skew-hamiltonian", n, seed)
-        for g in group_eigenvalues(eigen(a)):
-            if abs(g.value.imag) > 1e-6:
-                assert fro(gram(g.basis, form)) <= (
-                    DEFAULT_TOL.structure_tol * fro(g.basis) ** 2
+        groups = group_eigenvalues(eigen(a))
+        for value, basis in zip(groups.values, _bases(groups)):
+            if abs(value.imag) > 1e-6:
+                assert fro(gram(basis, form)) <= (
+                    DEFAULT_TOL.structure_tol * fro(basis) ** 2
                     * fro(form.matrix))
 
     def test_conjugate_pair_gram_block_shape(self):
@@ -384,11 +539,11 @@ class TestStructuredSpectralFacts:
                                                 critical_share=0.0)
         groups = group_eigenvalues(eigen(inst.matrix))
         pairing = pair_conjugates(groups)
-        assert pairing.pairs
+        assert len(pairing.pairs)
         for lo, hi in pairing.pairs:
-            stacked = np.hstack([groups[lo].basis, groups[hi].basis])
+            stacked = groups.basis[:, groups.columns([lo, hi])]
             g = gram(stacked, form)
-            m = groups[lo].multiplicity
+            m = groups.sizes[lo]
             assert numerical_rank(g) == 2 * m
             assert fro(g[:m, :m]) <= 1e-9
             assert fro(g[m:, m:]) <= 1e-9

@@ -237,7 +237,7 @@ def test_only_the_spectral_cuts_keep_a_unit_floor():
             floored.add((module, top))
     # The CLI's worker count is a clamp, not a scale.
     assert floored - {("cli", "cmd_analyze")} == {
-        ("spectral", "cluster_radius"), ("spectral", "_cluster_groups"),
+        ("spectral", "cluster_radius"), ("spectral", "group_eigenvalues"),
         ("spectral", "eigenvalues_match")}
     assert sorted(set(_callers("_ratio"))) == [
         ("core", "rel_residual"), ("decompose", "_annihilation"),
@@ -246,11 +246,16 @@ def test_only_the_spectral_cuts_keep_a_unit_floor():
         ("diagonalize", "_similarity"), ("diagonalize", "factor_residuals")]
 
 
-def test_bench_pairs_scales_each_step_by_its_runs_yardstick(tmp_path):
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", REPO / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_scales_each_step_by_its_runs_yardstick(tmp_path):
+    bench_pairs = _bench_pairs()
     out = tmp_path / "bench" / "out"
     out.mkdir(parents=True)
     metrics = {"yardstick_ms.p50": 4.0, "classify_ms.p50": 2.0,
@@ -269,3 +274,35 @@ def test_bench_pairs_scales_each_step_by_its_runs_yardstick(tmp_path):
             "yardstick_ms.p50": speed * 4.0,
             "classify_ms.p50/yardstick": 0.5,
             "chain_ms.p50/yardstick": 2.5}
+
+
+def test_bench_pairs_prints_both_sides_of_the_traced_layers():
+    bench_pairs = _bench_pairs()
+
+    def summary(**values):
+        return {"failed": 0, "metrics": {
+            name.replace("__", "."): {"value": value, "unit": "ms"}
+            for name, value in values.items()}}
+
+    base = bench_pairs.traced_metrics(summary(
+        layer__spectral__self_ms=2.0, spectral__pair_conjugates__self_ms=0.5,
+        lapack__eig__calls=1.0, lapack__eig__ms=3.0,
+        spectral__eigen__calls=4.0, forms__adjoint__calls=6.0,
+        trace__self_sum_ms=9.0))
+    # Self times, kernel calls and eigen calls; not kernel times, other
+    # call counts or the trace's own totals.
+    assert base == {"layer.spectral.self_ms": 2.0,
+                    "spectral.pair_conjugates.self_ms": 0.5,
+                    "lapack.eig.calls": 1.0, "spectral.eigen.calls": 4.0}
+    change = bench_pairs.traced_metrics(summary(
+        layer__spectral__self_ms=1.5, spectral__pair_conjugates__self_ms=0.0,
+        lapack__eig__calls=1.0, spectral__eigen__calls=4.0,
+        layer__bench__self_ms=1.0))
+    assert bench_pairs.traced_lines(base, change) == [
+        "lapack.eig.calls: 1 -> 1, +0.0%",
+        "layer.spectral.self_ms: 2 -> 1.5, -25.0%",
+        "spectral.eigen.calls: 4 -> 4, +0.0%",
+        "spectral.pair_conjugates.self_ms: 0.5 -> 0, -100.0%"]
+    assert bench_pairs.traced_lines({"lapack.qr.calls": 0.0},
+                                    {"lapack.qr.calls": 2.0}) == [
+        "lapack.qr.calls: 0 -> 2"]
