@@ -2,8 +2,10 @@
 which keeps the certified unitary factor [V, B^T V] it reads N = V D V^H
 from and bounds N's normality and annihilation from V's two Grams (read
 off the factor's certificate), with no 2n x 2n product; its inverse
-construction (from one spectral.eigen of N, certified from the completed
-frame), the verification that measures every residual with 2n x 2n
+construction (N factored on the form's half: one spectral.eigen of the
+n x n block U+^H N U+ and one k x k Rayleigh-Ritz step on N's range,
+the frame completed as a graph over the eigenspaces of R or iJ and
+certified), the verification that measures every residual with 2n x 2n
 products, and the structured matrix exponential (taken through that
 factor, with no factorization) and p-th root.
 """
@@ -36,7 +38,7 @@ from .diagonalize import (
     StructuredDiagonalization,
     Variant,
     _certified,
-    _complete,
+    _lagrangian_completion,
     _record,
     _store,
     _with_normality,
@@ -51,8 +53,8 @@ from .errors import (
     NumericalBreakdown,
     SingularInput,
 )
-from .forms import FormTag, InnerProduct, adjoint, gram
-from .spectral import eigen
+from .forms import FormTag, InnerProduct, _halves, adjoint, gram
+from .spectral import EigenDecomposition, eigen
 from .structure import _normal_check, _with_partners
 
 
@@ -225,22 +227,33 @@ def reconstruct_from_normal_factor(
 ) -> tuple[np.ndarray, StructuredDiagonalization]:
     """A = N +/- N* together with a certified unitary diagonalization.
 
-    N is factored once, by spectral.eigen, which for a normal N takes one
-    eigh. N is checked normal first, so the moduli |lambda| of its
-    eigenvalues are its singular values: those above RANK_TOL times the
-    largest (core._rank) are kept, largest first, and their eigenvectors
-    V0 span N's range, the others its null space, the orthogonal
-    complement of V0, which holds BV0. On eigen's general route (eig,
-    taken when two eigenvalues share mu, as a core value c - i does with
-    N's zeros), vectors of one eigenvalue need not be orthogonal, so one
-    complete QR of the kept columns gives both orthonormal bases instead;
-    for normal N its leading columns are still eigenvectors, in order.
-    V0 spans a neutral subspace, extended to a Lagrangian frame V when
-    k < n (zero-padding the core); the completion works inside the null
-    space basis: one complete QR of the (2n - k) x k matrix Z^H B V0 (see
-    diagonalize._complete). N is judged on input; what is built from it,
-    the unitary automorphism [V, B^T V] (structure._with_partners), once,
-    by certify, from V (diagonalize._frame_certificate).
+    N is factored on the form's half. U+ and U- are orthonormal bases of
+    the +1 and -1 eigenspaces of R or iJ (forms._halves). A neutral range
+    is a graph over U+: N = V D V^H with V = (U+ X + U- Y)/sqrt 2, X and Y
+    unitary, so the n x n block P = U+^H N U+ = X D X^H / 2, formed by
+    slicing, is normal with eigenvalues d_j / 2. One spectral.eigen of P
+    gives the rank (core._rank of its moduli), at most n, and the
+    eigenvectors X_k of the kept values, whose images
+    N U+ X_k = V_k D_k / sqrt 2 span N's range and are orthogonal.
+    Normalized and taken one Newton-Schulz step towards orthonormal
+    (their Gram is I up to the range's neutrality error), they are a basis
+    W of the range, and one k x k Rayleigh-Ritz step, spectral.eigen of
+    W^H N W, reads N's core values and eigenvectors V0 on it, largest
+    first: exact on the range whether or not the range is exactly
+    neutral, which 2 eig(P) is not. W's columns are already nearly
+    eigenvectors, so W^H N W is nearly diagonal and its eigen runs no
+    eigh unless the first-order test fails. On eigen's general route
+    (eig, taken when two eigenvalues share mu, as a core value c - i does
+    with P's zeros), vectors of one eigenvalue need not be orthogonal,
+    and one QR (n x k or k x k) orthonormalizes them; for a normal matrix
+    its columns are still eigenvectors, in order (_leading_eigenpairs).
+    V0 must span a neutral subspace (NotNeutralRange); when k < n it is
+    extended to a Lagrangian frame V (the core zero-padded) by the graph
+    completion complete_to_lagrangian uses
+    (diagonalize._lagrangian_completion). N is judged on input; what is
+    built from it, the unitary automorphism [V, B^T V]
+    (structure._with_partners), once, by certify, from V
+    (diagonalize._frame_certificate).
     """
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
@@ -257,28 +270,40 @@ def reconstruct_from_normal_factor(
     # A is built from N, so it reconstructs exactly: no residual to judge.
     a = n_mat + sign.factor * n_star
 
-    dec = eigen(n_mat)
-    mags = np.abs(dec.values)
-    rank = _rank(mags)
-    if rank > n:
-        raise NotNeutralRange(
-            f"rank {rank} exceeds the maximal neutral dimension {n}")
-    order = np.argsort(-mags, kind="stable")
-    basis = dec.vectors[:, order]
-    if not dec.hermitian:
-        basis = np.linalg.qr(basis[:, :rank], mode="complete")[0]
-    v0 = basis[:, :rank]
+    # N U+ = (U+^H N^H)^H and P = U+^H N U+, by slicing.
+    n_plus = herm_transpose(_halves(herm_transpose(n_mat), form)[0])
+    half = eigen(_halves(n_plus, form)[0])
+    rank = int(_rank(np.abs(half.values)))
+    # The range basis W and the Rayleigh-Ritz step on it.
+    w = n_plus @ _leading_eigenpairs(half, rank)[1]
+    w /= np.linalg.norm(w, axis=0)
+    w = 1.5 * w - 0.5 * w @ (herm_transpose(w) @ w)
+    values, z = _leading_eigenpairs(
+        eigen(herm_transpose(w) @ (n_mat @ w), nearly_diagonal=True), rank)
+    v0 = w @ z
     if rank and not _within(FACTOR_GUARANTEE * fro(form.matrix),
                             fro(gram(v0, form))):
         raise NotNeutralRange("column space of N is not neutral")
-    frame = _complete(v0, basis[:, rank:], form)
-    core = np.concatenate([dec.values[order[:rank]],
-                           np.zeros(n - rank, complex)])
+    frame = _lagrangian_completion(v0, form)
+    core = np.concatenate([values, np.zeros(n - rank, complex)])
 
     variant = (Variant.SELFADJOINT if sign is Sign.PLUS
                else Variant.SKEWADJOINT)
     return a, certify(a, _with_partners(frame, form), core, form, variant,
                       unitary=True)
+
+
+def _leading_eigenpairs(dec: EigenDecomposition, count: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` eigenvalues of largest modulus, largest first (ties
+    in eigen's order), and their eigenvectors, orthonormalized by one QR
+    on eigen's general route, where vectors of one eigenvalue need not be
+    orthogonal."""
+    order = np.argsort(-np.abs(dec.values), kind="stable")[:count]
+    vectors = dec.vectors[:, order]
+    if not dec.hermitian:
+        vectors = np.linalg.qr(vectors)[0]
+    return dec.values[order], vectors
 
 
 def _check_form_tag(dec: AdditiveDecomposition, form: InnerProduct) -> None:

@@ -20,9 +20,7 @@ certified and decomposed from its frame: unitary_refine runs the same
 construction, takes its frame one Newton-Schulz step towards the unitary
 polar factor and routes [X, B^T X] (_unitary_factor), and certifies it,
 unitarity too, from the first n rows of S^H S - I, which hold X's two
-n x n Grams (_frame_certificate). The same
-pairing (_balanced_pairs) gives the neutral half of the complement Gram
-in Lagrangian completion.
+n x n Grams (_frame_certificate).
 
 Every entry point, the report included, checks only the structure it
 reads (selfadjoint or skewadjoint, and normality on the unitary routes),
@@ -51,13 +49,15 @@ The certificate reads S^{-1} off the form: the form adjoint S* of S is
 (I + E) times the similarity residual exactly (_similarity). It solves no
 linear system; factor_residuals forms E from S^H B S, while for a unitary
 factor of partner form E is assembled from its first n rows. Lagrangian
-completion (_complete) works inside a given orthonormal basis of the
-frame's orthogonal complement: one complete QR
-of V for complete_to_lagrangian, N's null eigenvectors (on eigen's
-general route, the trailing columns of one complete QR of the kept
-ones) for decompose.reconstruct_from_normal_factor. J and R enter every product
-as signed permutations (forms._times_form, forms._form_times,
-forms._inverse_times), never as dense matrices.
+completion (_lagrangian_completion, which complete_to_lagrangian and
+decompose.reconstruct_from_normal_factor share) appends to a neutral V
+the graph (U+ X + U- Y)/sqrt 2 over the two n-dimensional eigenspaces
+U+ and U- of R or iJ (forms._halves, forms._graph), X and Y the
+complements of V's coordinates U+^H V and U-^H V from one stacked
+complete QR of the two n x k matrices. J and R enter every product as
+signed permutations (forms._times_form, forms._form_times,
+forms._inverse_times), and U+ and U- as slices, flips and signs, never
+as dense matrices.
 """
 
 from __future__ import annotations
@@ -96,11 +96,12 @@ from .forms import (
     Inertia,
     InnerProduct,
     _form_times,
+    _graph,
+    _halves,
     _inverse_times,
     _sylvester,
     _times_form,
     adjoint,
-    gram,
 )
 from .spectral import (
     ConjugatePairing,
@@ -760,50 +761,39 @@ def _balanced_pairs(u: np.ndarray, form: InnerProduct
     return x, y
 
 
-def _neutral_half(w: np.ndarray, form: InnerProduct) -> np.ndarray:
-    """m orthonormal neutral columns in the span of 2m orthonormal W: the
-    normalized Wx of _balanced_pairs. Distinct pairs stay orthogonal in
-    both senses. NumericalBreakdown unless W's Gram is balanced.
+def _lagrangian_completion(v: np.ndarray, form: InnerProduct
+                           ) -> np.ndarray:
+    """complete_to_lagrangian's construction, without its checks: V with
+    n - k columns appended, from one stacked complete QR of two n x k
+    matrices.
+
+    Every Lagrangian subspace of R or iJ is the graph
+    {U+ x + U- Phi x} of a unitary Phi between their two n-dimensional
+    eigenspaces (Gohberg, Lancaster & Rodman, Indefinite Linear Algebra
+    and Applications, 2005); forms._halves gives V's coordinates
+    U+^H V and U-^H V in them. The trailing columns X and Y of the
+    complete QRs of these two n x k matrices are orthonormal and
+    orthogonal to them, so the new columns (U+ X + U- Y)/sqrt 2
+    (forms._graph) are orthonormal and neutral, and orthogonal to V in
+    both senses, exactly in exact arithmetic, whether or not V is
+    itself exactly neutral.
     """
-    u, w_inertia = _sylvester(gram(w, form), form.kind)
-    if not w_inertia.balanced:
-        raise NumericalBreakdown(f"complement Gram inertia {w_inertia.counts}")
-    x = w @ _balanced_pairs(u, form)[0]
-    return x / np.linalg.norm(x, axis=0)
-
-
-def _complete(v: np.ndarray, z: np.ndarray,
-              form: InnerProduct) -> np.ndarray:
-    """complete_to_lagrangian's construction, without its checks, given an
-    orthonormal basis Z (2n x (2n - k)) of the orthogonal complement of
-    the k columns of V.
-
-    V is orthonormal and neutral (both callers check it), so BV lies in
-    span(Z) up to V's neutrality error. The trailing 2(n - k) columns of
-    the complete QR of C = Z^H B V ((2n - k) x k) span the complement of
-    C, so Z times them is an orthonormal basis W orthogonal to V and to
-    the projection Z Z^H B V, hence W^H B V = 0 exactly in exact
-    arithmetic whether or not BV lies in span(Z).
-    """
-    n, k = form.half, v.shape[1]
-    if k == n:
+    k = v.shape[1]
+    if k == form.half:
         return v.copy()
-    if k:
-        c = herm_transpose(z) @ _times_form(form, v)
-        z = z @ np.linalg.qr(c, mode="complete")[0][:, k:]
-    return np.hstack([v, _neutral_half(z, form)])
+    x, y = np.linalg.qr(np.stack(_halves(v, form)),
+                        mode="complete")[0][..., k:]
+    return np.hstack([v, _graph(x, y, form)])
 
 
 def complete_to_lagrangian(v: np.ndarray | None,
                            form: InnerProduct) -> np.ndarray:
     """Extend an orthonormal neutral frame to an orthonormal Lagrangian one.
 
-    The completion lives in the Euclidean orthogonal complement of
-    span(V) and span(BV), whose Gram is balanced; its neutral half (see
-    _neutral_half) supplies the new columns. The trailing columns of one
-    complete QR of V span V's complement, inside which _complete takes
-    that of BV. The input columns are returned unchanged in the leading
-    positions.
+    The new columns are the graph (U+ X + U- Y)/sqrt 2 of the
+    complements X and Y of V's coordinates in the two eigenspaces of R or
+    iJ (_lagrangian_completion). The input columns are returned unchanged
+    in the leading positions.
     """
     if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
         raise NotStructured("Lagrangian completion targets the J or R forms")
@@ -825,9 +815,7 @@ def complete_to_lagrangian(v: np.ndarray | None,
         if not _within(FRAME_GUARANTEE, res_neut):
             raise NotNeutral(
                 f"frame span is not neutral (residual {res_neut:.3e})")
-    z = (np.linalg.qr(v, mode="complete")[0][:, k:] if 0 < k < n
-         else np.eye(2 * n, dtype=np.complex128))
-    out = _complete(v, z, form)
+    out = _lagrangian_completion(v, form)
     res_orth, res_neut = frame_residuals(out, form)
     if not _within(FRAME_GUARANTEE, res_orth, res_neut):
         raise NumericalBreakdown(

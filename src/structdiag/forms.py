@@ -170,6 +170,33 @@ def _form_times(form: InnerProduct, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _halves(x: np.ndarray, form: InnerProduct
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(U+^H x, U-^H x) for a 2n-row x, U+ and U- orthonormal bases of the
+    +1 and -1 eigenspaces of the Hermitian involution R or iJ:
+    U+/- = [F; +/-I]/sqrt 2 under R (F the n x n flip) and
+    [I; -/+iI]/sqrt 2 under J, applied by slicing, a flip and a sign."""
+    n = form.half
+    top, bottom = x[:n], x[n:]
+    if form.tag is FormTag.PERPLECTIC_R:
+        top = top[::-1]
+    else:
+        bottom = 1j * bottom
+    return (top + bottom) / np.sqrt(2.0), (top - bottom) / np.sqrt(2.0)
+
+
+def _graph(x: np.ndarray, y: np.ndarray, form: InnerProduct) -> np.ndarray:
+    """(U+ x + U- y)/sqrt 2 (see _halves) for n-row x and y. Its Gram
+    under R or iJ is (x^H x - y^H y)/2 and its own is (x^H x + y^H y)/2,
+    so it is orthonormal and neutral whenever x and y are orthonormal."""
+    top, bottom = (x + y) / 2.0, (x - y) / 2.0
+    if form.tag is FormTag.PERPLECTIC_R:
+        top = top[::-1]
+    else:
+        bottom = -1j * bottom
+    return np.concatenate([top, bottom])
+
+
 def gram(v: np.ndarray, form: InnerProduct) -> np.ndarray:
     """Gram matrix (V^H B) V of a column frame."""
     v = np.asarray(v, dtype=np.complex128)

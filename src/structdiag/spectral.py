@@ -88,18 +88,24 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 _MIX = (1.0 - 0.6180339887498949j) / 2.0
 
 
-def eigen(a: np.ndarray) -> EigenDecomposition:
+def eigen(a: np.ndarray, nearly_diagonal: bool = False
+          ) -> EigenDecomposition:
     """Full eigendecomposition with unit-norm eigenvector columns.
 
     Tries _hermitian_eigen first: one eigh of M = W A + conj(W) A^H and a
     first-order correction, which a normal A passes unless two of its
     eigenvalues (nearly) share mu. Any A that fails that test goes to
     LAPACK's general eig, as does every A whose eigh does not converge.
+    A ``nearly_diagonal`` A, such as the Rayleigh-Ritz matrix of a basis
+    that is already nearly an eigenbasis, is first given the same test
+    with Q = I, which runs no eigh.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("eigendecomposition requires a square matrix")
-    dec = _hermitian_eigen(a)
+    dec = _hermitian_eigen(a, nearly_diagonal) if nearly_diagonal else None
+    if dec is None:
+        dec = _hermitian_eigen(a)
     if dec is not None:
         return dec
     try:
@@ -111,8 +117,10 @@ def eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors / norms, a, hermitian=False)
 
 
-def _hermitian_eigen(a: np.ndarray) -> EigenDecomposition | None:
-    """A's eigenpairs from Q = eigh(M), M = W A + conj(W) A^H, or None.
+def _hermitian_eigen(a: np.ndarray, nearly_diagonal: bool = False
+                     ) -> EigenDecomposition | None:
+    """A's eigenpairs from Q = eigh(M), M = W A + conj(W) A^H, or from
+    Q = I when A is ``nearly_diagonal``, or None.
 
     With T = Q^H A Q the values are lambda = diag T, and the vectors
     V = Q (I + G), G_ij = T_ij / (lambda_j - lambda_i), solve A V = V
@@ -120,22 +128,38 @@ def _hermitian_eigen(a: np.ndarray) -> EigenDecomposition | None:
     cluster radius r, where eigenvalues share a group anyway and the
     group's defectiveness test judges the coupling. The route is taken
     only when max |G|^2 <= eps, so that the neglected term lies below
-    unit roundoff; otherwise (a NaN included) None. Accepting on a small
-    off-diagonal T instead would keep Q, which on near-normal input
-    (non-normal part N) sits ||N||/gap off the eigenvectors.
+    unit roundoff, and no off-diagonal |T_ij| within r exceeds r itself;
+    otherwise (a NaN included) None. Accepting on a small off-diagonal T
+    instead would keep Q, which on near-normal input (non-normal part N)
+    sits ||N||/gap off the eigenvectors. A larger coupling within r is
+    that of two eigenvalues that share mu and which eigh's degenerate
+    basis has mixed, so that diag T reads both as their mean.
     """
-    try:
-        q = np.linalg.eigh(_MIX * a + np.conj(_MIX) * herm_transpose(a))[1]
-    except np.linalg.LinAlgError:
-        return None
-    t = herm_transpose(q) @ (a @ q)
-    values = np.diag(t).copy()
+    if nearly_diagonal:
+        q, t = None, a.copy()
+    else:
+        try:
+            q = np.linalg.eigh(_MIX * a + np.conj(_MIX) * herm_transpose(a))[1]
+        except np.linalg.LinAlgError:
+            return None
+        t = herm_transpose(q) @ (a @ q)
+    values = t.diagonal().copy()
     gap = values[None, :] - values[:, None]
-    g = np.divide(t, gap, out=np.zeros_like(t),
-                  where=np.abs(gap) > cluster_radius(values))
-    if not np.max(np.abs(g), initial=0.0) ** 2 <= np.finfo(float).eps:
+    radius = cluster_radius(values)
+    far = np.abs(gap) > radius
+    g = np.divide(t, gap, out=np.zeros_like(t), where=far)
+    if not np.abs(g).max(initial=0.0) ** 2 <= np.finfo(float).eps:
         return None
-    v = q + q @ g
+    # Off-diagonal pairs within r, if any: T's diagonal always is.
+    if np.count_nonzero(far) < values.size * (values.size - 1):
+        np.fill_diagonal(t, 0.0)
+        if not np.abs(t[~far]).max() <= radius:
+            return None
+    if q is None:
+        np.fill_diagonal(g, 1.0)  # V = I + G: G's diagonal is zero.
+        v = g
+    else:
+        v = q + q @ g
     return EigenDecomposition(values, v / np.linalg.norm(v, axis=0), a,
                               hermitian=True)
 
@@ -283,19 +307,26 @@ def pair_conjugates(groups: EigenGroups) -> ConjugatePairing:
     """
     values = groups.values
     radius = cluster_radius(values)
+    ascending = np.lexsort((values.imag, values.real))
+    # |value - conj(value)| = 2 |Im value|: with no group off the real
+    # axis, every group is self-conjugate and no partner is looked for.
+    selfconjugate = 2.0 * np.abs(values.imag) <= radius
+    if selfconjugate.all():
+        return ConjugatePairing(np.empty((0, 2), dtype=np.intp), ascending,
+                                radius)
     candidates: dict[int, list[tuple[float, int]]] = {}
     for a, b, d in zip(*(x.tolist() for x in _close_pairs(
             values, radius, conjugate=True))):
         candidates.setdefault(a, []).append((d, b))
     sizes, imag = groups.sizes.tolist(), values.imag.tolist()
+    single = selfconjugate.tolist()
     used = [False] * len(sizes)
     pairs, singles = [], []
-    for a in np.lexsort((values.imag, values.real)).tolist():
+    for a in ascending.tolist():
         if used[a]:
             continue
         used[a] = True
-        # |value - conj(value)| = 2 |Im value|.
-        if 2.0 * abs(imag[a]) <= radius:
+        if single[a]:
             singles.append(a)
             continue
         _, b = min(((d, b) for d, b in candidates.get(a, ()) if not used[b]),

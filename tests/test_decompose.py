@@ -43,6 +43,7 @@ from structdiag.core import (FACTOR_GUARANTEE, FRAME_GUARANTEE,
                              FRAME_INPUT_TOL, RANK_TOL, fro, herm_transpose)
 from structdiag.decompose import _annihilation, _decomposition_residuals
 from structdiag.diagonalize import _frame_certificate
+from structdiag.forms import _halves
 from structdiag.spectral import _MIX, eigen, eigenvalues_match
 from structdiag.structure import _with_partners, frame_residuals
 
@@ -232,6 +233,42 @@ class TestReconstruct:
         assert max(diag.residual_automorphism,
                    diag.residual_similarity) <= FACTOR_GUARANTEE
 
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    @pytest.mark.parametrize("n", [4, 8, 50])
+    def test_near_neutral_factors_certify_at_a_loose_tolerance(self, formf,
+                                                               n):
+        # Neutrality 1e-8 passes the input checks at structure_tol 1e-6.
+        # The half block's eigenvalues are then the core's halves only to
+        # about 1e-8; the Rayleigh-Ritz step on N's range reads the core
+        # exactly, and every seed certifies.
+        form = formf(n)
+        for seed in range(8):
+            n_mat, v = near_neutral_factor(form, seed, 1e-8)
+            _, diag = reconstruct_from_normal_factor(
+                n_mat, Sign.PLUS, form, TolerancePolicy(structure_tol=1e-6))
+            assert np.count_nonzero(diag.core) == v.shape[1]
+            assert diag.unitary
+            assert max(diag.residual_automorphism,
+                       diag.residual_similarity) <= FACTOR_GUARANTEE
+
+    @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_round_trip_at_n_1(self, formf, sign, rank):
+        # 2n = 2: the half block P is 1 x 1, and a rank-0 frame is all
+        # completion.
+        form = formf(1)
+        n_mat, core = make_factor(form, seed=67, rank=rank)
+        a, diag = reconstruct_from_normal_factor(n_mat, sign, form)
+        assert np.array_equal(a, n_mat + sign.factor * adjoint(n_mat, form))
+        assert np.count_nonzero(diag.core) == rank
+        assert eigenvalues_match(diag.core[:rank], core, 1e-12)
+        assert max(frame_residuals(diag.transform[:, :1], form)) \
+            <= FRAME_GUARANTEE
+        assert diag.unitary
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
+
     @pytest.mark.parametrize("kind", ["skew-hamiltonian", "hamiltonian",
                                       "per-hermitian", "perskew-hermitian"])
     @pytest.mark.parametrize("rank", [0, 1, 3, 4])
@@ -254,9 +291,10 @@ class TestReconstruct:
     @pytest.mark.parametrize("formf", [symplectic_form, perplectic_form])
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_completion_of_a_barely_annihilating_factor(self, formf, seed):
-        # Annihilation residual ~5e-11, inside structure_tol: B V0 lies
-        # off N's null columns by as much, and the completion, taken
-        # inside those columns, still gives a factor that certifies.
+        # Annihilation residual ~5e-11, inside structure_tol: N's range
+        # is neutral only to as much, and the graph completion, orthogonal
+        # to V0 in both senses whatever V0's neutrality, still gives a
+        # factor that certifies.
         form = formf(4)
         n_mat, _ = near_neutral_factor(form, seed, 1e-10)
         left, right = _annihilation(n_mat, adjoint(n_mat, form))
@@ -312,9 +350,11 @@ class TestReconstruct:
 
     # A core value lambda with mu = Re lambda + c Im lambda = 0, c the
     # irrational of spectral.eigen's Hermitian combination, shares mu with
-    # N's zero eigenvalues; two equal-mu values share it with each other.
-    # Either sends eigen to LAPACK's eig, whose vectors of one eigenvalue
-    # need not be orthogonal: reconstruct orthonormalizes them by one QR.
+    # the zero eigenvalues of N's half block P = U+^H N U+ (eigenvalues
+    # d_j / 2 and zeros); two equal-mu values share it with each other.
+    # Either sends eigen of P to LAPACK's eig, whose vectors of one
+    # eigenvalue need not be orthogonal: reconstruct orthonormalizes them
+    # by one QR.
     _C = -2.0 * _MIX.imag
 
     @staticmethod
@@ -324,7 +364,8 @@ class TestReconstruct:
             2j * np.pi * (np.arange(rank) * 0.37 + seed % 7 / 7.0))
         d[:2] = pair
         n_mat = v @ np.diag(d) @ herm_transpose(v)
-        assert not eigen(n_mat).hermitian
+        n_plus = herm_transpose(_halves(herm_transpose(n_mat), form)[0])
+        assert not eigen(_halves(n_plus, form)[0]).hermitian
         return n_mat, d
 
     def _assert_general_route_certifies(self, form, seed, rank, pair):

@@ -55,18 +55,20 @@ from structdiag import (
     variant_for_kind,
 )
 from structdiag import cli
-from structdiag.core import DEFAULT_TOL, fro, herm_transpose, solve_linear
+from structdiag.core import (DEFAULT_TOL, FACTOR_GUARANTEE, fro,
+                             herm_transpose, solve_linear)
 import structdiag.diagonalize as diagonalize_module
 from structdiag.diagonalize import (
     _balanced_pairs,
     _frame_certificate,
-    _neutral_half,
+    _lagrangian_completion,
     certify,
     factor_residuals,
 )
 from structdiag.forms import _sylvester
 from structdiag.structure import _with_partners
 from structdiag.spectral import (
+    _MIX,
     _cluster_indices,
     cluster_radius,
     eigenvalues_match,
@@ -468,6 +470,32 @@ class TestCompleteToLagrangian:
             assert fro(herm_transpose(out) @ out - np.eye(3)) <= 1e-9
 
 
+def test_normal_input_with_two_values_at_one_mu():
+    # A = sum lambda x x^H + conj(lambda) (R x)(R x)^H over
+    # x = (e_1 +/- e_2)/sqrt 2 is normal and per-Hermitian, and
+    # lambda_2 = lambda_1 - c + i shares mu = Re lambda + c Im lambda with
+    # lambda_1, c the irrational of spectral.eigen's Hermitian
+    # combination: eigen must not read the two as their mean, which made
+    # every entry point raise NotDiagonalizable.
+    form = perplectic_form(2)
+    c = -2.0 * _MIX.imag
+    first = 1.0 + 0.5j
+    e = np.eye(4, dtype=complex)
+    a = np.zeros((4, 4), dtype=complex)
+    for value, x in ((first, (e[0] + e[1]) / np.sqrt(2.0)),
+                     (first - c + 1j, (e[0] - e[1]) / np.sqrt(2.0))):
+        rx = form.matrix @ x
+        a += (value * np.outer(x, x.conj())
+              + np.conj(value) * np.outer(rx, rx.conj()))
+    assert classify(a, form).euclidean_normal.ok
+    assert diagonalizability_report(a, form).decision
+    for entry in (structured_diagonalize, unitary_refine):
+        diag = entry(a, form)
+        assert max(diag.residual_automorphism,
+                   diag.residual_similarity) <= FACTOR_GUARANTEE
+    assert decompose_additive(a, form).residuals.worst <= FACTOR_GUARANTEE
+
+
 @pytest.mark.parametrize("entry", [diagonalizability_report,
                                    structured_diagonalize, unitary_refine,
                                    decompose_additive])
@@ -609,15 +637,17 @@ class TestOneSpectralPass:
             (groups, 16, k) for k, groups in Counter(multi).items())
 
     # What reconstruct_from_normal_factor runs on a rank-5 factor at
-    # 2n = 16: one eigen (its one 2n x 2n eigh) gives the eigenbasis of
-    # the range and the complement, with no SVD or Schur, and the
-    # completion's one QR and one eigh of the complement Gram (a
-    # one-slice stack) replace null_space.
-    _RECONSTRUCT_COUNTS = {"eigen": 1, "eig": 0, "eigvalsh": 0, "qr": 1,
+    # 2n = 16: one eigen of the n x n half block P (its one n x n eigh)
+    # gives the rank and a basis of the range, one eigen of the 5 x 5
+    # Rayleigh-Ritz matrix, nearly diagonal in that basis (no eigh), the
+    # eigenbasis on it, with no 2n x 2n eigh or eig, SVD or Schur, and
+    # the graph completion's one stacked QR of two n x 5 matrices
+    # replaces null_space.
+    _RECONSTRUCT_COUNTS = {"eigen": 2, "eig": 0, "eigvalsh": 0, "qr": 1,
                            "null_space": 0, "classify": 0, "cluster": 0,
                            "pair": 0, "congruence": 0, "sylvester": 0,
                            "lu_on_form": 0,
-                           "eigh_shapes": [(16, 16), (1, 6, 6)],
+                           "eigh_shapes": [(8, 8)],
                            "svd_shapes": [], "schur_shapes": []}
 
     @staticmethod
@@ -634,8 +664,9 @@ class TestOneSpectralPass:
 
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
     def test_reconstruct_counts(self, monkeypatch, kind, formf):
-        # The completion's one QR is of the (2n - 5) x 5 matrix Z^H B V0,
-        # Z the null eigenvectors of N.
+        # The completion's one stacked complete QR is of the n x 5
+        # coordinates U+^H V0 and U-^H V0 of the range's eigenbasis V0: no
+        # QR has more than n rows.
         n_mat, sign, form = self._rank5_factor(kind, formf)
         counts = self._count(monkeypatch, form)
         qr_shapes, counted_qr = [], np.linalg.qr
@@ -646,7 +677,7 @@ class TestOneSpectralPass:
 
         monkeypatch.setattr(np.linalg, "qr", shaped_qr)
         reconstruct_from_normal_factor(n_mat, sign, form)
-        assert qr_shapes == [(11, 5)]
+        assert qr_shapes == [(2, 8, 5)]
         assert counts == self._RECONSTRUCT_COUNTS
 
     @pytest.mark.parametrize("kind,formf", _KIND_FORMS)
@@ -1170,7 +1201,8 @@ def test_tight_tolerance_judges_only_the_input(kind):
 
 class TestBalancedPairs:
     """The one pairing of a balanced Gram's negative and positive
-    directions behind every critical eigenspace and completion."""
+    directions behind every critical eigenspace, and the graph completion
+    of a neutral frame."""
 
     @given(st.integers(1, 4), st.booleans(), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -1186,11 +1218,19 @@ class TestBalancedPairs:
         assert fro(gram(wy, form)) <= 1e-10
         assert fro(herm_transpose(wx) @ form.matrix @ wy - np.eye(m)) <= 1e-10
 
-        w = np.linalg.qr(t)[0]
-        v = _neutral_half(w, form)
-        assert v.shape == (2 * m, m)
-        assert fro(herm_transpose(v) @ v - np.eye(m)) <= 1e-12
-        assert fro(gram(v, form)) <= 1e-12
+        # The graph completion of k < m leading columns of W x,
+        # orthonormalized: the m - k columns it appends are orthonormal,
+        # neutral and orthogonal to them in both senses.
+        k = seed % m
+        v = np.linalg.qr(wx)[0][:, :k]
+        out = _lagrangian_completion(v, form)
+        assert out.shape == (2 * m, m)
+        assert np.array_equal(out[:, :k], v)
+        new = out[:, k:]
+        assert fro(herm_transpose(new) @ new - np.eye(m - k)) <= 1e-12
+        assert fro(gram(new, form)) <= 1e-12
+        assert fro(herm_transpose(v) @ new) <= 1e-12
+        assert fro(herm_transpose(v) @ form.matrix @ new) <= 1e-12
 
 
 class TestNearCriticalSweep:

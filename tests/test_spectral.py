@@ -127,6 +127,40 @@ class TestHermitianRoute:
         self._assert_eigenpairs(a, dec)
         assert eigenvalues_match(dec.values, d, 1e-12)
 
+    def test_two_values_at_one_mu_are_not_averaged(self, monkeypatch):
+        # c - i and 2 (c - i) share mu = 0, so M = 0 for the normal
+        # [[m, t], [t, m]], m and t = (c - i +/- 2 (c - i)) / 2: eigh's
+        # basis mixes the two eigenvectors evenly, diag T reads both as
+        # their mean and no gap lies outside the cluster radius. The
+        # coupling |T_12| = |t|, far above the radius, sends it to eig.
+        c = -2.0 * _MIX.imag
+        d = np.array([c - 1j, 2 * (c - 1j)])
+        m, t = (d[0] + d[1]) / 2, (d[0] - d[1]) / 2
+        a = np.array([[m, t], [t, m]])
+        counts = self._count(monkeypatch)
+        dec = eigen(a)
+        assert counts == {"eig": 1, "eigh": 1}
+        self._assert_eigenpairs(a, dec)
+        assert eigenvalues_match(dec.values, d, 1e-12)
+        assert is_diagonalizable(a)
+
+    @pytest.mark.parametrize("coupling,eighs", [(1e-12, 0), (1e-3, 1)])
+    def test_nearly_diagonal_start(self, monkeypatch, coupling, eighs):
+        # A normal A one small rotation off diagonal: its own T, with
+        # Q = I, passes the test when G = coupling / gap is below
+        # sqrt(eps), and otherwise takes the eigh of M as eigen does.
+        d = np.array([1.7 - 0.4j, 0.3 + 0.2j, -0.9 + 1.1j, 0.5 - 1.3j])
+        q = np.linalg.qr(np.eye(4) + coupling * gaussian_matrix(4, 4, 33))[0]
+        a = q @ np.diag(d) @ herm_transpose(q)
+        counts = self._count(monkeypatch)
+        dec = eigen(a, nearly_diagonal=True)
+        assert counts == {"eig": 0, "eigh": eighs}
+        assert dec.hermitian
+        self._assert_eigenpairs(a, dec)
+        if not eighs:
+            # Q = I keeps A's column order.
+            assert np.allclose(dec.values, d, atol=1e-12)
+
 
 class TestGrouping:
     def test_merges_within_tolerance(self):
@@ -360,6 +394,19 @@ class TestPairing:
             np.array([1, 1]), np.eye(2, dtype=complex))
         ((lo, hi),) = pair_conjugates(groups).pairs
         assert groups.values[lo].imag < 0 < groups.values[hi].imag
+
+    def test_real_spectrum_pairs_nothing(self):
+        # Every group self-conjugate: no pair is looked for, and the
+        # singles come in (Re, Im) order, as the greedy loop takes them.
+        r = cluster_radius(np.array([2.0]))
+        values = np.array([2.0, -1.0 + 0.4 * r * 1j, 0.5, -1.0 - 0.4 * r * 1j])
+        sizes = np.array([1, 2, 1, 2])
+        found = pair_conjugates(EigenGroups(values, sizes,
+                                            np.eye(6, dtype=complex)))
+        assert found.pairs.shape == (0, 2)
+        assert found.pairs.dtype == found.selfconjugate.dtype == np.intp
+        assert found.selfconjugate.tolist() == _pairing_loop(values, sizes)[1]
+        assert found.selfconjugate.tolist() == [3, 1, 2, 0]
 
     def test_missing_partner_rejected(self):
         groups = group_eigenvalues(eigen(np.diag([1j]).astype(complex)))

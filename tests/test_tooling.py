@@ -204,6 +204,20 @@ def test_each_factor_is_built_and_certified_in_one_place():
         ("decompose", "verify_decomposition")]
 
 
+def test_lagrangian_frames_are_completed_in_one_place():
+    # reconstruct_from_normal_factor and complete_to_lagrangian share the
+    # one graph completion over the eigenspaces of R or iJ, which alone
+    # builds a graph; the complement-Gram completion is gone.
+    assert sorted(_callers("_lagrangian_completion")) == [
+        ("decompose", "reconstruct_from_normal_factor"),
+        ("diagonalize", "complete_to_lagrangian")]
+    assert _callers("_graph") == [("diagonalize", "_lagrangian_completion")]
+    assert not {(module, top) for module, top, node in _package_nodes()
+                if {"_complete", "_neutral_half"} & {
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)}}
+
+
 def test_report_and_constructors_take_one_path():
     # S0 is routed and certified only where a plan is built, and a plan is
     # built only on the path every entry point takes, the report included,
