@@ -27,8 +27,12 @@ under the same rule, so that a traced run that fails or prints no strict
 JSON fails the script too, and prints both sides of every per-layer
 ``*.self_ms``, ``lapack.*.calls`` and ``spectral.eigen.calls`` of the
 two traced summaries, to show in which layer a change saves time and
-that it runs the same kernels. It only reads ``bench/`` and
-``BENCHMARK.json``.
+that it runs the same kernels. Each ``*.self_ms`` is divided by the same
+traced run's ``yardstick.eig_ms`` (one LAPACK ``eig`` at the workload's
+size, read from the run's full record in ``bench/out/``) and printed as
+``<name>/eig``, so that the two runs, made one after the other, do not
+read a drift in machine speed as a change of every layer; the call
+counts stay unscaled. It only reads ``bench/`` and ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ TRACE_SECONDS = 5.0
 # The medians of the per-step samples in a run's full record.
 STEP_MEDIAN = re.compile(r"^\w+_ms\.p50$")
 YARDSTICK = "yardstick_ms.p50"
+# The time of one eig that a traced run's full record holds.
+EIG_YARDSTICK = "yardstick.eig_ms"
 # The traced metrics printed for both trees.
 TRACED = re.compile(
     r"^[\w.]+\.self_ms$|^lapack\.\w+\.calls$|^spectral\.eigen\.calls$")
@@ -84,13 +90,19 @@ def run(tree: Path, workload: str, seed: int, seconds: float,
                          f"not strict JSON ({exc})") from None
 
 
-def step_medians(tree: Path, workload: str, seed: int) -> dict:
-    """Every ``<step>_ms.p50`` of the full record that ``bench/run.py
-    --trace 0`` wrote for this seed to ``tree``'s bench/out/."""
+def full_metrics(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """The value of every metric of the full record that ``bench/run.py``
+    wrote for this seed and trace setting to ``tree``'s bench/out/."""
     record = json.loads((tree / "bench" / "out" /
-                         f"{workload}-seed{seed}-trace0.json").read_text())
+                         f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {name: metric["value"]
-            for name, metric in record["metrics"].items()
+            for name, metric in record["metrics"].items()}
+
+
+def step_medians(tree: Path, workload: str, seed: int) -> dict:
+    """Every ``<step>_ms.p50`` of the seed's ``--trace 0`` full record."""
+    return {name: value
+            for name, value in full_metrics(tree, workload, seed, 0).items()
             if STEP_MEDIAN.match(name)}
 
 
@@ -104,12 +116,19 @@ def yardstick_scaled(medians: dict) -> dict:
                for name, value in medians.items() if name != YARDSTICK}}
 
 
-def traced_metrics(summary: dict) -> dict:
-    """The per-layer self times and the kernel and eigen call counts of
-    a ``--trace 1`` summary line."""
-    return {name: metric["value"]
-            for name, metric in summary["metrics"].items()
-            if TRACED.match(name)}
+def traced_metrics(summary: dict, eig_ms: float) -> dict:
+    """The per-layer self times of a ``--trace 1`` summary line, each
+    divided by the same run's ``eig_ms`` and named ``<name>/eig``, and its
+    kernel and eigen call counts, unscaled."""
+    traced = {}
+    for name, metric in summary["metrics"].items():
+        if not TRACED.match(name):
+            continue
+        if name.endswith(".self_ms"):
+            traced[f"{name}/eig"] = metric["value"] / eig_ms
+        else:
+            traced[name] = metric["value"]
+    return traced
 
 
 def traced_lines(base: dict, change: dict) -> list[str]:
@@ -181,7 +200,8 @@ def main() -> int:
         for side, tree in (("base", base_tree), ("change", ROOT)):
             summary = run(tree, args.workload, args.seeds[0], TRACE_SECONDS,
                           trace=1)
-            traced[side] = traced_metrics(summary)
+            traced[side] = traced_metrics(summary, full_metrics(
+                tree, args.workload, args.seeds[0], 1)[EIG_YARDSTICK])
             print(f"traced run {side} seed {args.seeds[0]}: failed "
                   f"{summary['failed']}/{summary['attempted']}, strict JSON",
                   flush=True)
@@ -200,7 +220,8 @@ def main() -> int:
                         [s[name] for s in steps["change"]]))
     print(f"# traced, informational: one --trace 1 run per tree of "
           f"{TRACE_SECONDS:g} s, seed {args.seeds[0]}, {args.rev} -> "
-          "working tree")
+          "working tree; each <layer>.self_ms/eig is divided by the same "
+          "run's yardstick.eig_ms, call counts are unscaled")
     for line in traced_lines(traced["base"], traced["change"]):
         print(line)
     return 0

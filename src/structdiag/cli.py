@@ -21,17 +21,17 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import (DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy, _check,
-                   _within)
+from .core import DEFAULT_TOL, FACTOR_GUARANTEE, TolerancePolicy, _within
 from .decompose import (
+    _SIGNS,
     AdditiveDecomposition,
-    Sign,
     decompose_additive,
     verify_decomposition,
 )
 from .diagonalize import (
     _record,
     _store,
+    _variant,
     diagonalizability_report,
     factor_residuals,
     structured_diagonalize,
@@ -179,16 +179,13 @@ def _analysis_payload(a: np.ndarray, form: InnerProduct,
     if form.tag.value == "euclidean":
         payload["diagonalizability"] = None
         return payload, residuals
-    if not (report.selfadjoint.ok or report.skewadjoint.ok):
-        payload["diagonalizability"] = {
-            "decision": None,
-            "reason": "matrix is neither selfadjoint nor skewadjoint "
-                      "for this form",
-        }
-        return payload, residuals
     try:
         # A hit on the record classify has just stored.
         diag_report = diagonalizability_report(a, form, tol)
+    except NotStructured as exc:
+        # Neither selfadjoint nor skewadjoint at tol: nothing to decide.
+        payload["diagonalizability"] = {"decision": None, "reason": str(exc)}
+        return payload, residuals
     except (NotDiagonalizable, SpectrumNotConjugateSymmetric) as exc:
         # A selfadjoint A has a conjugate-symmetric spectrum in exact
         # arithmetic, so a failed pairing is roundoff: no evidence either way.
@@ -346,11 +343,9 @@ def _verify_decomp(a: np.ndarray, n_mat: np.ndarray, form: InnerProduct,
     # A's record, stored so that the verification reads A* from it.
     record = _record(a, form)
     _store(record)
-    if _check(record.selfadjoint, tol).ok:
-        sign = Sign.PLUS
-    elif _check(record.skewadjoint, tol).ok:
-        sign = Sign.MINUS
-    else:
+    try:
+        sign = _SIGNS[_variant(record, tol)]
+    except NotStructured:
         return False, {
             "selfadjoint": record.selfadjoint,
             "skewadjoint": record.skewadjoint,

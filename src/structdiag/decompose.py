@@ -41,6 +41,7 @@ from .diagonalize import (
     _lagrangian_completion,
     _record,
     _store,
+    _variant,
     _with_normality,
     certify,
 )
@@ -53,7 +54,8 @@ from .errors import (
     NumericalBreakdown,
     SingularInput,
 )
-from .forms import FormTag, InnerProduct, _halves, adjoint, gram
+from .forms import (FormTag, InnerProduct, _halves, _require_j_or_r,
+                    adjoint, gram)
 from .spectral import EigenDecomposition, eigen
 from .structure import _normal_check, _with_partners
 
@@ -65,6 +67,12 @@ class Sign(enum.Enum):
     @property
     def factor(self) -> float:
         return 1.0 if self is Sign.PLUS else -1.0
+
+
+# Selfadjoint A = N + N*, skewadjoint A = N - N*: the one map between
+# Variant and Sign, and its inverse.
+_SIGNS = {Variant.SELFADJOINT: Sign.PLUS, Variant.SKEWADJOINT: Sign.MINUS}
+_VARIANTS = {sign: variant for variant, sign in _SIGNS.items()}
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,7 @@ def decompose_additive(a: np.ndarray, form: InnerProduct,
     diag, plan = _certified(_record(a, form), a, form, tol, unitary=True)
     v = diag.transform[:, :form.half]
     n_mat = (v * diag.core) @ herm_transpose(v)
-    # Skewadjoint structures decompose with a minus, selfadjoint with a plus.
-    sign = Sign.PLUS if diag.variant is Variant.SELFADJOINT else Sign.MINUS
+    sign = _SIGNS[diag.variant]
     residuals = DecompositionResiduals(
         *_decomposition_bounds(plan.factors[True].frame_error, diag.core,
                                form),
@@ -255,6 +262,7 @@ def reconstruct_from_normal_factor(
     (structure._with_partners), once, by certify, from V
     (diagonalize._frame_certificate).
     """
+    _require_j_or_r(form.tag)
     n_mat = np.asarray(n_mat, dtype=np.complex128)
     if n_mat.shape[0] != form.dim:
         raise DimensionMismatch("factor dimension does not match the form")
@@ -286,11 +294,8 @@ def reconstruct_from_normal_factor(
         raise NotNeutralRange("column space of N is not neutral")
     frame = _lagrangian_completion(v0, form)
     core = np.concatenate([values, np.zeros(n - rank, complex)])
-
-    variant = (Variant.SELFADJOINT if sign is Sign.PLUS
-               else Variant.SKEWADJOINT)
-    return a, certify(a, _with_partners(frame, form), core, form, variant,
-                      unitary=True)
+    return a, certify(a, _with_partners(frame, form), core, form,
+                      _VARIANTS[sign], unitary=True)
 
 
 def _leading_eigenpairs(dec: EigenDecomposition, count: int
@@ -334,10 +339,11 @@ class VerificationReport:
 
 def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
                          form: InnerProduct) -> VerificationReport:
-    """Recompute every residual; pass iff N's rank is at most n and every
-    residual is within FACTOR_GUARANTEE (a NaN one never is). A's
-    structure and normality residuals come from its record, which is
-    stored."""
+    """Recompute every residual; pass iff N is finite with rank at most n
+    and every residual is within FACTOR_GUARANTEE (a NaN one never is).
+    A non-finite N fails the rank test with no SVD. A's structure
+    residual (of the variant dec.sign stands for) and normality residual
+    come from its record, which is stored."""
     _check_form_tag(dec, form)
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != dec.normal_factor.shape:
@@ -347,9 +353,11 @@ def verify_decomposition(a: np.ndarray, dec: AdditiveDecomposition,
     n_mat = dec.normal_factor
     residuals = _decomposition_residuals(a, n_mat, adjoint(n_mat, form),
                                          dec.sign)
-    structure_res = (record.selfadjoint if dec.sign is Sign.PLUS
+    structure_res = (record.selfadjoint
+                     if _VARIANTS[dec.sign] is Variant.SELFADJOINT
                      else record.skewadjoint)
-    rank_ok = numerical_rank(n_mat) <= form.half
+    rank_ok = bool(np.isfinite(n_mat).all()
+                   and numerical_rank(n_mat) <= form.half)
     passed = rank_ok and _within(FACTOR_GUARANTEE, *astuple(residuals),
                                  structure_res, record.normal)
     return VerificationReport(passed, residuals, structure_res,
@@ -398,11 +406,11 @@ def structured_root(a: np.ndarray, p: int, form: InnerProduct,
         raise ValueError("root order p must be >= 2")
     a = np.asarray(a, dtype=np.complex128)
     record = _record(a, form)
-    selfadjoint = _check(record.selfadjoint, tol)
-    if not selfadjoint.ok:
+    _require_j_or_r(form.tag)
+    if _variant(record, tol) is not Variant.SELFADJOINT:
         raise NotStructured(
             "structured roots require a selfadjoint matrix "
-            f"(residual {selfadjoint.residual:.3e})")
+            f"(residual {record.selfadjoint:.3e})")
     diag, _ = _certified(record, a, form, tol, unitary=True)
     # The singular values of normal A are |core| and their mirror images.
     mags = np.abs(diag.core)

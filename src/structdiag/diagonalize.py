@@ -22,9 +22,10 @@ polar factor and routes [X, B^T X] (_unitary_factor), and certifies it,
 unitarity too, from the first n rows of S^H S - I, which hold X's two
 n x n Grams (_frame_certificate).
 
-Every entry point, the report included, checks only the structure it
-reads (selfadjoint or skewadjoint, and normality on the unitary routes),
-then takes one path (_certified): it eigendecomposes, groups, pairs and
+Every entry point, the report included, takes one path (_certified): it
+checks the form first (J or R, forms._require_j_or_r), then only the
+structure it reads (normality on the unitary routes, then selfadjoint or
+skewadjoint, _variant), and then eigendecomposes, groups, pairs and
 factors each critical Gram once, in one spectral plan that the decision
 and the construction share, and on a balanced plan routes S0 and
 certifies it in the same step (_planned). The plan's groups are arrays
@@ -99,6 +100,7 @@ from .forms import (
     _graph,
     _halves,
     _inverse_times,
+    _require_j_or_r,
     _sylvester,
     _times_form,
     adjoint,
@@ -198,13 +200,12 @@ def assemble_core_diagonal(core: np.ndarray, form_tag: FormTag,
     J form:  diag(d, +conj d) selfadjoint, diag(d, -conj d) skewadjoint.
     R form:  second half reversed, diag(d, +/- conj d reversed).
     """
+    _require_j_or_r(form_tag)
     core = np.asarray(core, dtype=np.complex128)
     sign = 1.0 if variant is Variant.SELFADJOINT else -1.0
     mirror = sign * np.conj(core)
     if form_tag is FormTag.PERPLECTIC_R:
         mirror = mirror[::-1]
-    elif form_tag is not FormTag.SYMPLECTIC_J:
-        raise NotStructured("canonical diagonals exist for the J and R forms")
     return np.concatenate([core, mirror])
 
 
@@ -301,9 +302,18 @@ def _with_normality(record: _Record, a: np.ndarray,
     return replace(record, normal=_normal_check(a, aha=aha).residual)
 
 
-def _check_form(form: InnerProduct) -> None:
-    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
-        raise NotStructured("diagonalizability analysis targets J or R forms")
+def _variant(record: _Record, tol: TolerancePolicy) -> Variant:
+    """The variant of A at tol, the one place it is decided: selfadjoint
+    if A* is within tol of A, else skewadjoint if it is within tol of -A;
+    NotStructured if neither."""
+    if _check(record.selfadjoint, tol).ok:
+        return Variant.SELFADJOINT
+    if _check(record.skewadjoint, tol).ok:
+        return Variant.SKEWADJOINT
+    raise NotStructured(
+        "matrix is neither selfadjoint nor skewadjoint for this form "
+        f"(residuals {record.selfadjoint:.3e} / {record.skewadjoint:.3e})",
+        min(record.selfadjoint, record.skewadjoint))
 
 
 def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
@@ -313,31 +323,21 @@ def _core_values(values: np.ndarray, variant: Variant) -> np.ndarray:
 
 def _planned(record: _Record, a: np.ndarray, form: InnerProduct,
              tol: TolerancePolicy) -> _Record:
-    """record with the plan of the variant its residuals give at tol:
-    decompose and group A, pair the groups of A_hat, factor the Gram of
-    each critical group and, if every one is balanced, route S0 and
-    certify it, unless the record holds the plan of that variant
-    already. The certificate is kept whether or not it meets the
-    guarantee, so that every call on the plan judges it alike. The
-    tolerance reaches the plan only through the variant, so a tolerance
-    that flips it rebuilds the plan alone.
+    """record with the plan of A's variant at tol (_variant): decompose
+    and group A, pair the groups of A_hat, factor the Gram of each
+    critical group and, if every one is balanced, route S0 and certify
+    it, unless the record holds the plan of that variant already. The
+    certificate is kept whether or not it meets the guarantee, so that
+    every call on the plan judges it alike. The tolerance reaches the
+    plan only through the variant, so a tolerance that flips it rebuilds
+    the plan alone.
 
-    Raises NotStructured for a matrix that is neither selfadjoint nor
-    skewadjoint, NotDiagonalizable (from group_eigenvalues) when an
-    eigenvalue cluster is defective, and SpectrumNotConjugateSymmetric
-    (from pair_conjugates) when A_hat's spectrum is not closed under
-    conjugation.
+    Raises _variant's NotStructured, NotDiagonalizable (from
+    group_eigenvalues) when an eigenvalue cluster is defective, and
+    SpectrumNotConjugateSymmetric (from pair_conjugates) when A_hat's
+    spectrum is not closed under conjugation.
     """
-    if _check(record.selfadjoint, tol).ok:
-        variant = Variant.SELFADJOINT
-    elif _check(record.skewadjoint, tol).ok:
-        variant = Variant.SKEWADJOINT
-    else:
-        raise NotStructured(
-            "matrix is neither selfadjoint nor skewadjoint for this form "
-            f"(residuals {record.selfadjoint:.3e} / "
-            f"{record.skewadjoint:.3e})",
-            min(record.selfadjoint, record.skewadjoint))
+    variant = _variant(record, tol)
     if record.plan is not None and record.plan.variant is variant:
         return record
     groups = group_eigenvalues(eigen(a))
@@ -393,7 +393,6 @@ def diagonalizability_report(a: np.ndarray, form: InnerProduct,
     means S0 met FACTOR_GUARANTEE.
     """
     a = np.asarray(a, dtype=np.complex128)
-    _check_form(form)
     try:
         plan = _certified(_record(a, form), a, form, tol, unitary=False)[1]
     except NotStructuredDiagonalizable as exc:
@@ -578,18 +577,20 @@ def _certified(record: _Record, a: np.ndarray, form: InnerProduct,
     It is returned as a copy, with a copy of the core, next to the plan,
     which holds the read-only factor.
 
+    The checks come in this order: NotStructured off the J and R forms
+    (forms._require_j_or_r), before any other test of A; with
+    ``unitary``, NotNormal unless A is normal; then _planned's errors.
     Raises NotStructuredDiagonalizable (report attached) if a critical
     Gram is unbalanced, which includes every critical group of odd
-    multiplicity. With ``unitary``: NotNormal unless A is normal, before
-    NotStructured off the J and R forms.
+    multiplicity.
     """
+    _require_j_or_r(form.tag)
     if unitary:
         record = _with_normality(record, a)
         normal = _check(record.normal, tol)
         if not normal.ok:
             raise NotNormal(
                 f"matrix is not normal (residual {normal.residual:.3e})")
-        _check_form(form)
     record = _planned(record, a, form, tol)
     plan = record.plan
     if plan.balanced and unitary not in plan.factors:
@@ -716,7 +717,6 @@ def structured_diagonalize(a: np.ndarray, form: InnerProduct,
         final core eigenvalue, its real part rounded to the cluster radius.
     """
     a = np.asarray(a, dtype=np.complex128)
-    _check_form(form)
     return _certified(_record(a, form), a, form, tol, unitary=False)[0]
 
 
@@ -795,8 +795,7 @@ def complete_to_lagrangian(v: np.ndarray | None,
     iJ (_lagrangian_completion). The input columns are returned unchanged
     in the leading positions.
     """
-    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
-        raise NotStructured("Lagrangian completion targets the J or R forms")
+    _require_j_or_r(form.tag)
     n = form.half
     if v is None:
         v = np.zeros((2 * n, 0), dtype=np.complex128)

@@ -112,6 +112,14 @@ def euclidean_form(m: int) -> InnerProduct:
     return InnerProduct(np.eye(m, dtype=np.complex128), FormTag.EUCLIDEAN)
 
 
+def _require_j_or_r(tag: FormTag) -> None:
+    """NotStructured unless the tag is J or R: the package's criteria,
+    frames and canonical diagonals exist for those two forms alone."""
+    if tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
+        raise NotStructured(f"the J or R form is required, not the "
+                            f"{tag.value} form")
+
+
 def _check_dim(a: np.ndarray, form: InnerProduct):
     if a.shape[0] != form.dim:
         raise DimensionMismatch(

@@ -19,6 +19,7 @@ from .errors import InvalidSize, NotStructured
 from .forms import (
     FormTag,
     InnerProduct,
+    _require_j_or_r,
     adjoint,
     flip,
     perplectic_form,
@@ -139,15 +140,14 @@ def random_lagrangian_frame(form: InnerProduct, seed: int) -> np.ndarray:
     generic Lagrangian subspaces; for the perplectic form Z = R_n K with
     skew-Hermitian K plays the same role. QR keeps the span.
     """
+    _require_j_or_r(form.tag)
     n = form.half
     rng = PortableRng(seed)
     g = rng.complex_matrix(n, n)
     if form.tag is FormTag.SYMPLECTIC_J:
         z = (g + herm_transpose(g)) / 2.0
-    elif form.tag is FormTag.PERPLECTIC_R:
-        z = flip(n) @ ((g - herm_transpose(g)) / 2.0)
     else:
-        raise NotStructured("Lagrangian frames require the J or R form")
+        z = flip(n) @ ((g - herm_transpose(g)) / 2.0)
     raw = np.vstack([np.eye(n, dtype=np.complex128), z])
     q, r = np.linalg.qr(raw)
     d = np.diag(r).copy()

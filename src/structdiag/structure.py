@@ -20,8 +20,9 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, FRAME_INPUT_TOL, Check, TolerancePolicy,
                    _check, _within, fro, herm_transpose, rel_residual)
-from .errors import DimensionMismatch, NotLagrangianFrame, NotStructured
-from .forms import FormTag, InnerProduct, _form_times, _inverse_times
+from .errors import DimensionMismatch, NotLagrangianFrame
+from .forms import (FormTag, InnerProduct, _form_times, _inverse_times,
+                    _require_j_or_r)
 
 # Form-specific display names for the three adjoint-relative structures.
 _NAMES = {
@@ -163,9 +164,7 @@ def build_unitary_automorphism(v: np.ndarray, form: InnerProduct) -> np.ndarray:
     """Unitary automorphism of the J or R form whose first n columns are
     the orthonormal Lagrangian frame V: each column v_j is partnered with
     B^T v_j, giving [V, J^T V] and [V, R V R_n] (_with_partners)."""
-    if form.tag not in (FormTag.SYMPLECTIC_J, FormTag.PERPLECTIC_R):
-        raise NotStructured(
-            "unitary automorphism frames require the J or R form")
+    _require_j_or_r(form.tag)
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != form.dim or v.shape[1] == 0:
         raise NotLagrangianFrame(

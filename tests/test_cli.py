@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from structdiag import (
+    NotStructured,
+    TolerancePolicy,
     Variant,
     assemble_core_diagonal,
     decompose_additive,
+    diagonalizability_report,
     random_structured,
     random_structured_diagonalizable,
     read_matrix,
@@ -594,3 +597,45 @@ def test_analyze_expect_accepts_only_names_it_can_match(tmp_path, capsys):
                 assert main(["analyze", "--form", form, "--expect", name,
                              str(path)]) == 0, (scale, form, name)
             capsys.readouterr()
+
+
+def test_subcommands_agree_on_structure_across_the_tolerance(tmp_path,
+                                                             capsys):
+    # A skew-Hamiltonian input moved off its class by a residual rho near
+    # 1e-11 (i t I is Hamiltonian and commutes with A, so A stays
+    # normal). At every --tol, analyze writes "decision": null exactly
+    # where diagonalize exits 1 with NotStructured and verify --mode
+    # decomp writes "sign": "unstructured"; N comes from decompose at
+    # 10 rho.
+    form = symplectic_form(4)
+    inst = random_structured_diagonalizable("skew-hamiltonian", 4, 17)
+    path = str(tmp_path / "a.mtx")
+    write_matrix(path, inst.matrix + 1e-11j * np.eye(8))
+    rho = classify(read_matrix(path), form).selfadjoint.residual
+    assert 1e-12 < rho < 1e-10
+
+    def run(*args):
+        code = main([*args, "--form", "symplectic"])
+        return code, json.loads(capsys.readouterr().out)["payload"]
+
+    out = str(tmp_path / "fac")
+    assert run("decompose", "--tol", repr(10 * rho), "--out", out,
+               path)[0] == 0
+    for scale in (0.1, 0.5, 2.0, 10.0):
+        tol = repr(scale * rho)
+        code, analyzed = run("analyze", "--tol", tol, path)
+        unstructured = analyzed["diagonalizability"]["decision"] is None
+        assert code == 0 and unstructured == (scale < 1), scale
+        code, built = run("diagonalize", "--tol", tol, "--out", out, path)
+        assert (code, built.get("error")) == (
+            (1, "NotStructured") if unstructured else (0, None)), scale
+        code, verified = run("verify", "--tol", tol, "--mode", "decomp",
+                             path, f"{out}.N.mtx")
+        assert (code, verified["sign"]) == (
+            (1, "unstructured") if unstructured else (0, "plus")), scale
+        if unstructured:
+            # The reason is the library's own message.
+            with pytest.raises(NotStructured) as err:
+                diagonalizability_report(read_matrix(path), form,
+                                         TolerancePolicy(scale * rho))
+            assert analyzed["diagonalizability"]["reason"] == str(err.value)

@@ -514,6 +514,23 @@ class TestVerify:
         with pytest.raises(NotStructured):
             verify_decomposition(a, dec, perplectic_form(form.half))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_fails_with_no_svd(self, monkeypatch, bad):
+        # A NaN entry made the rank SVD raise LinAlgError, an inf one read
+        # as rank 0: a non-finite N fails the rank test, with no SVD.
+        a, dec, form = self._decomposition()
+        n_mat = dec.normal_factor.copy()
+        n_mat[0, 1] = bad
+        svds = []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: svds.append(args))
+        report = verify_decomposition(
+            a, AdditiveDecomposition(n_mat, dec.sign, dec.form_tag), form)
+        assert not report.rank_ok
+        assert not report.passed
+        assert not svds
+
 
 class TestStructuredExp:
     def test_zero_factor(self):

@@ -28,12 +28,14 @@ from structdiag import (
     Variant,
     adjoint,
     assemble_core_diagonal,
+    build_unitary_automorphism,
     complete_to_lagrangian,
     congruence_to,
     counterexample_unbalanced,
     decompose_additive,
     diagonalizability_report,
     eigen,
+    euclidean_form,
     form_for_kind,
     gram,
     group_eigenvalues,
@@ -520,6 +522,32 @@ def structured_square_root(a, form):
     return structured_root(a, 2, form)
 
 
+# Every public entry point that exists only for the J and R forms, as a
+# call on a 4 x 4 form: on a normal (Hermitian) and a non-normal matrix
+# for those that take one, on N = 0 for the reconstruction.
+_ZERO = np.zeros((4, 4), dtype=complex)
+_J_OR_R_ONLY = {
+    **{f"{entry.__name__}-{name}": (lambda form, a=a, entry=entry:
+                                    entry(a, form))
+       for entry in (diagonalizability_report, structured_diagonalize,
+                     unitary_refine, decompose_additive,
+                     structured_square_root)
+       for name, a in (("hermitian", gaussian_matrix(4, 4, 5)
+                        + gaussian_matrix(4, 4, 5).conj().T),
+                       ("general", gaussian_matrix(4, 4, 6)))},
+    "reconstruct_from_normal_factor": lambda form: (
+        reconstruct_from_normal_factor(_ZERO, Sign.PLUS, form)),
+    "structured_exp": lambda form: structured_exp(
+        AdditiveDecomposition(_ZERO, Sign.MINUS, form.tag), form),
+    "complete_to_lagrangian": lambda form: complete_to_lagrangian(None, form),
+    "build_unitary_automorphism": lambda form: build_unitary_automorphism(
+        np.eye(4, dtype=complex)[:, :2], form),
+    "random_lagrangian_frame": lambda form: random_lagrangian_frame(form, 3),
+    "assemble_core_diagonal": lambda form: assemble_core_diagonal(
+        np.ones(2), form.tag, Variant.SELFADJOINT),
+}
+
+
 class TestOneSpectralPass:
     """Each entry point runs no full classify (it checks only the flags it
     reads), eigendecomposes once, clusters and pairs once, solves with
@@ -695,6 +723,22 @@ class TestOneSpectralPass:
         assert counts == idle
         structured_exp(AdditiveDecomposition(n_mat, sign, form.tag), form)
         assert counts == self._RECONSTRUCT_COUNTS
+
+    @pytest.mark.parametrize("name", sorted(_J_OR_R_ONLY))
+    def test_euclidean_form_is_rejected_before_any_factorization(
+            self, monkeypatch, name):
+        # One error, the form's, before every other test of the input
+        # (normality included) and before any factorization.
+        form = euclidean_form(4)
+        monkeypatch.setattr(diagonalize_module, "_PLAN_SLOT", None)
+        counts = self._count(monkeypatch, form)
+        with pytest.raises(NotStructured) as err:
+            _J_OR_R_ONLY[name](form)
+        assert str(err.value) == ("the J or R form is required, not the "
+                                  "euclidean form")
+        assert (counts["eigen"], counts["eig"], counts["qr"],
+                counts["eigh_shapes"], counts["svd_shapes"]) == (
+                    0, 0, 0, [], [])
 
 
 _ENTRY_POINTS = [diagonalizability_report, structured_diagonalize,

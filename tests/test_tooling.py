@@ -290,7 +290,7 @@ def test_bench_pairs_scales_each_step_by_its_runs_yardstick(tmp_path):
             "chain_ms.p50/yardstick": 2.5}
 
 
-def test_bench_pairs_prints_both_sides_of_the_traced_layers():
+def test_bench_pairs_prints_both_sides_of_the_traced_layers(tmp_path):
     bench_pairs = _bench_pairs()
 
     def summary(**values):
@@ -302,21 +302,86 @@ def test_bench_pairs_prints_both_sides_of_the_traced_layers():
         layer__spectral__self_ms=2.0, spectral__pair_conjugates__self_ms=0.5,
         lapack__eig__calls=1.0, lapack__eig__ms=3.0,
         spectral__eigen__calls=4.0, forms__adjoint__calls=6.0,
-        trace__self_sum_ms=9.0))
-    # Self times, kernel calls and eigen calls; not kernel times, other
-    # call counts or the trace's own totals.
-    assert base == {"layer.spectral.self_ms": 2.0,
-                    "spectral.pair_conjugates.self_ms": 0.5,
+        trace__self_sum_ms=9.0), 2.0)
+    # Self times over the run's eig time, kernel calls and eigen calls
+    # unscaled; not kernel times, other call counts or the trace's own
+    # totals.
+    assert base == {"layer.spectral.self_ms/eig": 1.0,
+                    "spectral.pair_conjugates.self_ms/eig": 0.25,
                     "lapack.eig.calls": 1.0, "spectral.eigen.calls": 4.0}
     change = bench_pairs.traced_metrics(summary(
         layer__spectral__self_ms=1.5, spectral__pair_conjugates__self_ms=0.0,
         lapack__eig__calls=1.0, spectral__eigen__calls=4.0,
-        layer__bench__self_ms=1.0))
+        layer__bench__self_ms=1.0), 2.0)
     assert bench_pairs.traced_lines(base, change) == [
         "lapack.eig.calls: 1 -> 1, +0.0%",
-        "layer.spectral.self_ms: 2 -> 1.5, -25.0%",
+        "layer.spectral.self_ms/eig: 1 -> 0.75, -25.0%",
         "spectral.eigen.calls: 4 -> 4, +0.0%",
-        "spectral.pair_conjugates.self_ms: 0.5 -> 0, -100.0%"]
+        "spectral.pair_conjugates.self_ms/eig: 0.25 -> 0, -100.0%"]
     assert bench_pairs.traced_lines({"lapack.qr.calls": 0.0},
                                     {"lapack.qr.calls": 2.0}) == [
         "lapack.qr.calls: 0 -> 2"]
+    # A machine twice as slow in the second run doubles its self times and
+    # its eig alike, and leaves the call counts: no line moves.
+    slow = bench_pairs.traced_metrics(summary(
+        layer__spectral__self_ms=4.0, spectral__pair_conjugates__self_ms=1.0,
+        lapack__eig__calls=1.0, spectral__eigen__calls=4.0), 4.0)
+    assert all(line.endswith("+0.0%")
+               for line in bench_pairs.traced_lines(base, slow))
+    # The eig time comes from the traced run's full record in bench/out/.
+    out = tmp_path / "bench" / "out"
+    out.mkdir(parents=True)
+    (out / "desk-100-seed3-trace1.json").write_text(json.dumps(
+        {"metrics": {"yardstick.eig_ms": {"value": 12.5, "unit": "ms"},
+                     "lapack.eig.calls": {"value": 4.0, "unit": "count"}}}))
+    assert bench_pairs.full_metrics(tmp_path, "desk-100", 3, 1)[
+        bench_pairs.EIG_YARDSTICK] == 12.5
+
+
+def test_each_input_fact_is_decided_once():
+    # The J or R requirement: one NotStructured, raised under a test of
+    # the form tag only in forms._require_j_or_r, which each J/R-only
+    # entry point runs first (structured_root after its argument and
+    # shape checks, through _record).
+    def names(tree):
+        return {getattr(n, "id", None) for n in ast.walk(tree)}
+
+    tag_raisers = {(module, top) for module, top, node in _package_nodes()
+                   if isinstance(node, ast.If) and "FormTag" in names(node.test)
+                   and any(isinstance(n, ast.Raise)
+                           and "NotStructured" in names(n)
+                           for n in ast.walk(node))}
+    assert tag_raisers == {("forms", "_require_j_or_r")}
+    guarded = {("decompose", "reconstruct_from_normal_factor"),
+               ("decompose", "structured_root"),
+               ("diagonalize", "_certified"),
+               ("diagonalize", "assemble_core_diagonal"),
+               ("diagonalize", "complete_to_lagrangian"),
+               ("generators", "random_lagrangian_frame"),
+               ("structure", "build_unitary_automorphism")}
+    assert sorted(_callers("_require_j_or_r")) == sorted(guarded)
+    for module, top, node in _package_nodes():
+        if ((module, top) in guarded - {("decompose", "structured_root")}
+                and isinstance(node, ast.FunctionDef) and node.name == top):
+            # The first statement after the docstring.
+            assert ast.unparse(node.body[1]).startswith(
+                "_require_j_or_r("), (module, top)
+    assert not {(module, top) for module, top, node in _package_nodes()
+                if "_check_form" in (getattr(node, "id", None),
+                                     getattr(node, "name", None))}
+    # Selfadjoint, else skewadjoint: decided by diagonalize._variant alone.
+    assert sorted(_callers("_variant")) == [
+        ("cli", "_verify_decomp"), ("decompose", "structured_root"),
+        ("diagonalize", "_planned")]
+    # Sign and Variant meet only in decompose's one table.
+    both = set()
+    for path in sorted((REPO / "src" / "structdiag").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            named = {n.value.id for n in ast.walk(top)
+                     if isinstance(n, ast.Attribute)
+                     and isinstance(n.value, ast.Name)
+                     and n.value.id in ("Sign", "Variant")}
+            if named == {"Sign", "Variant"}:
+                name = getattr(top, "name", None) or top.targets[0].id
+                both.add((path.stem, name))
+    assert both == {("decompose", "_SIGNS")}
